@@ -29,7 +29,6 @@ __all__ = [
     "normalize",
     "restrict",
     "common_grid",
-    "grid_from_profile",
     "load_gfn",
     "dump_gfn",
 ]
@@ -137,8 +136,12 @@ def integral(f: GridFunction) -> float:
     return float(f.values.sum()) * f.cell_volume
 
 
-def _offset_cells(f: GridFunction, g: GridFunction, tol: float = 1e-9):
-    """Integer cell offset of g's origin relative to f's, or raise."""
+def _offset_cells(f, g, tol: float = 1e-9):
+    """Integer cell offset of g's origin relative to f's, or raise.
+
+    f and g are GridFunctions or LevelSets (anything with dim, origin and
+    spacing).
+    """
     if f.dim != g.dim:
         raise GeometryMismatchError(f"dim mismatch: {f.dim} vs {g.dim}")
     if abs(f.spacing - g.spacing) > tol * f.spacing:
@@ -155,22 +158,24 @@ def _offset_cells(f: GridFunction, g: GridFunction, tol: float = 1e-9):
     return off
 
 
-def common_grid(f: GridFunction, g: GridFunction):
-    """Embed two commensurate functions into one bounding grid.
+def common_grid(f, g):
+    """Embed two commensurate functions (or two level sets) into one
+    bounding grid.
 
     Returns (values_f, values_g, origin, spacing) with both value arrays on
-    the common grid, zero-padded.
+    the common grid, zero-padded; level sets give their masks.
     """
     off = _offset_cells(f, g)
+    af, ag = (x.mask if isinstance(x, LevelSet) else x.values for x in (f, g))
     lo = [min(0, o) for o in off]
-    hi = [max(sf, o + sg) for sf, sg, o in zip(f.shape, g.shape, off)]
+    hi = [max(sf, o + sg) for sf, sg, o in zip(af.shape, ag.shape, off)]
     shape = tuple(h - l for h, l in zip(hi, lo))
-    vf = np.zeros(shape)
-    vg = np.zeros(shape)
-    sf = tuple(slice(-l, -l + s) for l, s in zip(lo, f.shape))
-    sg = tuple(slice(o - l, o - l + s) for o, l, s in zip(off, lo, g.shape))
-    vf[sf] = f.values
-    vg[sg] = g.values
+    vf = np.zeros(shape, dtype=af.dtype)
+    vg = np.zeros(shape, dtype=ag.dtype)
+    sf = tuple(slice(-l, -l + s) for l, s in zip(lo, af.shape))
+    sg = tuple(slice(o - l, o - l + s) for o, l, s in zip(off, lo, ag.shape))
+    vf[sf] = af
+    vg[sg] = ag
     origin = tuple(a + l * f.spacing for a, l in zip(f.origin, lo))
     return vf, vg, origin, f.spacing
 
@@ -255,11 +260,6 @@ def restrict(f: GridFunction, s) -> GridFunction:
         if mask.shape != f.shape:
             raise GeometryMismatchError("mask shape does not match the grid")
     return f.with_values(np.where(mask, f.values, 0.0))
-
-
-def grid_from_profile(xs_left: float, spacing: float, values, dim: int = 1) -> GridFunction:
-    """Convenience constructor for 1-D functions from a left edge and samples."""
-    return GridFunction(dim, (xs_left,), spacing, np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,6 @@ def _upper_chain(idx: np.ndarray, w_exact: list) -> list:
     return out
 
 
-def _chain_eval(chain: list, at: np.ndarray) -> np.ndarray:
-    xs = np.array([float(c[0]) for c in chain])
-    ys = np.array([float(c[1]) for c in chain])
-    return np.interp(at, xs, ys)
-
-
 # --------------------------------------------------------------------------
 # exact 2-D upper envelope (gift wrap over the lifted cloud)
 
@@ -271,34 +265,6 @@ class HullResult:
     facets: list
 
 
-def _support_hull_mask(f: GridFunction):
-    """Mask of cells whose centers lie in co(supp f) plus the hull polygon."""
-    if f.dim == 1:
-        idx = np.flatnonzero(f.values > 0)
-        mask = np.zeros(f.shape, dtype=bool)
-        mask[idx.min() : idx.max() + 1] = True
-        return mask, None
-    idx = np.argwhere(f.values > 0)
-    verts = _convex_hull_2d(2 * idx + 1)  # doubled coords: centers are odd ints
-    mask = np.zeros(f.shape, dtype=bool)
-    if len(verts) == 1:
-        mask[tuple(idx[0])] = True
-        return mask, verts
-    ii, jj = np.mgrid[0 : f.shape[0], 0 : f.shape[1]]
-    px, py = 2 * ii + 1, 2 * jj + 1
-    inside = np.ones(f.shape, dtype=bool)
-    if len(verts) == 2:
-        a, b = verts
-        ux, uy = b[0] - a[0], b[1] - a[1]
-        inside &= (px - a[0]) * uy == (py - a[1]) * ux
-        inside &= ((px - a[0]) * ux + (py - a[1]) * uy) >= 0
-        inside &= ((px - b[0]) * ux + (py - b[1]) * uy) <= 0
-    else:
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            inside &= (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0]) >= 0
-    return inside, verts
-
-
 def p_concave_hull(f: GridFunction, p: float) -> HullResult:
     """Minimal p-concave majorant of f, sampled on f's grid.
 
@@ -322,7 +288,9 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
         w = [Fraction(x) for x in (sign * _lift(vals, p)).tolist()]
         chain = _upper_chain(idx, w)
         domain = np.arange(idx.min(), idx.max() + 1)
-        env = sign * _chain_eval(chain, domain.astype(float))
+        xs = [float(x) for x, _ in chain]
+        ws = [float(v) for _, v in chain]
+        env = sign * np.interp(domain.astype(float), xs, ws)
         hull_vals = np.zeros(f.shape)
         hull_vals[domain] = _unlift(env, p)
         hull_vals = np.maximum(hull_vals, f.values)
@@ -346,8 +314,7 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
     lifted = (sign * _lift(vals, p)).tolist()
     pts = [(int(a), int(b), Fraction(wv)) for (a, b), wv in zip(idx.tolist(), lifted)]
     planes = _upper_envelope_2d(pts)
-    mask, _ = _support_hull_mask(f)
-    cells = np.argwhere(mask)
+    cells = convex_hull_set(level_set(f, 0.0)).indices()
     env = np.full(len(cells), np.inf)
     for alpha, beta, gamma in planes:
         vals_p = float(alpha) * cells[:, 0] + float(beta) * cells[:, 1] + float(gamma)
@@ -423,24 +390,21 @@ def convex_hull_set(A: LevelSet) -> LevelSet:
         mask[idx.min() : idx.max() + 1] = True
         return LevelSet(1, A.threshold, mask, A.origin, A.spacing)
     idx = np.argwhere(A.mask)
-    verts = _convex_hull_2d(2 * idx + 1)
-    mask = np.zeros(A.mask.shape, dtype=bool)
+    verts = _convex_hull_2d(2 * idx + 1)  # doubled coords: centers are odd ints
+    if len(verts) == 1:
+        return LevelSet(2, A.threshold, A.mask, A.origin, A.spacing)
     ii, jj = np.mgrid[0 : A.mask.shape[0], 0 : A.mask.shape[1]]
     px, py = 2 * ii + 1, 2 * jj + 1
-    if len(verts) == 1:
-        mask = A.mask.copy()
-    elif len(verts) == 2:
+    if len(verts) == 2:
         a, b = verts
         ux, uy = b[0] - a[0], b[1] - a[1]
-        on = (px - a[0]) * uy == (py - a[1]) * ux
-        on &= ((px - a[0]) * ux + (py - a[1]) * uy) >= 0
-        on &= ((px - b[0]) * ux + (py - b[1]) * uy) <= 0
-        mask = on
+        mask = (px - a[0]) * uy == (py - a[1]) * ux
+        mask &= ((px - a[0]) * ux + (py - a[1]) * uy) >= 0
+        mask &= ((px - b[0]) * ux + (py - b[1]) * uy) <= 0
     else:
-        inside = np.ones(A.mask.shape, dtype=bool)
+        mask = np.ones(A.mask.shape, dtype=bool)
         for a, b in zip(verts, verts[1:] + verts[:1]):
-            inside &= (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0]) >= 0
-        mask = inside
+            mask &= (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0]) >= 0
     return LevelSet(2, A.threshold, mask, A.origin, A.spacing)
 
 

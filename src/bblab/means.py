@@ -24,9 +24,13 @@ __all__ = [
     "check_pq_switch",
 ]
 
-# below this |p| the direct power formula cancels catastrophically; use the
-# log1p/expm1 form so the family is numerically continuous through p = 0
-_SMALL_P = 1e-6
+# below this |p| the direct power formula loses about eps/|p| to
+# cancellation (5e-11 relative at |p| = 1e-6); use the log1p/expm1 form so
+# the family is numerically continuous and monotone through p = 0
+_SMALL_P = 1e-3
+# below this |p log(y/x)| use the first-order expansion of that form in p,
+# which stays exact when the product underflows (subnormal p)
+_SMALL_U = 1e-8
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,12 @@ def _mean(lam: float, p: float, x: float, y: float) -> float:
     if p == 0.0:
         return x ** lam * y ** (1.0 - lam)
     if abs(p) < _SMALL_P:
-        u = p * (math.log(y) - math.log(x))
-        return x * math.exp(math.log1p((1.0 - lam) * math.expm1(u)) / p)
+        L = math.log(y) - math.log(x)
+        u = p * L
+        c = 1.0 - lam
+        if abs(u) < _SMALL_U:
+            return x * math.exp(c * L + 0.5 * c * lam * u * L)
+        return x * math.exp(math.log1p(c * math.expm1(u)) / p)
     # factored form x * (lam + (1-lam) r^p)^(1/p) keeps intermediates scaled
     r = y / x
     return x * (lam + (1.0 - lam) * r ** p) ** (1.0 / p)
@@ -117,8 +125,11 @@ def p_mean_arr(lam: float, p: float, x, y):
     if p == 0.0:
         vals = np.exp(lam * np.log(xv) + (1.0 - lam) * np.log(yv))
     elif abs(p) < _SMALL_P:
-        u = p * (np.log(yv) - np.log(xv))
-        vals = xv * np.exp(np.log1p((1.0 - lam) * np.expm1(u)) / p)
+        L = np.log(yv) - np.log(xv)
+        u = p * L
+        c = 1.0 - lam
+        series = c * L + 0.5 * c * lam * u * L
+        vals = xv * np.exp(np.where(np.abs(u) < _SMALL_U, series, np.log1p(c * np.expm1(u)) / p))
     else:
         r = yv / xv
         vals = xv * (lam + (1.0 - lam) * r ** p) ** (1.0 / p)

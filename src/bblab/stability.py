@@ -35,7 +35,7 @@ from .gridfn import (
 )
 from .hull import PPlane, p_concave_hull
 from .means import MeanParams, _mean, exponent_map, p_mean_arr
-from .supconv import deficit, sup_convolution
+from .supconv import _bounding_box, deficit, sup_convolution
 
 __all__ = [
     "StabilityReport",
@@ -73,13 +73,6 @@ def _ratio(dist: float, scale: float) -> float:
     return 0.0 if dist <= 1e-15 else math.inf
 
 
-def _support_extent_cells(vals: np.ndarray):
-    idx = np.argwhere(vals > 0)
-    if idx.size == 0:
-        return None
-    return idx.min(axis=0), idx.max(axis=0)
-
-
 def _best_shift(f: GridFunction, g: GridFunction):
     """Exhaustive integer-shift search minimizing int |f - g(. - v h)|.
 
@@ -88,8 +81,8 @@ def _best_shift(f: GridFunction, g: GridFunction):
     """
     vf, vg, _, h = common_grid(f, g)
     cv = h ** f.dim
-    bf = _support_extent_cells(vf)
-    bg = _support_extent_cells(vg)
+    bf = _bounding_box(vf)
+    bg = _bounding_box(vg)
     if bf is None or bg is None:
         return tuple([0] * f.dim), float(np.abs(vf - vg).sum()) * cv
     widths = (bf[1] - bf[0]) + (bg[1] - bg[0]) + 1
@@ -178,13 +171,6 @@ def _lift_signed(vals: np.ndarray, p: float) -> np.ndarray:
     else:
         out[pos] = -(vals[pos] ** p)
     return out
-
-
-def _self_sup_integral_general(vals: np.ndarray, f: GridFunction, params: MeanParams) -> float:
-    if not vals.any():
-        return 0.0
-    gf = f.with_values(vals)
-    return integral(sup_convolution(gf, gf, params))
 
 
 def _mean_half_arr(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -400,33 +386,33 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
 
     def sup_rows_1d(rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.shape[0])
+        rest = range(rows.shape[0])
         if lam_is_half:
             # concave rows cost O(n); the rest go through the exact batched
             # offset sweep, trimmed to the joint support box of the batch
             ints, valid = _self_sup_integral_rows_fast(rows, params, cv)
             out[valid] = ints[valid]
             rest = np.flatnonzero(~valid)
-            if len(rest):
-                pos = np.flatnonzero((rows[rest] > 0).any(axis=0))
-                if len(pos) == 0:
-                    out[rest] = 0.0
-                elif pos.max() - pos.min() + 1 <= 4 * len(pos):
-                    sub = rows[rest][:, pos.min() : pos.max() + 1]
-                    out[rest] = _batched_self_sup_half(sub, p, cv)
-                else:
-                    # sparse support with long gaps: the dense sweep wastes
-                    # quadratic work on zeros; go through the pruned kernel
-                    for r in rest:
-                        out[r] = _self_sup_integral_general(rows[r].copy(), f, params)
-            return out
-        for r in range(rows.shape[0]):
-            out[r] = _self_sup_integral_general(rows[r].copy(), f, params)
+            pos = np.flatnonzero((rows[rest] > 0).any(axis=0))
+            if len(pos) == 0:
+                out[rest] = 0.0
+                rest = []
+            elif pos.max() - pos.min() + 1 <= 4 * len(pos):
+                sub = rows[rest][:, pos.min() : pos.max() + 1]
+                out[rest] = _batched_self_sup_half(sub, p, cv)
+                rest = []
+            # else sparse support with long gaps: the dense sweep wastes
+            # quadratic work on zeros; go through the pruned kernel below
+        for r in rest:
+            g = f.with_values(rows[r].copy())
+            out[r] = integral(sup_convolution(g, g, params))
         return out
 
     def sup_one(vals: np.ndarray) -> float:
         if f.dim == 1:
             return float(sup_rows_1d(vals.reshape(1, -1))[0])
-        return _self_sup_integral_general(vals, f, params)
+        g = f.with_values(vals)
+        return integral(sup_convolution(g, g, params))
 
     cands = _shave_candidates_1d(f, p) if f.dim == 1 else _shave_candidates_2d(f, p)
     materialize = (
@@ -459,9 +445,7 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
         for k, st in enumerate(states):
             removed = cur_int - float(st.sum()) * cv
             if removed > 1e-300:
-                gains[k] = (cur_sup - _self_sup_integral_general(st, f, params)) - (
-                    1.0 + c
-                ) * removed
+                gains[k] = (cur_sup - sup_one(st)) - (1.0 + c) * removed
         return states, gains
 
     def apply_state(state):

@@ -13,12 +13,13 @@ gives the discrete Minkowski combination measure >= min(|A|, |B|).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gridfn import GeometryMismatchError, GridFunction, LevelSet, ZeroMassError, integral
+from .gridfn import GridFunction, LevelSet, ZeroMassError, _offset_cells, common_grid, integral
 from .means import MeanParams, p_mean_arr
 
 __all__ = [
@@ -29,12 +30,19 @@ __all__ = [
     "verify_bbl_hypothesis",
 ]
 
-_PAIR_SAMPLE_LIMIT = 10 ** 8
-_CHUNK = 64
+# pairs enumerated at once by the hypothesis check; bounds its memory only
+_PAIRS_PER_BATCH = 1 << 20
 
 
 @dataclass(frozen=True)
 class DeficitReport:
+    """Masses, delta = mass(h)/mass(f) - 1 and the hypothesis check.
+
+    pointwise_violations is the number of grid pairs (x, y) with
+    M(f(x), g(y)) > h(lam x + (1-lam) y) + tol; verified says whether the
+    (exact) check ran, and the count is 0 when it did not.
+    """
+
     mass_f: float
     mass_g: float
     mass_h: float
@@ -42,7 +50,6 @@ class DeficitReport:
     pointwise_violations: int
     tol: float
     verified: bool
-    sampled: bool = False
 
     @property
     def hypothesis_ok(self) -> bool:
@@ -52,23 +59,6 @@ class DeficitReport:
 def _lam_ab(params: MeanParams) -> tuple[int, int]:
     frac: Fraction = params.lam_fraction
     return frac.numerator, frac.denominator
-
-
-def _lattice_offset(base: GridFunction, other: GridFunction, tol: float = 1e-9):
-    if base.dim != other.dim:
-        raise GeometryMismatchError("dimension mismatch")
-    if abs(base.spacing - other.spacing) > tol * base.spacing:
-        raise GeometryMismatchError("spacing mismatch")
-    off = []
-    for a, b in zip(base.origin, other.origin):
-        r = (b - a) / base.spacing
-        k = round(r)
-        if abs(r - k) > tol:
-            raise GeometryMismatchError(
-                "grids are incommensurate (origin offset is not a whole cell)"
-            )
-        off.append(int(k))
-    return np.array(off, dtype=np.int64)
 
 
 def _snap(s, b: int):
@@ -93,7 +83,7 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
     if f.dim not in (1, 2):
         raise ValueError("sup_convolution supports dim 1 and 2")
     a, b = _lam_ab(params)
-    off_g = _lattice_offset(f, g)
+    off_g = _offset_cells(f, g)
     lam, p = params.lam_float, params.p
 
     box_f = _bounding_box(f.values)
@@ -157,18 +147,7 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     if abs(float(frac) - float(lam)) > 1e-12:
         raise ValueError(f"lambda {lam} is not a small-denominator rational")
     a, b = frac.numerator, frac.denominator
-    if A.dim != B.dim:
-        raise GeometryMismatchError("dimension mismatch")
-    if abs(A.spacing - B.spacing) > 1e-9 * A.spacing:
-        raise GeometryMismatchError("spacing mismatch")
-    off = []
-    for x, y in zip(A.origin, B.origin):
-        r = (y - x) / A.spacing
-        k = round(r)
-        if abs(r - k) > 1e-9:
-            raise GeometryMismatchError("incommensurate origins")
-        off.append(int(k))
-    off = np.array(off, dtype=np.int64)
+    off = _offset_cells(A, B)
 
     ia = A.indices().astype(np.int64)
     ib = B.indices().astype(np.int64) + off
@@ -187,101 +166,100 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     return LevelSet(A.dim, 0.0, mask, origin, A.spacing)
 
 
-def _violation_scan(f, g, h, params, tol, collect, sample=None):
+def _centers(grid: GridFunction, flat: np.ndarray):
+    """Cell-center positions of flat cell indices: floats in 1-D, tuples in 2-D."""
+    idx = np.unravel_index(flat, grid.shape)
+    pos = [(grid.origin[d] + (idx[d] + 0.5) * grid.spacing).tolist() for d in range(grid.dim)]
+    return pos[0] if grid.dim == 1 else list(zip(*pos))
+
+
+def _violations(f, g, h, params, tol, collect):
     """Count (and optionally collect) pairs with M(f(x), g(y)) > h(z) + tol.
 
-    Pairs run over the positive cells of f and g; z = lam*x + (1-lam)*y is
-    snapped onto h's lattice with the same integer rule as sup_convolution.
+    z = lam*x + (1-lam)*y snaps to the same cell k as in sup_convolution,
+    whose value at k is the max of M over exactly those pairs; h is zero off
+    its grid.  So violating pairs sit only on the cells where
+    M*(f, g) > h + tol, and only their pairs are enumerated.  Witnesses are
+    (x, y, M - h(z)) in (f index, g index) order.
     """
-    a, b = _lam_ab(params)
-    off_g = _lattice_offset(f, g)
-    off_h = _lattice_offset(f, h)
-    lam, p = params.lam_float, params.p
-    step = b - a
-
-    idx_f = np.argwhere(f.values > 0).astype(np.int64)
-    idx_g = np.argwhere(g.values > 0).astype(np.int64)
-    if len(idx_f) == 0 or len(idx_g) == 0:
+    vm, vh, origin, spacing = common_grid(sup_convolution(f, g, params), h)
+    bad = LevelSet(f.dim, 0.0, vm > vh + tol, origin, spacing)
+    if bad.cell_count == 0:
         return 0, []
-    vf = f.values[tuple(idx_f.T)]
-    vg = g.values[tuple(idx_g.T)]
-    lat_g = idx_g + off_g  # g cells in f-lattice coordinates
-
-    hv = h.values
-    hshape = np.array(hv.shape, dtype=np.int64)
-
+    a, b = _lam_ab(params)
+    step = b - a
+    lam, p = params.lam_float, params.p
+    cells = bad.indices()
+    h_at = vh[tuple(cells.T)]
+    limit = h_at + tol
+    n_f, n_g = np.array(f.shape), np.array(g.shape)
+    # cell k collects s = a*i + step*(j + off_g) in [b*k - b//2, b*k - b//2 + b)
+    s_lo = b * (cells + _offset_cells(f, bad)) - b // 2 - step * np.array(_offset_cells(f, g))
+    inv_a = pow(a, -1, step)
     count = 0
-    found = []
-
-    def positions(grid, idx):
-        pos = tuple(grid.origin[d] + (idx[d] + 0.5) * grid.spacing for d in range(grid.dim))
-        return pos[0] if grid.dim == 1 else pos
-
-    def handle(fi, fvals, gj_lat, gj_idx, gvals, paired):
-        """paired=True: fi[k] with gj[k]; else full outer product."""
-        nonlocal count
-        if paired:
-            m = p_mean_arr(lam, p, fvals, gvals)
-            s = a * fi + step * gj_lat
-        else:
-            m = p_mean_arr(lam, p, fvals[:, None], gvals[None, :])
-            s = a * fi[:, None, :] + step * gj_lat[None, :, :]
-        k = _snap(s, b) - off_h
-        inside = np.all((k >= 0) & (k < hshape), axis=-1)
-        hvals = np.zeros(m.shape)
-        if inside.any():
-            ki = k[inside].reshape(-1, f.dim)
-            hvals[inside] = hv[tuple(ki.T)]
-        bad = m > hvals + tol
-        count += int(bad.sum())
-        if collect and bad.any():
-            for loc in np.argwhere(bad):
-                if paired:
-                    i_idx = j_idx = loc[0]
-                else:
-                    i_idx, j_idx = loc[0], loc[1]
-                found.append(
-                    (
-                        positions(f, fi[i_idx]),
-                        positions(g, gj_idx[j_idx]),
-                        float((m - hvals)[tuple(loc)]),
-                    )
-                )
-
-    if sample is not None:
-        rng = np.random.default_rng(0)
-        ii = rng.integers(0, len(idx_f), size=sample)
-        jj = rng.integers(0, len(idx_g), size=sample)
-        handle(idx_f[ii], vf[ii], lat_g[jj], idx_g[jj], vg[jj], paired=True)
-    else:
-        for lo in range(0, len(idx_f), _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            handle(idx_f[sl], vf[sl], lat_g, idx_g, vg, paired=False)
+    hits = []
+    for phase in itertools.product(range(b), repeat=f.dim):
+        # per cell and axis, the solutions of a*i + step*j = s form one
+        # progression (i, j) = (i0 + step*r, j0 - a*r), r = 0 .. n - 1,
+        # clipped to 0 <= i < n_f and 0 <= j < n_g
+        s = s_lo + phase
+        i_lo = np.maximum(0, -((step * (n_g - 1) - s) // a))
+        i0 = i_lo + (s * inv_a - i_lo) % step
+        j0 = (s - a * i0) // step
+        n_axis = np.maximum(0, (np.minimum(n_f - 1, s // a) - i0) // step + 1)
+        n_cell = n_axis.prod(axis=1)
+        some = np.flatnonzero(n_cell)
+        if len(some) == 0:
+            continue
+        cum = np.cumsum(n_cell[some])
+        cuts = np.searchsorted(cum, np.arange(_PAIRS_PER_BATCH, cum[-1], _PAIRS_PER_BATCH))
+        for part in np.split(some, cuts):
+            if len(part) == 0:
+                continue
+            # r per axis: the pair's index within its cell in mixed radix,
+            # last axis fastest
+            n_part = n_cell[part]
+            cell = np.repeat(part, n_part)
+            q = np.arange(len(cell)) - np.repeat(np.cumsum(n_part) - n_part, n_part)
+            r = [None] * f.dim
+            for d in range(f.dim - 1, 0, -1):
+                q, r[d] = np.divmod(q, n_axis[cell, d])
+            r[0] = q
+            fi = tuple(i0[cell, d] + step * r[d] for d in range(f.dim))
+            gj = tuple(j0[cell, d] - a * r[d] for d in range(f.dim))
+            m = p_mean_arr(lam, p, f.values[fi], g.values[gj])
+            viol = m > limit[cell]
+            count += int(viol.sum())
+            if collect and viol.any():
+                hits.append((
+                    np.ravel_multi_index(tuple(x[viol] for x in fi), f.shape),
+                    np.ravel_multi_index(tuple(x[viol] for x in gj), g.shape),
+                    m[viol] - h_at[cell[viol]],
+                ))
+    if not hits:
+        return count, []
+    fl, gl, gaps = (np.concatenate(x) for x in zip(*hits))
+    order = np.lexsort((gl, fl))
+    found = list(zip(_centers(f, fl[order]), _centers(g, gl[order]), gaps[order].tolist()))
     return count, found
 
 
 def deficit(f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParams,
             verify: bool = True) -> DeficitReport:
-    """Deficit delta = mass(h)/mass(f) - 1, plus a pointwise hypothesis scan.
+    """Deficit delta = mass(h)/mass(f) - 1, plus an exact hypothesis check.
 
-    The scan is exhaustive over support pairs in 1-D; in 2-D it samples 10^7
-    pairs with a fixed seed once the pair count exceeds 10^8.  Pass
-    verify=False to skip the scan (delta only), e.g. in timing-sensitive
-    sweeps where only the mass ratio is needed.
+    With verify=True, pointwise_violations counts the grid pairs (x, y) with
+    M(f(x), g(y)) > h(lam x + (1-lam) y) + tol, tol = 1e-9 * max(h), in 1-D
+    and 2-D alike.  The check compares h with M*(f, g) cell by cell and
+    enumerates pairs only on the cells where M*(f, g) exceeds h + tol.  Pass
+    verify=False to skip it (delta only), e.g. in timing-sensitive sweeps
+    where only the mass ratio is needed.
     """
     mf, mg, mh = integral(f), integral(g), integral(h)
     if mf <= 0:
         raise ZeroMassError("deficit needs mass(f) > 0")
     tol = 1e-9 * max(h.max(), 1e-300)
-    count = 0
-    sampled = False
-    if verify:
-        n_pairs = int((f.values > 0).sum()) * int((g.values > 0).sum())
-        sample = None
-        if f.dim == 2 and n_pairs > _PAIR_SAMPLE_LIMIT:
-            sample = 10 ** 7
-            sampled = True
-        count, _ = _violation_scan(f, g, h, params, tol, collect=False, sample=sample)
+    count = _violations(f, g, h, params, tol, collect=False)[0] if verify else 0
     return DeficitReport(
         mass_f=mf,
         mass_g=mg,
@@ -290,7 +268,6 @@ def deficit(f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParam
         pointwise_violations=count,
         tol=tol,
         verified=verify,
-        sampled=sampled,
     )
 
 
@@ -298,9 +275,10 @@ def verify_bbl_hypothesis(f: GridFunction, g: GridFunction, h: GridFunction,
                           params: MeanParams):
     """All grid pairs (x, y) with h(lam x + (1-lam) y) < M(f(x), g(y)) - tol.
 
-    Returns a list of (x, y, shortfall) records; empty means the hypothesis
-    holds on the grid.  Exhaustive, so meant for desk-size inputs.
+    Returns a list of (x, y, shortfall) records, ordered by the row-major
+    cell index of x and then of y; empty means the hypothesis holds on the
+    grid.  Exact in 1-D and 2-D: h is compared with M*(f, g) cell by cell,
+    and pairs are enumerated only on the cells where the comparison fails.
     """
     tol = 1e-9 * max(h.max(), 1e-300)
-    _, found = _violation_scan(f, g, h, params, tol, collect=True)
-    return found
+    return _violations(f, g, h, params, tol, collect=True)[1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfn import GridFunction, ZeroMassError, integral, level_set, normalize
+from .gridfn import GridFunction, ZeroMassError, common_grid, integral, level_set, normalize
 from .hull import convex_hull_set, hull_deficit
 from .means import MeanParams, _mean
 from .supconv import minkowski_combination
@@ -172,22 +172,6 @@ class DiagnosticsReport:
         return float(sum(self.masses))
 
 
-def _mask_union_box(A, B):
-    """Embed two level sets into one common index box; returns bool arrays."""
-    h = A.spacing
-    offs = [round((b - a) / h) for a, b in zip(A.origin, B.origin)]
-    lo = [min(0, o) for o in offs]
-    hi = [max(sa, o + sb) for sa, sb, o in zip(A.mask.shape, B.mask.shape, offs)]
-    shape = tuple(int(b - a) for a, b in zip(lo, hi))
-    ma = np.zeros(shape, dtype=bool)
-    mb = np.zeros(shape, dtype=bool)
-    sa = tuple(slice(-l, -l + s) for l, s in zip(lo, A.mask.shape))
-    sb = tuple(slice(o - l, o - l + s) for o, l, s in zip(offs, lo, B.mask.shape))
-    ma[sa] = A.mask
-    mb[sb] = B.mask
-    return ma, mb
-
-
 def _min_shift_symdiff(A, B) -> float:
     """min over integer cell shifts v of |(v + A) symdiff B| (measure).
 
@@ -195,7 +179,7 @@ def _min_shift_symdiff(A, B) -> float:
     shift with nonzero overlap; shifts beyond that cannot do better than the
     no-overlap value, which the correlation window also contains.
     """
-    ma, mb = _mask_union_box(A, B)
+    ma, mb, _, _ = common_grid(A, B)
     na, nb = int(ma.sum()), int(mb.sum())
     cv = A.spacing ** A.dim
     if na == 0 or nb == 0:

@@ -169,9 +169,7 @@ class TestHull2D:
         idx = np.argwhere(f.values > 0)
         w = sign * np.array([_transform(float(f.values[tuple(i)]), p) for i in idx])
         out = np.zeros_like(f.values)
-        from bblab.hull import _support_hull_mask
-
-        mask, _ = _support_hull_mask(f)
+        mask = convex_hull_set(level_set(f, 0.0)).mask
         for cell in np.argwhere(mask):
             A_eq = np.vstack([idx[:, 0], idx[:, 1], np.ones(len(idx))])
             b_eq = np.array([cell[0], cell[1], 1.0])

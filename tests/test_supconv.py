@@ -12,10 +12,13 @@ from bblab import (
     integral,
     level_set,
     minkowski_combination,
+    p_mean_arr,
     sup_convolution,
     translate,
     verify_bbl_hypothesis,
 )
+from bblab.gridfn import _offset_cells
+from bblab.supconv import _snap
 from conftest import hat, indicator, random_staircase
 
 HALF = MeanParams(Fraction(1, 2), 0.0)
@@ -53,6 +56,41 @@ def supconv_oracle(f, g, lam: Fraction, p: float):
             m = _mean_ref(float(lam), p, float(fv), float(gv))
             out[k] = max(out.get(k, 0.0), m)
     return out
+
+
+def violation_scan_oracle(f, g, h, params, tol):
+    """Reference hypothesis check: every pair of positive cells of f and g.
+
+    Counts (and lists, in (f index, g index) order) the pairs with
+    M(f(x), g(y)) > h(z) + tol, where z = lam*x + (1-lam)*y is snapped onto
+    h's lattice with the integer rule of sup_convolution; h is zero off its
+    grid."""
+    frac = params.lam_fraction
+    a, b = frac.numerator, frac.denominator
+    off_g = np.array(_offset_cells(f, g))
+    off_h = np.array(_offset_cells(f, h))
+    idx_f = np.argwhere(f.values > 0)
+    idx_g = np.argwhere(g.values > 0)
+    if len(idx_f) == 0 or len(idx_g) == 0:
+        return 0, []
+    m = p_mean_arr(params.lam_float, params.p,
+                   f.values[tuple(idx_f.T)][:, None], g.values[tuple(idx_g.T)][None, :])
+    s = a * idx_f[:, None, :] + (b - a) * (idx_g + off_g)[None, :, :]
+    k = _snap(s, b) - off_h
+    inside = np.all((k >= 0) & (k < np.array(h.shape)), axis=-1)
+    hvals = np.zeros(m.shape)
+    hvals[inside] = h.values[tuple(k[inside].T)]
+    bad = m > hvals + tol
+
+    def position(grid, idx):
+        pos = tuple(grid.origin[d] + (idx[d] + 0.5) * grid.spacing for d in range(grid.dim))
+        return pos[0] if grid.dim == 1 else pos
+
+    found = [
+        (position(f, idx_f[i]), position(g, idx_g[j]), float(m[i, j] - hvals[i, j]))
+        for i, j in np.argwhere(bad)
+    ]
+    return int(bad.sum()), found
 
 
 def minkowski_oracle(A, B, lam: Fraction):
@@ -269,17 +307,74 @@ class TestDeficit:
                 assert rep.pointwise_violations == 0
                 assert rep.delta >= -1e-12
 
-    def test_2d_sampled_verification(self, rng, monkeypatch):
-        import bblab.supconv as sc
-
-        monkeypatch.setattr(sc, "_PAIR_SAMPLE_LIMIT", 10)
+    def test_2d_exact_verification(self, rng):
         vals = rng.uniform(0.1, 1.0, size=(6, 6))
         f = GridFunction(2, (0.0, 0.0), 0.1, vals)
+        g = GridFunction(2, (0.2, -0.1), 0.1, rng.uniform(0.1, 1.0, size=(5, 6)))
         params = MeanParams(Fraction(1, 2), 0.0, n=2)
         h = sup_convolution(f, f, params)
-        rep = deficit(f, f, h, params)
-        assert rep.sampled
-        assert rep.pointwise_violations == 0
+        assert deficit(f, f, h, params).pointwise_violations == 0
+        # dent the peak of the canonical h: the pairs feeding it violate
+        h = sup_convolution(f, g, params)
+        node = np.unravel_index(int(np.argmax(h.values)), h.shape)
+        dented = h.values.copy()
+        dented[node] -= 1e-3
+        h2 = h.with_values(dented)
+        rep = deficit(f, g, h2, params)
+        bad = verify_bbl_hypothesis(f, g, h2, params)
+        count, ref = violation_scan_oracle(f, g, h2, params, rep.tol)
+        assert bad and bad == ref
+        assert rep.pointwise_violations == count == len(bad)
+        for x, y, gap in bad:
+            z = [Fraction(xi) / 2 + Fraction(yi) / 2 for xi, yi in zip(x, y)]
+            k = tuple(math.floor((zd - Fraction(od)) / Fraction(h.spacing))
+                      for zd, od in zip(z, h.origin))
+            assert k == node
+            assert gap > 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                                     Fraction(3, 8)])
+    def test_matches_pair_scan_oracle(self, lam, p, dim, rng, monkeypatch):
+        """Counts and witness lists equal the exhaustive pair scan, for h
+        canonical, jittered, a near-tie below canonical, or zero, with g and h
+        on grids offset by whole cells (h may also be cropped).  The last five
+        trials split the pair enumeration into batches of a few pairs."""
+        import bblab.supconv as sc
+
+        params = MeanParams(lam, p, n=dim)
+        sp = 0.1
+        for trial in range(10):
+            monkeypatch.setattr(sc, "_PAIRS_PER_BATCH", 3 if trial >= 5 else 1 << 20)
+            shape_f = tuple(int(n) for n in rng.integers(1, 9 if dim == 1 else 5, size=dim))
+            shape_g = tuple(int(n) for n in rng.integers(1, 9 if dim == 1 else 5, size=dim))
+            vf = rng.uniform(0.1, 2.0, size=shape_f) * (rng.random(shape_f) > 0.25)
+            vg = rng.uniform(0.1, 2.0, size=shape_g) * (rng.random(shape_g) > 0.25)
+            vf.flat[0] = vg.flat[-1] = 1.0  # nonempty supports
+            f = GridFunction(dim, (0.0,) * dim, sp, vf)
+            g = GridFunction(dim, tuple(sp * rng.integers(-4, 5, size=dim)), sp, vg)
+            h = sup_convolution(f, g, params)
+            mode = trial % 4
+            if mode == 1:
+                hv = h.values * rng.uniform(0.9, 1.1, size=h.shape)
+            elif mode == 2:
+                hv = h.values * (1.0 - 1e-12)
+            elif mode == 3:
+                hv = np.zeros(h.shape)
+            else:
+                hv = h.values
+            # re-embed h: zero cells in front (origin moves back by whole
+            # cells) and possibly one cell cropped at the back
+            pad = rng.integers(0, 3, size=dim)
+            hv = np.pad(hv, [(int(q), 0) for q in pad])
+            crop = tuple(slice(0, n - int(rng.integers(0, 2)) if n > 1 else n) for n in hv.shape)
+            origin = tuple(o - int(q) * sp for o, q in zip(h.origin, pad))
+            h = GridFunction(dim, origin, sp, hv[crop])
+            rep = deficit(f, g, h, params)
+            count, ref = violation_scan_oracle(f, g, h, params, rep.tol)
+            assert rep.pointwise_violations == count
+            assert verify_bbl_hypothesis(f, g, h, params) == ref
 
 
 class TestVerifyHypothesis:

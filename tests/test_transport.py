@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from bblab import (
+    GeometryMismatchError,
     GridFunction,
     MassMismatchError,
     MeanParams,
+    deficit,
     gen_dented,
     height_transport,
     integral,
@@ -141,6 +143,17 @@ class TestDiagnostics:
         f = hat(width=1.0, height=1.0, spacing=0.05)
         rep = level_diagnostics(f, f, None, MeanParams(Fraction(1, 2), 1.0), alpha=0.1)
         assert rep.h_convention == "canonical"
+
+    def test_h_off_lattice_rejected(self):
+        # an h half a cell off f's lattice is rejected here as in deficit
+        f = hat(width=1.0, height=1.0, spacing=0.02)
+        params = MeanParams(Fraction(1, 2), 1.0)
+        h = sup_convolution(f, f, params)
+        h_off = GridFunction(1, (h.origin[0] + 0.5 * h.spacing,), h.spacing, h.values)
+        with pytest.raises(GeometryMismatchError):
+            deficit(f, f, h_off, params)
+        with pytest.raises(GeometryMismatchError):
+            level_diagnostics(f, f, h_off, params, alpha=0.1)
 
     def test_alpha_validation(self):
         f = hat(spacing=0.1)
