@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import lab
-from .gridfn import dump_gfn, load_gfn
+from .gridfn import _cell_centers, dump_gfn, load_gfn
 from .hull import p_concave_hull
 from .means import MeanParams
 from .stability import (
@@ -155,11 +155,9 @@ def main(argv=None) -> int:
             with open(args.report, "w") as fh:
                 fh.write("cell,x,f,hull,gap\n")
                 cells = np.argwhere(res.hull.values > 0)
-                for cell in cells:
+                for cell, x in zip(cells, _cell_centers(f, cells)):
                     idx = tuple(int(v) for v in cell)
-                    x = tuple(
-                        f.origin[d] + (idx[d] + 0.5) * f.spacing for d in range(f.dim)
-                    )
+                    x = x if f.dim > 1 else (x,)
                     fv = float(f.values[idx])
                     hv = float(res.hull.values[idx])
                     fh.write(

@@ -158,6 +158,13 @@ def _offset_cells(f, g, tol: float = 1e-9):
     return off
 
 
+def _cell_centers(grid, cells: np.ndarray):
+    """Center positions of integer cells of shape (k, dim): floats in 1-D,
+    tuples otherwise."""
+    pos = [(grid.origin[d] + (cells[:, d] + 0.5) * grid.spacing).tolist() for d in range(grid.dim)]
+    return pos[0] if grid.dim == 1 else list(zip(*pos))
+
+
 def common_grid(f, g):
     """Embed two commensurate functions (or two level sets) into one
     bounding grid.

@@ -3,12 +3,16 @@
 The p-concave hull co_p(f) is computed by lifting positive samples into
 transform space (f^p for p != 0, log f for p = 0), taking the concave
 majorant (p >= 0) or convex minorant (p < 0) of the lifted cloud, and
-mapping back.  Hull combinatorics run in exact arithmetic: cell indices are
-integers and lifted values are converted to exact rationals, so orientation
-predicates never suffer floating-point ambiguity.  Zero cells never enter
-the lift (for p < 0 they would sit at +infinity); the envelope is then
-evaluated on every cell of the convex hull of the support, which is exactly
-the domain where co_p is defined here.
+mapping back.  Hull combinatorics are exact: cell indices are integers and
+every float lift is an exact rational.  In 1-D the chain runs on Fractions.
+In 2-D the gift wrap evaluates its orientation predicates in float, for all
+points at once, with a rigorous error bound (a filter in the manner of
+Shewchuk's adaptive predicates), and falls back to Fractions only for the
+signs the bound leaves in doubt; its facets are those of an all-Fraction
+wrap, in the same order.  Zero cells never enter the lift (for p < 0 they
+would sit at +infinity); the envelope is then evaluated on every cell of
+the convex hull of the support, which is exactly the domain where co_p is
+defined here.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .gridfn import GridFunction, LevelSet, ZeroMassError, integral, level_set
+from .gridfn import GridFunction, LevelSet, ZeroMassError, _cell_centers, integral, level_set
 from .means import _mean, p_mean_arr
 
 __all__ = [
@@ -56,15 +60,6 @@ def p_plane_eval(plane: PPlane, x) -> float:
     if s <= 0.0:
         return 0.0 if plane.p > 0 else math.inf
     return s ** (1.0 / plane.p)
-
-
-def _p_plane_values(plane: PPlane, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at points xs of shape (k, dim)."""
-    s = xs @ np.asarray(plane.y, dtype=float) + plane.d
-    if plane.p == 0.0:
-        return np.exp(s)
-    out = np.where(s > 0, np.maximum(s, 0.0) ** (1.0 / plane.p), 0.0 if plane.p > 0 else np.inf)
-    return out
 
 
 def _lift(values: np.ndarray, p: float) -> np.ndarray:
@@ -175,84 +170,143 @@ def _collinear_envelope_2d(pts):
     return planes
 
 
-def _upper_envelope_2d(pts):
+# smallest positive subnormal: covers the absolute rounding error of a
+# product or quotient that lands among the subnormals
+_TINY = math.ulp(0.0)
+
+
+def _orient_filter(X, Y, W, P, Q, C, cross):
+    """Float orient(P, Q, C, D) for every point D, with a bound on its error.
+
+    cross[D] must be cross(P, Q, D).  Returns (o, e) such that, wherever e is
+    finite, |o - orient| < e; so o < -e proves orient < 0.  (e is inf or nan
+    where the evaluation overflowed.)
+
+    Proof.  Expanding the determinant along the lift column gives
+        orient = k_ab*(w_D - w_P) - k_ac*(w_C - w_P) + k_bc*(w_Q - w_P),
+    where the k are 2-D cross products of integer cells, exact in int64 and
+    as floats (|k| < 2^53), and k_ac = cross(P, Q, D).  In float each term
+    T_i takes one rounding in its lift difference and one in its product,
+    and the sum (T_1 - T_2) + T_3 two more, so with u = 2^-53 and
+    g = 4u/(1 - 4u), |o - orient| <= g*M for M = sum |T_i| (Higham, Lemma
+    3.1).  Underflow adds nothing: a sum that lands among the subnormals is
+    exact, and since an integer k != 0 never shrinks a difference, a
+    product is either exact or within relative u.  The bound m = (|T_1| + |T_2|) + |T_3|,
+    summed in float from the rounded terms, has m >= (1 - g)*M, and m >= |o|
+    because rounding is monotone.  So the error is at most 4.01u*m, and it
+    is 0 if m = 0, while e = 2^-50*m + _TINY is at least 8u*m and at least
+    _TINY (2^-50*m is exact unless it underflows, and then adding _TINY is
+    exact and makes up for its rounding).
+    """
+    ax, ay, a3 = X[Q] - X[P], Y[Q] - Y[P], W[Q] - W[P]
+    bx, by, b3 = X[C] - X[P], Y[C] - Y[P], W[C] - W[P]
+    k_ab = ax * by - ay * bx
+    k_bc = bx * (Y - Y[P]) - by * (X - X[P])
+    t1, t2, t3 = k_ab * (W - W[P]), cross * b3, k_bc * a3
+    o = t1 - t2 + t3
+    e = (np.abs(t1) + np.abs(t2) + np.abs(t3)) * 2.0 ** -50 + _TINY
+    return o, e
+
+
+def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
     """Facet planes of the upper concave envelope of lifted points.
 
-    pts: list of (ix, iy, w) with integer ix, iy and Fraction w.  Returns a
-    list of (alpha, beta, gamma) Fractions; the envelope is their pointwise
-    minimum over the xy convex hull.  Every returned plane dominates all
-    points (verified exactly), so the minimum never undercuts the envelope.
-    """
-    hull_xy = _convex_hull_2d(np.array([(p[0], p[1]) for p in pts]))
-    if len(hull_xy) <= 2:
-        return _collinear_envelope_2d(pts)
+    idx: (n, 2) distinct integer cells; w: their n float lifts.  Returns a
+    list of (alpha, beta, gamma) Fractions with w = alpha*x + beta*y + gamma;
+    the envelope is their pointwise minimum over the xy convex hull.  Every
+    returned plane dominates all points (verified exactly), so the minimum
+    never undercuts the envelope.
 
-    best = {}
-    for p in pts:
-        key = (p[0], p[1])
-        if key not in best or p[2] > best[key][2]:
-            best[key] = p
-    pts = list(best.values())
+    Gift wrap: the 1-D envelopes along the xy-hull edges seed a LIFO queue of
+    directed edges (P, Q), and each new edge gets the facet (P, Q, C) with C
+    left of PQ and no point above plane(P, Q, C).  For the first candidate
+    C0, let s(D) = orient(P, Q, C0, D) / cross(P, Q, D): D lies above
+    plane(P, Q, C) iff s(D) > s(C).  Tie rule: C is the first candidate, in
+    point order, that maximizes s, which is where a scan ends that moves C
+    to each later candidate strictly above plane(P, Q, C).
+
+    Filter: every predicate is first evaluated in float for all points at
+    once, with the bound e of _orient_filter, and the exact Fraction
+    predicate runs only where the float sign is in doubt.
+    - Choosing C: s is computed as o/k (k = cross(P, Q, D) >= 1), with
+      e_s = e/k + _TINY.  The quotient adds u*|o|/k <= u*m/k, or _TINY/2
+      if it underflows, to the 4.01u*m/k error of o/k.  e_s covers that:
+      it is at least (1 - u)*8u*m/k, and exceeds e/k by _TINY/2 when e/k
+      underflows (when it does not, 2.99u*m/k alone exceeds _TINY).  So
+      s - e_s <= s_exact <= s + e_s, and monotone rounding keeps
+      s + e_s >= max(s - e_s) true in float for every exact maximizer.  The
+      candidates that pass this test are scanned in order with the exact
+      predicate; usually there is one.
+    - Checking the facet: the exact predicate runs on every point with
+      o >= -e (or an overflowed o) except P, Q and C, and any point above
+      the plane raises.
+    """
+    X = idx[:, 0].astype(np.int64)
+    Y = idx[:, 1].astype(np.int64)
+    W = np.asarray(w, dtype=float)
+    n = len(W)
+    exact = {}
+
+    def pt(k):
+        k = int(k)
+        if k not in exact:
+            exact[k] = (int(X[k]), int(Y[k]), Fraction(float(W[k])))
+        return exact[k]
+
+    hull_xy = _convex_hull_2d(idx)
+    if len(hull_xy) <= 2:
+        return _collinear_envelope_2d([pt(k) for k in range(n)])
 
     planes = []
     seen = set()
     queue = []
-
-    def seed_edge(U, V):
-        """1-D envelope of points on segment U->V; push its pieces."""
-        ux, uy = V[0] - U[0], V[1] - U[1]
-        on = [
-            p
-            for p in pts
-            if (p[0] - U[0]) * uy == (p[1] - U[1]) * ux
-            and min(U[0], V[0]) <= p[0] <= max(U[0], V[0])
-            and min(U[1], V[1]) <= p[1] <= max(U[1], V[1])
-        ]
-        t = np.array([(p[0] - U[0]) * ux + (p[1] - U[1]) * uy for p in on])
-        order = np.argsort(t)
-        chain_pts = [on[i] for i in order]
-        chain = _upper_chain(t[order], [p[2] for p in chain_pts])
-        keep = {int(c[0]) for c in chain}
-        verts = [p for i, p in zip(t[order].tolist(), chain_pts) if i in keep]
-        for A, B in zip(verts[:-1], verts[1:]):
-            queue.append((A, B))
-
     for U, V in zip(hull_xy, hull_xy[1:] + hull_xy[:1]):
-        seed_edge(U, V)
+        # 1-D envelope of the points on segment U->V; push its pieces
+        ux, uy = V[0] - U[0], V[1] - U[1]
+        t = (X - U[0]) * ux + (Y - U[1]) * uy
+        on_line = (X - U[0]) * uy == (Y - U[1]) * ux
+        on = np.flatnonzero(on_line & (t >= 0) & (t <= ux * ux + uy * uy))
+        on = on[np.argsort(t[on])]
+        chain = _upper_chain(t[on], [pt(k)[2] for k in on])
+        keep = {int(c[0]) for c in chain}
+        verts = [int(k) for k in on if t[k] in keep]
+        queue.extend(zip(verts[:-1], verts[1:]))
 
     guard = 0
     while queue:
         guard += 1
-        if guard > 8 * len(pts) ** 2:
+        if guard > 8 * n ** 2:
             raise RuntimeError("hull wrap failed to terminate")
         P, Q = queue.pop()
-        key = (P[:2], Q[:2])
-        if key in seen:
+        if (P, Q) in seen:
             continue
-        seen.add(key)
-        cand = [D for D in pts if _cross2(P, Q, D) > 0]
-        if not cand:
+        seen.add((P, Q))
+        cross = (X[Q] - X[P]) * (Y - Y[P]) - (Y[Q] - Y[P]) * (X - X[P])
+        cand = np.flatnonzero(cross > 0)
+        if len(cand) == 0:
             continue
-        C = cand[0]
-        for D in cand[1:]:
-            if _orient_above(P, Q, C, D) > 0:
-                C = D
-        for D in pts:
-            if _orient_above(P, Q, C, D) > 0:
+        o, e = _orient_filter(X, Y, W, P, Q, cand[0], cross)
+        k = cross[cand]
+        s, e_s = o[cand] / k, e[cand] / k + _TINY
+        unsure = ~np.isfinite(e_s)
+        hi = np.where(unsure, np.inf, s + e_s)
+        lo = np.where(unsure, -np.inf, s - e_s)
+        top = cand[hi >= lo.max()]
+        C = int(top[0])
+        for D in top[1:]:
+            if _orient_above(pt(P), pt(Q), pt(C), pt(D)) > 0:
+                C = int(D)
+        o, e = _orient_filter(X, Y, W, P, Q, C, cross)
+        doubt = ~(o < -e)
+        doubt[[P, Q, C]] = False
+        for D in np.flatnonzero(doubt):
+            if _orient_above(pt(P), pt(Q), pt(C), pt(D)) > 0:
                 raise RuntimeError("hull wrap produced a non-supporting facet")
-        planes.append(_plane_through(P, Q, C))
-        for E in ((P, Q), (Q, C), (C, P)):
-            seen.add((E[0][:2], E[1][:2]))
+        planes.append(_plane_through(pt(P), pt(Q), pt(C)))
+        seen.update(((P, Q), (Q, C), (C, P)))
         for E in ((C, Q), (P, C)):
-            if (E[0][:2], E[1][:2]) not in seen:
+            if E not in seen:
                 queue.append(E)
-    if not planes:
-        # all lifted points coplanar along every wrapped edge (flat cloud)
-        anchor = pts[0]
-        planes.append((Fraction(0), Fraction(0), anchor[2]))
-        for p in pts:
-            if p[2] > anchor[2]:
-                planes[-1] = (Fraction(0), Fraction(0), p[2])
     return planes
 
 
@@ -310,10 +364,7 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
         return HullResult(hull, gap, facets)
 
     idx = np.argwhere(f.values > 0)
-    vals = f.values[tuple(idx.T)]
-    lifted = (sign * _lift(vals, p)).tolist()
-    pts = [(int(a), int(b), Fraction(wv)) for (a, b), wv in zip(idx.tolist(), lifted)]
-    planes = _upper_envelope_2d(pts)
+    planes = _upper_envelope_2d(idx, sign * _lift(f.values[tuple(idx.T)], p))
     cells = convex_hull_set(level_set(f, 0.0)).indices()
     env = np.full(len(cells), np.inf)
     for alpha, beta, gamma in planes:
@@ -373,10 +424,7 @@ def is_p_concave(f: GridFunction, p: float, tol: float = 1e-9) -> PConcavityRepo
             loc = np.argwhere(even)[k]
             i_idx = idx2[lo + loc[0]]
             j_idx = idx2[loc[1]]
-            def pos(iv):
-                ps = tuple(f.origin[d] + (iv[d] + 0.5) * f.spacing for d in range(f.dim))
-                return ps[0] if f.dim == 1 else ps
-            witness = (pos(i_idx), pos(j_idx), pos((i_idx + j_idx) // 2))
+            witness = tuple(_cell_centers(f, np.stack([i_idx, j_idx, (i_idx + j_idx) // 2])))
     return PConcavityReport(worst <= tol, worst, witness)
 
 

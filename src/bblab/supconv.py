@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gridfn import GridFunction, LevelSet, ZeroMassError, _offset_cells, common_grid, integral
+from .gridfn import (GridFunction, LevelSet, ZeroMassError, _cell_centers, _offset_cells,
+                     common_grid, integral)
 from .means import MeanParams, p_mean_arr
 
 __all__ = [
@@ -166,13 +167,6 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     return LevelSet(A.dim, 0.0, mask, origin, A.spacing)
 
 
-def _centers(grid: GridFunction, flat: np.ndarray):
-    """Cell-center positions of flat cell indices: floats in 1-D, tuples in 2-D."""
-    idx = np.unravel_index(flat, grid.shape)
-    pos = [(grid.origin[d] + (idx[d] + 0.5) * grid.spacing).tolist() for d in range(grid.dim)]
-    return pos[0] if grid.dim == 1 else list(zip(*pos))
-
-
 def _violations(f, g, h, params, tol, collect):
     """Count (and optionally collect) pairs with M(f(x), g(y)) > h(z) + tol.
 
@@ -240,7 +234,9 @@ def _violations(f, g, h, params, tol, collect):
         return count, []
     fl, gl, gaps = (np.concatenate(x) for x in zip(*hits))
     order = np.lexsort((gl, fl))
-    found = list(zip(_centers(f, fl[order]), _centers(g, gl[order]), gaps[order].tolist()))
+    fx = _cell_centers(f, np.column_stack(np.unravel_index(fl[order], f.shape)))
+    gy = _cell_centers(g, np.column_stack(np.unravel_index(gl[order], g.shape)))
+    found = list(zip(fx, gy, gaps[order].tolist()))
     return count, found
 
 

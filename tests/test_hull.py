@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ from bblab import (
     p_plane_eval,
     tail_lower_bound,
     tail_ratio,
+)
+from bblab.hull import (
+    _collinear_envelope_2d,
+    _convex_hull_2d,
+    _cross2,
+    _lift,
+    _orient_above,
+    _plane_through,
+    _upper_chain,
+    _upper_envelope_2d,
 )
 from conftest import hat, indicator, random_staircase
 
@@ -53,6 +64,97 @@ def hull_oracle_1d(f: GridFunction, p: float) -> np.ndarray:
         env = min(m * k + q for m, q in lines)
         out[k] = _untransform(sign * env, p)
     return out
+
+
+# --- reference 2-D envelope: the gift wrap with every predicate in Fraction
+#     arithmetic, one Python loop per point; _upper_envelope_2d must return
+#     the same planes in the same order
+
+def upper_envelope_2d_oracle(pts):
+    hull_xy = _convex_hull_2d(np.array([(p[0], p[1]) for p in pts]))
+    if len(hull_xy) <= 2:
+        return _collinear_envelope_2d(pts)
+
+    best = {}
+    for p in pts:
+        key = (p[0], p[1])
+        if key not in best or p[2] > best[key][2]:
+            best[key] = p
+    pts = list(best.values())
+
+    planes = []
+    seen = set()
+    queue = []
+
+    def seed_edge(U, V):
+        """1-D envelope of points on segment U->V; push its pieces."""
+        ux, uy = V[0] - U[0], V[1] - U[1]
+        on = [
+            p
+            for p in pts
+            if (p[0] - U[0]) * uy == (p[1] - U[1]) * ux
+            and min(U[0], V[0]) <= p[0] <= max(U[0], V[0])
+            and min(U[1], V[1]) <= p[1] <= max(U[1], V[1])
+        ]
+        t = np.array([(p[0] - U[0]) * ux + (p[1] - U[1]) * uy for p in on])
+        order = np.argsort(t)
+        chain_pts = [on[i] for i in order]
+        chain = _upper_chain(t[order], [p[2] for p in chain_pts])
+        keep = {int(c[0]) for c in chain}
+        verts = [p for i, p in zip(t[order].tolist(), chain_pts) if i in keep]
+        for A, B in zip(verts[:-1], verts[1:]):
+            queue.append((A, B))
+
+    for U, V in zip(hull_xy, hull_xy[1:] + hull_xy[:1]):
+        seed_edge(U, V)
+
+    guard = 0
+    while queue:
+        guard += 1
+        if guard > 8 * len(pts) ** 2:
+            raise RuntimeError("hull wrap failed to terminate")
+        P, Q = queue.pop()
+        key = (P[:2], Q[:2])
+        if key in seen:
+            continue
+        seen.add(key)
+        cand = [D for D in pts if _cross2(P, Q, D) > 0]
+        if not cand:
+            continue
+        C = cand[0]
+        for D in cand[1:]:
+            if _orient_above(P, Q, C, D) > 0:
+                C = D
+        for D in pts:
+            if _orient_above(P, Q, C, D) > 0:
+                raise RuntimeError("hull wrap produced a non-supporting facet")
+        planes.append(_plane_through(P, Q, C))
+        for E in ((P, Q), (Q, C), (C, P)):
+            seen.add((E[0][:2], E[1][:2]))
+        for E in ((C, Q), (P, C)):
+            if (E[0][:2], E[1][:2]) not in seen:
+                queue.append(E)
+    if not planes:
+        # all lifted points coplanar along every wrapped edge (flat cloud)
+        anchor = pts[0]
+        planes.append((Fraction(0), Fraction(0), anchor[2]))
+        for p in pts:
+            if p[2] > anchor[2]:
+                planes[-1] = (Fraction(0), Fraction(0), p[2])
+    return planes
+
+
+def assert_envelope_matches_oracle(idx, w):
+    pts = [(int(a), int(b), Fraction(v)) for (a, b), v in zip(idx.tolist(), w.tolist())]
+    assert _upper_envelope_2d(idx, w) == upper_envelope_2d_oracle(pts)
+
+
+def gaussian_2d(n, spacing=0.2, sigma=0.5):
+    """exp(-r^2 / (2 sigma^2)) on an n x n grid centred at 0: mirror-symmetric,
+    so its lifted cloud has exactly coplanar quads."""
+    x = (np.arange(n) + 0.5) * spacing - n * spacing / 2.0
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    return GridFunction(2, (-n * spacing / 2.0,) * 2, spacing, np.exp(-r2 / (2.0 * sigma * sigma)))
 
 
 class TestPPlaneEval:
@@ -181,15 +283,61 @@ class TestHull2D:
 
     @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
     def test_against_lp(self, p, rng):
+        inputs = []
         for _ in range(6):
             vals = rng.uniform(0.2, 2.0, size=(5, 5))
             vals[rng.random((5, 5)) < 0.4] = 0.0
             if (vals > 0).sum() < 3:
                 vals[0, 0] = vals[2, 3] = vals[4, 1] = 1.0
-            f = GridFunction(2, (0.0, 0.0), 0.5, vals)
+            inputs.append(GridFunction(2, (0.0, 0.0), 0.5, vals))
+        inputs.append(gaussian_2d(12))
+        for f in inputs:
             got = p_concave_hull(f, p).hull.values
             ref, mask = self._lp_oracle(f, p)
             assert np.max(np.abs(got[mask] - ref[mask])) <= 1e-7
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 0.5, 1.0])
+    def test_envelope_matches_oracle(self, p, rng):
+        fields = []
+        for k in range(60):
+            shape = tuple(int(n) for n in rng.integers(2, 9, size=2))
+            if k % 2:  # staircase: exact ties between lifts
+                vals = rng.choice([0.5, 1.0, 1.5, 2.0], size=shape)
+            else:
+                vals = rng.uniform(0.1, 2.0, size=shape)
+            vals[rng.random(shape) < 0.3] = 0.0
+            if not vals.any():
+                vals[0, 0] = 1.0
+            fields.append(vals)
+        # collinear, single-point and flat supports
+        for cells in ([(2, j) for j in range(6)], [(i, 4) for i in range(5)],
+                      [(i, i) for i in range(6)], [(i, 2 * i + 1) for i in range(3)],
+                      [(3, 3)], [(1, 0), (0, 5)]):
+            vals = np.zeros((6, 7))
+            vals[tuple(np.array(cells).T)] = rng.uniform(0.1, 2.0, size=len(cells))
+            fields.append(vals)
+        fields.append(np.full((5, 6), 1.7))
+        fields.append(np.where(rng.random((7, 7)) < 0.5, 1.7, 0.0))
+        # mirror ties
+        fields += [gaussian_2d(n).values for n in (6, 9, 12)]
+        sign = 1.0 if p >= 0 else -1.0
+        for vals in fields:
+            idx = np.argwhere(vals > 0)
+            assert_envelope_matches_oracle(idx, sign * _lift(vals[tuple(idx.T)], p))
+
+    def test_envelope_matches_oracle_near_coplanar(self, rng):
+        """Lifts 1 ulp off a plane or a paraboloid, whose grid quads are
+        exactly coplanar: the float filter leaves these signs to the exact
+        predicate."""
+        for k in range(45):
+            shape = tuple(int(n) for n in rng.integers(3, 8, size=2))
+            idx = np.argwhere(rng.random(shape) < 0.8)
+            x, y = idx.T.astype(float)
+            w = [3.0 * x - 2.0 * y + 5.0, -(x * x + y * y), x * x + y * y - 7.0][k % 3]
+            step = rng.integers(-1, 2, size=len(w))
+            w = np.where(step == 0, w, np.nextafter(w, np.where(step > 0, np.inf, -np.inf)))
+            order = rng.permutation(len(w))
+            assert_envelope_matches_oracle(idx[order], w[order])
 
     def test_pyramid_fixed_point(self):
         x = np.arange(7)
