@@ -1,18 +1,18 @@
 """p-concave hulls, convex hulls of cell sets, p-planes, and the tail bound.
 
-The p-concave hull co_p(f) is computed by lifting positive samples into
-transform space (f^p for p != 0, log f for p = 0), taking the concave
-majorant (p >= 0) or convex minorant (p < 0) of the lifted cloud, and
-mapping back.  Hull combinatorics are exact: cell indices are integers and
-every float lift is an exact rational.  In 1-D the chain runs on Fractions.
+The p-concave hull co_p(f) is computed by lifting positive samples with the
+increasing lift of means._lift (log f at p = 0, sign(p) f^p, or its
+Box-Cox form for small |p|), under which p-concavity is concavity, taking
+the upper concave envelope of the lifted cloud, and mapping back.  Hull
+combinatorics are exact: cell indices are integers and every float lift is
+an exact rational.  In 1-D the chain runs on Fractions.
 In 2-D the gift wrap evaluates its orientation predicates in float, for all
 points at once, with a rigorous error bound (a filter in the manner of
 Shewchuk's adaptive predicates), and falls back to Fractions only for the
 signs the bound leaves in doubt; its facets are those of an all-Fraction
-wrap, in the same order.  Zero cells never enter the lift (for p < 0 they
-would sit at +infinity); the envelope is then evaluated on every cell of
-the convex hull of the support, which is exactly the domain where co_p is
-defined here.
+wrap, in the same order.  Zero cells never enter the envelope (their lift
+is -inf); the envelope is then evaluated on every cell of the convex hull
+of the support, which is exactly the domain where co_p is defined here.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .gridfn import GridFunction, LevelSet, ZeroMassError, _cell_centers, integral, level_set
-from .means import _mean, p_mean_arr
+from .means import _SMALL_P, _lift, _unlift, p_mean_arr
 
 __all__ = [
     "PPlane",
@@ -62,16 +62,18 @@ def p_plane_eval(plane: PPlane, x) -> float:
     return s ** (1.0 / plane.p)
 
 
-def _lift(values: np.ndarray, p: float) -> np.ndarray:
-    if p == 0.0:
-        return np.log(values)
-    return values ** p
-
-
-def _unlift(w: np.ndarray, p: float) -> np.ndarray:
-    if p == 0.0:
-        return np.exp(w)
-    return np.maximum(w, 0.0) ** (1.0 / p) if p > 0 else np.maximum(w, 1e-300) ** (1.0 / p)
+def _pplane(f: GridFunction, p: float, coef, const) -> PPlane:
+    """The facet w = <coef, index> + const on the lift scale L, as a PPlane
+    in position space.  PPlanes live on the x^p scale (log x at p = 0),
+    which is sign(p) L, or 1 + p L for the Box-Cox lift."""
+    box_cox = 0.0 < abs(p) < _SMALL_P
+    scale = p if box_cox else (-1.0 if p < 0 else 1.0)
+    y = [scale * float(a) for a in coef]
+    d = scale * float(const) + 1.0 if box_cox else scale * float(const)
+    # index -> position: i = (x - origin)/h - 1/2
+    for a, o in zip(y, f.origin):
+        d -= a * (o / f.spacing + 0.5)
+    return PPlane(p, tuple(a / f.spacing for a in y), d)
 
 
 # --------------------------------------------------------------------------
@@ -333,55 +335,33 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
     if integral(f) <= 0:
         raise ZeroMassError("p_concave_hull needs positive mass")
 
-    sign = 1.0 if p >= 0 else -1.0  # chain always builds an upper envelope
-    h = f.spacing
-
     if f.dim == 1:
         idx = np.flatnonzero(f.values > 0)
-        vals = f.values[idx]
-        w = [Fraction(x) for x in (sign * _lift(vals, p)).tolist()]
-        chain = _upper_chain(idx, w)
+        chain = _upper_chain(idx, [Fraction(x) for x in _lift(f.values[idx], p).tolist()])
         domain = np.arange(idx.min(), idx.max() + 1)
         xs = [float(x) for x, _ in chain]
         ws = [float(v) for _, v in chain]
-        env = sign * np.interp(domain.astype(float), xs, ws)
         hull_vals = np.zeros(f.shape)
-        hull_vals[domain] = _unlift(env, p)
-        hull_vals = np.maximum(hull_vals, f.values)
-        hull = f.with_values(hull_vals)
+        hull_vals[domain] = _unlift(np.interp(domain.astype(float), xs, ws), p)
         facets = []
         for (x1, w1), (x2, w2) in zip(chain[:-1], chain[1:]):
-            m = sign * float((w2 - w1) / Fraction(x2 - x1))
-            q = sign * float(w1) - m * x1
-            # index -> position: i = (x - origin)/h - 1/2
-            y = m / h
-            d = q - m * (f.origin[0] / h + 0.5)
-            facets.append(PPlane(p, (y,), d))
-        if not facets:
-            x1, w1 = chain[0]
-            facets.append(PPlane(p, (0.0,), sign * float(w1)))
-        gap = integral(hull) - integral(f)
-        return HullResult(hull, gap, facets)
-
-    idx = np.argwhere(f.values > 0)
-    planes = _upper_envelope_2d(idx, sign * _lift(f.values[tuple(idx.T)], p))
-    cells = convex_hull_set(level_set(f, 0.0)).indices()
-    env = np.full(len(cells), np.inf)
-    for alpha, beta, gamma in planes:
-        vals_p = float(alpha) * cells[:, 0] + float(beta) * cells[:, 1] + float(gamma)
-        np.minimum(env, vals_p, out=env)
-    hull_vals = np.zeros(f.shape)
-    hull_vals[tuple(cells.T)] = _unlift(sign * env, p)
-    hull_vals = np.maximum(hull_vals, f.values)
-    hull = f.with_values(hull_vals)
-    facets = []
-    for alpha, beta, gamma in planes:
-        a_, b_, g_ = sign * float(alpha), sign * float(beta), sign * float(gamma)
-        y = (a_ / h, b_ / h)
-        d = g_ - a_ * (f.origin[0] / h + 0.5) - b_ * (f.origin[1] / h + 0.5)
-        facets.append(PPlane(p, y, d))
-    gap = integral(hull) - integral(f)
-    return HullResult(hull, gap, facets)
+            m = float((w2 - w1) / Fraction(x2 - x1))
+            facets.append(_pplane(f, p, (m,), float(w1) - m * x1))
+        if not facets:  # one support cell: a constant, slope +0.0 for every p
+            facets.append(PPlane(p, (0.0,), _pplane(f, p, (), chain[0][1]).d))
+    else:
+        idx = np.argwhere(f.values > 0)
+        planes = _upper_envelope_2d(idx, _lift(f.values[tuple(idx.T)], p))
+        cells = convex_hull_set(level_set(f, 0.0)).indices()
+        env = np.full(len(cells), np.inf)
+        for alpha, beta, gamma in planes:
+            vals_p = float(alpha) * cells[:, 0] + float(beta) * cells[:, 1] + float(gamma)
+            np.minimum(env, vals_p, out=env)
+        hull_vals = np.zeros(f.shape)
+        hull_vals[tuple(cells.T)] = _unlift(env, p)
+        facets = [_pplane(f, p, (alpha, beta), gamma) for alpha, beta, gamma in planes]
+    hull = f.with_values(np.maximum(hull_vals, f.values))
+    return HullResult(hull, integral(hull) - integral(f), facets)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,48 @@ def p_mean_arr(lam: float, p: float, x, y):
     return out
 
 
+def _lift(x, p: float) -> np.ndarray:
+    """Increasing lift L with M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)).
+
+    Zeros map to -inf, so a max-plus sum over pairs ignores them and
+    concavity checks see the support boundary.  Three regimes, split at
+    _SMALL_P as in p_mean_arr, because no single form is accurate for every
+    p:
+    - p = 0: log x;
+    - 0 < |p| < _SMALL_P: expm1(p log x)/p (Box-Cox), which tends to log x;
+      the signed power would lose about eps/|p| to cancellation there;
+    - otherwise sign(p) x^p, which keeps full relative precision on values
+      far below the largest, where Box-Cox at p = 1 (x - 1) loses it all.
+    Any increasing affine image of x^p (or of log x) is such a lift, since
+    the weights sum to 1.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -np.inf)
+    pos = x > 0
+    v = x[pos]
+    if p == 0.0:
+        out[pos] = np.log(v)
+    elif abs(p) < _SMALL_P:
+        out[pos] = np.expm1(p * np.log(v)) / p
+    elif p > 0:
+        out[pos] = v ** p
+    else:
+        out[pos] = -(v ** p)
+    return out
+
+
+def _unlift(s, p: float) -> np.ndarray:
+    """Inverse of _lift: -inf and values below the lift's range map to 0,
+    values above it (only possible for p < 0) to inf."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        if p == 0.0:
+            return np.exp(s)
+        if abs(p) < _SMALL_P:
+            return np.exp(np.log1p(np.maximum(p * s, -1.0)) / p)
+        return np.maximum(math.copysign(1.0, p) * s, 0.0) ** (1.0 / p)
+
+
 def exponent_map(p: float, n: int) -> float:
     """q = p / (1 + n p), the exponent a p-mean degrades to after projecting
     out an n-dimensional fiber; fixes 0 and rejects p <= -1/n."""

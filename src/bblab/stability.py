@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,8 +35,8 @@ from .gridfn import (
     translate,
 )
 from .hull import PPlane, p_concave_hull
-from .means import MeanParams, _mean, exponent_map, p_mean_arr
-from .supconv import _bounding_box, deficit, sup_convolution
+from .means import MeanParams, _lift, _unlift, exponent_map, p_mean_arr
+from .supconv import _bounding_box, _lam_ab, _sup_cells, deficit, sup_convolution
 
 __all__ = [
     "StabilityReport",
@@ -159,49 +160,6 @@ def certify_symmetric_difference(
 # shaving
 
 
-def _lift_signed(vals: np.ndarray, p: float) -> np.ndarray:
-    """Transform increasing in the value: f^p (p>0), log f (p=0), -f^p (p<0).
-    Zeros map to -inf so concavity checks see the support boundary."""
-    out = np.full(vals.shape, -np.inf)
-    pos = vals > 0
-    if p == 0.0:
-        out[pos] = np.log(vals[pos])
-    elif p > 0:
-        out[pos] = vals[pos] ** p
-    else:
-        out[pos] = -(vals[pos] ** p)
-    return out
-
-
-def _mean_half_arr(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """M_{1/2,p} on arrays, streamlined for the batched evaluator."""
-    if p == 0.0:
-        return np.sqrt(x * y)
-    if p == 1.0:
-        return np.where((x > 0) & (y > 0), 0.5 * (x + y), 0.0)
-    return p_mean_arr(0.5, p, x, y)
-
-
-def _batched_self_sup_half(rows: np.ndarray, p: float, cv: float) -> np.ndarray:
-    """Exact integral of M*(g,g) at lam = 1/2 for a batch of rows.
-
-    Sweeps pair offsets d = j - i once; pairs (i, i+d) land on lattice sums
-    s = 2i + d, and output cell k collects s in {2k-1, 2k}.
-    """
-    B, n = rows.shape
-    if n == 1:
-        return rows[:, 0] * cv
-    W = np.zeros((B, 2 * n - 1))
-    np.maximum(W[:, 0::2], rows, out=W[:, 0::2])
-    for d in range(1, n):
-        m = _mean_half_arr(p, rows[:, : n - d], rows[:, d:])
-        seg = W[:, d : 2 * n - 1 - d : 2]
-        np.maximum(seg, m, out=seg)
-    out = W[:, 0::2].copy()
-    np.maximum(out[:, 1:], W[:, 1::2], out=out[:, 1:])
-    return out.sum(axis=1) * cv
-
-
 def _self_sup_integral_rows_fast(rows: np.ndarray, params: MeanParams, cv: float):
     """Exact integral of M*(g,g) for rows that are grid-p-concave, lam = 1/2.
 
@@ -218,7 +176,7 @@ def _self_sup_integral_rows_fast(rows: np.ndarray, params: MeanParams, cv: float
     last = n - 1 - np.argmax(pos[:, ::-1], axis=1)
     contiguous = (cnt > 0) & (cnt == last - first + 1)
 
-    W = _lift_signed(rows, p)
+    W = _lift(rows, p)
     with np.errstate(invalid="ignore"):
         d2 = W[:, :-2] - 2.0 * W[:, 1:-1] + W[:, 2:]
     interior = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:]
@@ -236,20 +194,6 @@ def _self_sup_integral_rows_fast(rows: np.ndarray, params: MeanParams, cv: float
     return ints, valid
 
 
-def _unlift_signed(s: np.ndarray, p: float) -> np.ndarray:
-    """Inverse of _lift_signed on the signed-transform scale."""
-    if p == 0.0:
-        with np.errstate(over="ignore"):
-            return np.exp(np.minimum(s, 700.0))
-    if p > 0:
-        return np.maximum(s, 0.0) ** (1.0 / p)
-    out = np.full(s.shape, np.inf)
-    neg = -s  # s = -f^p, so f = (-s)^(1/p) wherever -s > 0
-    ok = neg > 0
-    out[ok] = neg[ok] ** (1.0 / p)
-    return out
-
-
 def _shave_candidates_1d(f: GridFunction, p: float) -> list:
     """Dictionary descriptors in a fixed order: level caps (descending),
     half-line cutoffs (keep-left then keep-right, by position), p-planes
@@ -263,17 +207,22 @@ def _shave_candidates_1d(f: GridFunction, p: float) -> list:
         cands.append(("cutL", int(k)))
     for k in sup:
         cands.append(("cutR", int(k)))
-    w = _lift_signed(vals, p)
+    w = _lift(vals, p)
     seen = set()
-    for ai in range(len(sup)):
-        for bi in range(ai + 1, len(sup)):
-            i, j = int(sup[ai]), int(sup[bi])
-            m = (w[j] - w[i]) / (j - i)
-            q = w[i] - m * i
-            key = (m, q)
+    for ai, i in enumerate(sup[:-1].tolist()):
+        # row ai: the planes through (i, w[i]) and each later support point,
+        # in order.  Within a row q is a function of m, so the first
+        # occurrence of each m gives the row's distinct keys; "+ 0.0" keeps
+        # -0.0 and 0.0 one key, as they are in the set
+        j = sup[ai + 1 :]
+        m = (w[j] - w[i]) / (j - i) + 0.0
+        first = np.sort(np.unique(m, return_index=True)[1])
+        m = m[first]
+        q = w[i] - m * i + 0.0
+        for key in zip(m.tolist(), q.tolist()):
             if key not in seen:
                 seen.add(key)
-                cands.append(("plane", m, q))
+                cands.append(("plane",) + key)
     return cands
 
 
@@ -289,7 +238,7 @@ def _shave_candidates_2d(f: GridFunction, p: float) -> list:
             d0, d1 = int(B[0] - A[0]), int(B[1] - A[1])
             cands.append(("halfplane", (int(A[0]), int(A[1])), (d0, d1), 1))
             cands.append(("halfplane", (int(A[0]), int(A[1])), (d0, d1), -1))
-    w = _lift_signed(vals, p)[tuple(sup.T)]
+    w = _lift(vals, p)[tuple(sup.T)]
     seen = set()
     # exhaustive triples at desk scale; beyond that restrict to the lifted
     # hull facets, which contain every supporting plane the ascent can use
@@ -321,41 +270,34 @@ def _shave_candidates_2d(f: GridFunction, p: float) -> list:
     return cands
 
 
-def _materialize_1d(cand: tuple, n: int, p: float) -> np.ndarray:
-    kind = cand[0]
-    if kind == "cap":
-        return np.full(n, cand[1])
-    if kind == "cutL":
-        r = np.full(n, np.inf)
-        r[cand[1] + 1 :] = 0.0
-        return r
-    if kind == "cutR":
-        r = np.full(n, np.inf)
-        r[: cand[1]] = 0.0
-        return r
-    _, m, q = cand
-    s = m * np.arange(n, dtype=float) + q
-    return _unlift_signed(s, p)
-
-
-def _materialize_2d(cand: tuple, shape: tuple, p: float) -> np.ndarray:
-    kind = cand[0]
-    ii, jj = np.mgrid[0 : shape[0], 0 : shape[1]]
-    if kind == "cap":
-        return np.full(shape, cand[1])
-    if kind == "halfplane":
-        _, (a0, a1), (d0, d1), side = cand
-        cr = side * ((ii - a0) * d1 - (jj - a1) * d0)
-        out = np.full(shape, np.inf)
-        out[cr < 0] = 0.0
-        return out
-    if kind == "pplane":
-        plane = cand[1]
-        # facet planes are stored in position space; unused at desk scale
-        raise NotImplementedError("hull-facet candidates need position eval")
-    _, c0, c1, q = cand
-    s = c0 * ii + c1 * jj + q
-    return _unlift_signed(s, p)
+def _materialize(cands: list, shape: tuple, p: float) -> np.ndarray:
+    """The caps ell of dictionary descriptors on f's grid (f' = min(f, ell)),
+    one row per descriptor; the p-planes are unlifted in one call."""
+    idx = np.indices(shape)
+    out = np.empty((len(cands),) + shape)
+    planes = [k for k, cand in enumerate(cands) if cand[0] == "plane"]
+    if planes:
+        # ("plane", slope per axis..., offset) on the lift scale
+        coef = np.array([cands[k][1:] for k in planes])[(...,) + (None,) * len(shape)]
+        w = coef[:, 0] * idx[0]
+        for d in range(1, len(shape)):
+            w = w + coef[:, d] * idx[d]
+        out[planes] = _unlift(w + coef[:, -1], p)
+    for k, cand in enumerate(cands):
+        kind = cand[0]
+        if kind == "cap":
+            out[k] = cand[1]
+        elif kind == "pplane":
+            # facet planes are stored in position space; unused at desk scale
+            raise NotImplementedError("hull-facet candidates need position eval")
+        elif kind == "halfplane":
+            _, (a0, a1), (d0, d1), side = cand
+            out[k] = np.where(side * ((idx[0] - a0) * d1 - (idx[1] - a1) * d0) >= 0, np.inf, 0.0)
+        elif kind == "cutL":  # keep the cells left of cand[1], inclusive
+            out[k] = np.where(idx[0] <= cand[1], np.inf, 0.0)
+        elif kind == "cutR":
+            out[k] = np.where(idx[0] >= cand[1], np.inf, 0.0)
+    return out
 
 
 def shave(f: GridFunction, params: MeanParams, c: float | None = None):
@@ -379,83 +321,62 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
 
     cv = f.cell_volume
     p = params.p
-    from fractions import Fraction as _Fr
-
-    lam_is_half = params.lam_fraction == _Fr(1, 2)
+    lam_is_half = params.lam_fraction == Fraction(1, 2)
     n = f.values.size
+    # on a common box, with s = a*i + (b-a)*j, cell k collects s in
+    # [b*k - b//2, b*k - b//2 + b)
+    denom = _lam_ab(params)[1]  # b in lam = a/b
+    base = (denom // 2,) * f.dim
 
-    def sup_rows_1d(rows: np.ndarray) -> np.ndarray:
-        out = np.empty(rows.shape[0])
-        rest = range(rows.shape[0])
-        if lam_is_half:
-            # concave rows cost O(n); the rest go through the exact batched
-            # offset sweep, trimmed to the joint support box of the batch
-            ints, valid = _self_sup_integral_rows_fast(rows, params, cv)
+    def sup_integrals(states: np.ndarray) -> np.ndarray:
+        """integral(M*(s, s)) for each state s in the batch."""
+        out = np.empty(len(states))
+        rest = np.arange(len(states))
+        if f.dim == 1 and lam_is_half:
+            # concave rows cost O(n)
+            ints, valid = _self_sup_integral_rows_fast(states, params, cv)
             out[valid] = ints[valid]
             rest = np.flatnonzero(~valid)
-            pos = np.flatnonzero((rows[rest] > 0).any(axis=0))
-            if len(pos) == 0:
-                out[rest] = 0.0
-                rest = []
-            elif pos.max() - pos.min() + 1 <= 4 * len(pos):
-                sub = rows[rest][:, pos.min() : pos.max() + 1]
-                out[rest] = _batched_self_sup_half(sub, p, cv)
-                rest = []
-            # else sparse support with long gaps: the dense sweep wastes
-            # quadratic work on zeros; go through the pruned kernel below
-        for r in rest:
-            g = f.with_values(rows[r].copy())
-            out[r] = integral(sup_convolution(g, g, params))
+        if len(rest) == 0:
+            return out
+        sub = states[rest]
+        box = _bounding_box(sub.max(axis=0))
+        if box is None:
+            out[rest] = 0.0
+            return out
+        sub = sub[(slice(None),) + tuple(slice(l, h + 1) for l, h in zip(*box))]
+        cells = _sup_cells(sub, sub, params, base, sub.shape[1:], sym=lam_is_half)
+        out[rest] = cells.reshape(len(rest), -1).sum(axis=1) * cv
         return out
 
-    def sup_one(vals: np.ndarray) -> float:
-        if f.dim == 1:
-            return float(sup_rows_1d(vals.reshape(1, -1))[0])
-        g = f.with_values(vals)
-        return integral(sup_convolution(g, g, params))
-
     cands = _shave_candidates_1d(f, p) if f.dim == 1 else _shave_candidates_2d(f, p)
-    materialize = (
-        (lambda cand: _materialize_1d(cand, n, p))
-        if f.dim == 1
-        else (lambda cand: _materialize_2d(cand, f.shape, p))
-    )
 
-    cur = f.values.copy().reshape(-1) if f.dim == 1 else f.values.copy()
+    cur = f.values.copy()
     cur_int = float(cur.sum()) * cv
-    cur_sup = sup_one(cur)
+    cur_sup = float(sup_integrals(cur[None])[0])
     base_sup = cur_sup
     tol_gain = 1e-10 * max(1.0, base_sup)
 
     def eval_indices(indices):
         """(states, gains) of applying each listed candidate to cur."""
-        if f.dim == 1:
-            mat = np.stack([materialize(cands[i]) for i in indices])
-            F2 = np.minimum(cur[None, :], mat)
-            removed = cur_int - F2.sum(axis=1) * cv
-            gains = np.full(len(indices), -np.inf)
-            changed = removed > 1e-300
-            if changed.any():
-                sups = np.empty(len(indices))
-                sups[changed] = sup_rows_1d(F2[changed])
-                gains[changed] = (cur_sup - sups[changed]) - (1.0 + c) * removed[changed]
-            return F2, gains
-        states = [np.minimum(cur, materialize(cands[i])) for i in indices]
+        states = np.minimum(cur, _materialize([cands[i] for i in indices], f.shape, p))
+        removed = cur_int - states.reshape(len(indices), -1).sum(axis=1) * cv
         gains = np.full(len(indices), -np.inf)
-        for k, st in enumerate(states):
-            removed = cur_int - float(st.sum()) * cv
-            if removed > 1e-300:
-                gains[k] = (cur_sup - sup_one(st)) - (1.0 + c) * removed
+        changed = removed > 1e-300
+        if changed.any():
+            sups = sup_integrals(states[changed])
+            gains[changed] = (cur_sup - sups) - (1.0 + c) * removed[changed]
         return states, gains
 
     def apply_state(state):
         nonlocal cur, cur_int, cur_sup
-        cur = np.asarray(state, dtype=float).reshape(cur.shape)
+        cur = state
         cur_int = float(cur.sum()) * cv
-        cur_sup = sup_one(cur)
+        cur_sup = float(sup_integrals(cur[None])[0])
 
     n_cand = len(cands)
-    chunk = max(16, 4 * 10 ** 6 // max(n, 1))
+    # the kernel's work array holds b^dim lattice sums per cell of a state
+    chunk = max(16, 4 * 10 ** 6 // (n * denom ** f.dim))
     accepts = 0
     while True:
         best_gain, best_idx, best_state = tol_gain, None, None

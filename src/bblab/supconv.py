@@ -9,11 +9,22 @@ it, resolving boundary ties upward: k = (2s + b) // (2b).  All index math is
 integer, so tie handling is exact.  This floor-snap convention makes the
 indicator law M*(1_A, 1_B) = 1_{lam A + (1-lam) B} hold cell-for-cell and
 gives the discrete Minkowski combination measure >= min(|A|, |B|).
+
+Lifted kernel.  M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)) for the
+increasing lift L of means._lift, so M* is a max-plus convolution of
+lam L(f) and (1-lam) L(g) on the lattice sums s, a block max onto cells and
+one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
+2; sup_convolution and the shaving objective both call it.  Its values
+differ from the pair means p_mean_arr computes by rounding (at most 2^-35
+relative, proven at _MARGIN), so the hypothesis check uses them only as a
+filter: a cell is cleared when M*(1 + 2^-32) <= h + tol, and the pairs of
+every other cell are compared one by one with p_mean_arr.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +32,7 @@ import numpy as np
 
 from .gridfn import (GridFunction, LevelSet, ZeroMassError, _cell_centers, _offset_cells,
                      common_grid, integral)
-from .means import MeanParams, p_mean_arr
+from .means import MeanParams, _lift, _unlift, p_mean_arr
 
 __all__ = [
     "DeficitReport",
@@ -33,6 +44,38 @@ __all__ = [
 
 # pairs enumerated at once by the hypothesis check; bounds its memory only
 _PAIRS_PER_BATCH = 1 << 20
+
+# Relative margin of the cell filter in _violations.  Claim: every pair
+# (x, y) feeding cell k has m = p_mean_arr(x, y) < fl(v_k * (1 + _MARGIN)),
+# v_k the value _sup_cells gives cell k; so a cell that passes the filter
+# has no violating pair, and the count equals that of a scan of all pairs.
+#
+# Proof.  Let u = 2^-53, and take each log, exp, expm1, log1p and power
+# call to be within 4 ulps (relative error 8u).  _violations checks every
+# cell unless the positive values of f and g span at most 2^R with
+# R * max(|p|, 1) <= 999 (so 2^R >= sigma/min, sigma < 2 max being the
+# kernel's scale).  Then each scaled value z lies in [2^-999, 1], |ln z| <=
+# 693, and z^p, the weighted lifts and p_mean_arr's r^p lie in
+# [2^-1005, 2^999]: all normal, so each operation has relative error <= u
+# (8u for the calls above).  With weights w + c = 1 (exact), the mean is
+# M = sigma U(T), T = w L(z_x) + c L(z_y); the kernel sums some t <= W_k,
+# W_k its cell maximum, and v_k = fl(sigma U(W_k)); U is increasing.
+# - p = 0: |t - T| <= 10u * 693 (log, weight, sum) and exp adds 8u, so
+#   M <= sigma exp(W_k + 6930u) <= v_k (1 + 7000u).
+# - |p| >= _SMALL_P: L = +-z^p, and terms of one sign keep t = T(1 + d),
+#   |d| <= 10u; U = |.|^(1/p) turns d into d/|p| <= 10^4 u, and power adds
+#   8u: M <= v_k (1 + 11000u).
+# - 0 < |p| < _SMALL_P: 1 + pL = z^p lies in [1/2, 2], so |L| <= 1400, and
+#   U(W) = exp(log1p(pW)/p) has d ln U/dW = 1/(1 + pW) <= 2.  Rounding pW
+#   (or p ln z) moves it by u|pW|, which log1p (expm1) turns into at most
+#   2u|pW| and the division by p back into 2u|W|; the calls' own errors
+#   give 16u|W| and 8u|L|.  So |t - T| <= 30000u and the exponent of v_k is
+#   off by at most 28000u: M <= v_k (1 + 90000u).
+# p_mean_arr's own formulas (the same three forms on unscaled values, |ln|
+# <= 745, weights lam and c = 1 - lam, |lam - w| <= u) are within
+# 90000u of M by the same count.  So m <= v_k (1 + 2^-35), below
+# v_k (1 + 2^-32)(1 - u) <= fl(v_k (1 + 2^-32)).
+_MARGIN = 2.0 ** -32
 
 
 @dataclass(frozen=True)
@@ -75,6 +118,50 @@ def _bounding_box(values: np.ndarray):
     return pos.min(axis=0), pos.max(axis=0)
 
 
+def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray:
+    """M*_{lam,p} on output cells for a batch of pairs of grid functions.
+
+    fv (B, *nf) and gv (B, *ng) hold row r's f and g on boxes of one
+    lattice; returns (B, *shape).  Pair (i, j) lands on the lattice sum
+    s = a*i + (b-a)*j + base (per axis, 0 <= base < b), and output cell k
+    collects s in [b*k, b*k + b).  Each pair costs one add and one max of
+    lifted values; each cell one unlift.  f and g are divided by a power of
+    two sigma >= max(f, g) first and the result is multiplied back; M is
+    1-homogeneous, so this is exact, and the lifts cannot overflow for
+    p > 0.  sym (fv is gv and lam = 1/2) visits only pairs with j >= i on
+    axis 0: the mirror pair lands on the same s with the same float sum.
+    """
+    a, b = _lam_ab(params)
+    step = b - a
+    dim = fv.ndim - 1
+    # smallest power of two >= the maximum, so that a maximum that is a
+    # power of two (an indicator) scales to exactly 1
+    e = math.frexp(math.nextafter(max(fv.max(), gv.max()), 0.0))[1]
+    # weights that sum to exactly 1 in real arithmetic (1 - c is exact for
+    # c >= 1/2): only then does the -1/p of the Box-Cox lift cancel
+    c = 1.0 - params.lam_float
+    lf = (1.0 - c) * _lift(np.ldexp(fv, -e), params.p)
+    lg = lf if sym else c * _lift(np.ldexp(gv, -e), params.p)
+    B = len(fv)
+    W = np.full((B,) + tuple(b * n for n in shape), -np.inf)
+    buf = np.empty(lg.shape)
+    ng = gv.shape[1:]
+    live = np.isfinite(lf).reshape(B, -1).any(axis=0)
+    for flat in np.flatnonzero(live):
+        i = np.unravel_index(flat, fv.shape[1:])
+        j0 = (int(i[0]) if sym else 0,) + (0,) * (dim - 1)
+        rows = (slice(None),) + tuple(slice(j, None) for j in j0)
+        t = buf[rows]
+        np.add(lf[(slice(None),) + i].reshape((B,) + (1,) * dim), lg[rows], out=t)
+        seg = W[(slice(None),) + tuple(
+            slice(a * i[d] + step * j0[d] + base[d], a * i[d] + step * n + base[d], step)
+            for d, n in enumerate(ng))]
+        np.maximum(seg, t, out=seg)
+    blocks = sum(((n, b) for n in shape), ())
+    W = W.reshape((B,) + blocks).max(axis=tuple(range(2, 2 + 2 * dim, 2)))
+    return np.ldexp(_unlift(W, params.p), e)
+
+
 def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> GridFunction:
     """Pointwise sup over splittings z = lam*x + (1-lam)*y of M_{lam,p}(f(x), g(y)).
 
@@ -85,61 +172,23 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
         raise ValueError("sup_convolution supports dim 1 and 2")
     a, b = _lam_ab(params)
     off_g = _offset_cells(f, g)
-    lam, p = params.lam_float, params.p
 
     box_f = _bounding_box(f.values)
     box_g = _bounding_box(g.values)
     if box_f is None or box_g is None:
         return GridFunction(f.dim, f.origin, f.spacing, np.zeros((1,) * f.dim))
 
-    flo, fhi = box_f
-    glo, ghi = box_g
-    glo_lat = glo + off_g
-    ghi_lat = ghi + off_g
-    step = b - a
-    s_lo = a * flo + step * glo_lat
-    s_hi = a * fhi + step * ghi_lat
+    (flo, fhi), (glo, ghi) = box_f, box_g
+    s_lo = a * flo + (b - a) * (glo + off_g)
     k_lo = _snap(s_lo, b)
-    k_hi = _snap(s_hi, b)
-
-    # W[s] = max over pairs with a*i + (b-a)*j = s; then block-reduce s -> k.
-    blk_lo = b * k_lo - b // 2
-    blk_hi = b * k_hi - b // 2 + b - 1
-    if f.dim == 1:
-        W = np.zeros(int(blk_hi[0] - blk_lo[0] + 1))
-        gv = g.values[glo[0] : ghi[0] + 1]
-        j_base = int(step * glo_lat[0] - blk_lo[0])
-        for i in range(int(flo[0]), int(fhi[0]) + 1):
-            fv = f.values[i]
-            if fv <= 0.0:
-                continue
-            row = p_mean_arr(lam, p, fv, gv)
-            start = a * i + j_base
-            seg = W[start : start + step * len(gv) : step]
-            np.maximum(seg, row, out=seg)
-        out = W.reshape(-1, b).max(axis=1)
-        origin = (f.origin[0] + int(k_lo[0]) * f.spacing,)
-        return GridFunction(1, origin, f.spacing, out)
-
-    shape_w = tuple(int(h - l + 1) for l, h in zip(blk_lo, blk_hi))
-    W = np.zeros(shape_w)
-    gv = g.values[glo[0] : ghi[0] + 1, glo[1] : ghi[1] + 1]
-    base = step * glo_lat - blk_lo
-    n0, n1 = gv.shape
-    for i0 in range(int(flo[0]), int(fhi[0]) + 1):
-        rowvals = f.values[i0]
-        s0 = int(a * i0 + base[0])
-        for i1 in range(int(flo[1]), int(fhi[1]) + 1):
-            fv = rowvals[i1]
-            if fv <= 0.0:
-                continue
-            m = p_mean_arr(lam, p, fv, gv)
-            s1 = int(a * i1 + base[1])
-            seg = W[s0 : s0 + step * n0 : step, s1 : s1 + step * n1 : step]
-            np.maximum(seg, m, out=seg)
-    out = W.reshape(shape_w[0] // b, b, shape_w[1] // b, b).max(axis=(1, 3))
+    k_hi = _snap(a * fhi + (b - a) * (ghi + off_g), b)
+    fv = f.values[tuple(slice(l, h + 1) for l, h in zip(flo, fhi))]
+    gv = g.values[tuple(slice(l, h + 1) for l, h in zip(glo, ghi))]
+    # cell k collects s in [b*k - b//2, b*k - b//2 + b)
+    out = _sup_cells(fv[None], gv[None], params, s_lo - (b * k_lo - b // 2),
+                     tuple(int(n) for n in k_hi - k_lo + 1), sym=f is g and 2 * a == b)[0]
     origin = tuple(o + int(k) * f.spacing for o, k in zip(f.origin, k_lo))
-    return GridFunction(2, origin, f.spacing, out)
+    return GridFunction(f.dim, origin, f.spacing, out)
 
 
 def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
@@ -173,16 +222,22 @@ def _violations(f, g, h, params, tol, collect):
     z = lam*x + (1-lam)*y snaps to the same cell k as in sup_convolution,
     whose value at k is the max of M over exactly those pairs; h is zero off
     its grid.  So violating pairs sit only on the cells where
-    M*(f, g) > h + tol, and only their pairs are enumerated.  Witnesses are
+    M*(f, g)(1 + _MARGIN) > h + tol (the margin covers the kernel's
+    rounding), and only their pairs are enumerated and compared, with
+    p_mean_arr, exactly as a scan of every pair would.  Witnesses are
     (x, y, M - h(z)) in (f index, g index) order.
     """
+    lam, p = params.lam_float, params.p
     vm, vh, origin, spacing = common_grid(sup_convolution(f, g, params), h)
-    bad = LevelSet(f.dim, 0.0, vm > vh + tol, origin, spacing)
+    suspect = vm * (1.0 + _MARGIN) > vh + tol
+    pos = np.concatenate([f.values[f.values > 0], g.values[g.values > 0]])
+    if len(pos) and max(abs(p), 1.0) * (math.log2(pos.max()) - math.log2(pos.min()) + 1) > 999:
+        suspect[...] = True  # outside the range _MARGIN is proven for
+    bad = LevelSet(f.dim, 0.0, suspect, origin, spacing)
     if bad.cell_count == 0:
         return 0, []
     a, b = _lam_ab(params)
     step = b - a
-    lam, p = params.lam_float, params.p
     cells = bad.indices()
     h_at = vh[tuple(cells.T)]
     limit = h_at + tol

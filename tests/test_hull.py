@@ -21,12 +21,12 @@ from bblab.hull import (
     _collinear_envelope_2d,
     _convex_hull_2d,
     _cross2,
-    _lift,
     _orient_above,
     _plane_through,
     _upper_chain,
     _upper_envelope_2d,
 )
+from bblab.means import _lift
 from conftest import hat, indicator, random_staircase
 
 
@@ -320,10 +320,9 @@ class TestHull2D:
         fields.append(np.where(rng.random((7, 7)) < 0.5, 1.7, 0.0))
         # mirror ties
         fields += [gaussian_2d(n).values for n in (6, 9, 12)]
-        sign = 1.0 if p >= 0 else -1.0
         for vals in fields:
             idx = np.argwhere(vals > 0)
-            assert_envelope_matches_oracle(idx, sign * _lift(vals[tuple(idx.T)], p))
+            assert_envelope_matches_oracle(idx, _lift(vals[tuple(idx.T)], p))
 
     def test_envelope_matches_oracle_near_coplanar(self, rng):
         """Lifts 1 ulp off a plane or a paraboloid, whose grid quads are

@@ -24,10 +24,42 @@ from bblab import (
     sup_convolution,
     translate,
 )
-from conftest import hat, indicator, logconcave_bump, random_staircase
+from bblab.means import _lift
+from bblab.stability import _shave_candidates_1d
+from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
 HALF1 = MeanParams(Fraction(1, 2), 1.0)
+
+
+def shave_candidates_1d_oracle(f: GridFunction, p: float) -> list:
+    """Reference 1-D shaving dictionary: the pair loop over support cells.
+
+    Level caps (descending), half-line cutoffs (keep-left then keep-right,
+    by position), then the p-planes through each pair of lifted support
+    points, in pair order, keeping the first of equal (slope, offset) keys.
+    """
+    vals = f.values
+    sup = np.flatnonzero(vals > 0)
+    cands: list[tuple] = []
+    for t in np.unique(vals[sup])[:-1][::-1]:
+        cands.append(("cap", float(t)))
+    for k in sup:
+        cands.append(("cutL", int(k)))
+    for k in sup:
+        cands.append(("cutR", int(k)))
+    w = _lift(vals, p)
+    seen = set()
+    for ai in range(len(sup)):
+        for bi in range(ai + 1, len(sup)):
+            i, j = int(sup[ai]), int(sup[bi])
+            m = (w[j] - w[i]) / (j - i)
+            q = w[i] - m * i
+            key = (m, q)
+            if key not in seen:
+                seen.add(key)
+                cands.append(("plane", m, q))
+    return cands
 
 
 class TestCertifySymdiff:
@@ -122,14 +154,31 @@ class TestShave:
         assert np.array_equal(fp.values, f.values)
 
     def test_removed_bounded_by_delta_over_c(self, rng):
-        for _ in range(10):
-            f = random_staircase(rng)
-            params = HALF0
+        # 1-D at lam = 1/2 and 1/3, and a 2-D blob of at most 48 cells
+        cases = [(random_staircase(rng), HALF0) for _ in range(10)]
+        cases += [(random_staircase(rng), MeanParams(Fraction(1, 3), 0.0)) for _ in range(4)]
+        cases.append((random_blob_2d(rng, n=6), MeanParams(Fraction(1, 2), 0.0, n=2)))
+        assert (cases[-1][0].values > 0).sum() <= 48
+        for f, params in cases:
             h = sup_convolution(f, f, params)
             delta = integral(h) / integral(f) - 1.0
             for c in (0.05, 0.3, 0.75):
                 fp, removed, obj = shave(f, params, c=c)
                 assert removed <= delta * integral(f) / c + 1e-12
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    def test_candidates_1d_match_oracle(self, p, rng):
+        """The vectorized dictionary equals the pair loop, order included, on
+        staircases with exact ties (many equal planes) and random values."""
+        inputs = [indicator(0.0, 1.0, 0.05), hat(width=1.0, spacing=0.05)]
+        for k in range(40):
+            f = random_staircase(rng, n_max=40, zero_frac=0.3)
+            if k % 2:
+                levels = rng.choice([0.5, 1.0, 1.5, 2.0], f.shape)
+                f = f.with_values(np.where(f.values > 0, levels, 0.0))
+            inputs.append(f)
+        for f in inputs:
+            assert _shave_candidates_1d(f, p) == shave_candidates_1d_oracle(f, p)
 
     def test_rejects_bad_c(self):
         f = indicator(0.0, 1.0, 0.1)

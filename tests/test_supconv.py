@@ -22,40 +22,69 @@ from bblab.supconv import _snap
 from conftest import hat, indicator, random_staircase
 
 HALF = MeanParams(Fraction(1, 2), 0.0)
+# a binary spacing: whole-cell offsets and lam-combinations of centers are
+# exact rationals, so boundary ties snap the same way in the oracle
+SP = 0.125
 
 
 # --- independent oracle: pure-Python pair loop with exact rational snapping
 
-def _mean_ref(lam, p, x, y):
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    if p == 0.0:
-        return x ** lam * y ** (1.0 - lam)
-    return (lam * x ** p + (1.0 - lam) * y ** p) ** (1.0 / p)
-
-
 def supconv_oracle(f, g, lam: Fraction, p: float):
-    """Map output cell index (on f's lattice) -> sup of means, brute force.
+    """Map output cell index (on f's lattice; a tuple in 2-D) -> sup of means.
 
-    The combination point z = lam*x + (1-lam)*y is computed as an exact
-    rational position and assigned to the half-open cell [k*h, (k+1)*h)."""
+    Brute force over all pairs, with means from p_mean_arr.  The
+    combination point z = lam*x + (1-lam)*y is computed as an exact rational
+    position and assigned, per axis, to the half-open cell [k*h, (k+1)*h)."""
     h = Fraction(f.spacing)
-    of = Fraction(f.origin[0])
-    og = Fraction(g.origin[0])
+    of = [Fraction(o) for o in f.origin]
+    og = [Fraction(o) for o in g.origin]
     out = {}
-    for i, fv in enumerate(f.values):
-        if fv <= 0:
-            continue
-        x = of + (Fraction(i) + Fraction(1, 2)) * h
-        for j, gv in enumerate(g.values):
-            if gv <= 0:
-                continue
-            y = og + (Fraction(j) + Fraction(1, 2)) * h
-            z = lam * x + (1 - lam) * y
-            k = math.floor((z - of) / h)
-            m = _mean_ref(float(lam), p, float(fv), float(gv))
+    for i in np.argwhere(f.values > 0):
+        x = [o + (Fraction(int(a)) + Fraction(1, 2)) * h for o, a in zip(of, i)]
+        for j in np.argwhere(g.values > 0):
+            y = [o + (Fraction(int(a)) + Fraction(1, 2)) * h for o, a in zip(og, j)]
+            z = [lam * xd + (1 - lam) * yd for xd, yd in zip(x, y)]
+            k = tuple(math.floor((zd - o) / h) for zd, o in zip(z, of))
+            k = k[0] if f.dim == 1 else k
+            m = float(p_mean_arr(float(lam), p, f.values[tuple(i)], g.values[tuple(j)]))
             out[k] = max(out.get(k, 0.0), m)
     return out
+
+
+def assert_matches_supconv_oracle(f, g, lam, p, n=1):
+    """sup_convolution equals the oracle at rel 1e-12, support included."""
+    out = sup_convolution(f, g, MeanParams(lam, p, n=n))
+    ref = supconv_oracle(f, g, lam, p)
+    k0 = np.round((np.array(out.origin) - np.array(f.origin)) / f.spacing).astype(int)
+    for k, v in ref.items():
+        assert out.values[tuple(np.atleast_1d(k) - k0)] == pytest.approx(v, rel=1e-12)
+    got = {tuple(int(x) for x in c + k0) for c in np.argwhere(out.values > 0)}
+    assert got == {tuple(np.atleast_1d(k).tolist()) for k in ref}
+
+
+def spread_values(rng, shape, zero_frac=0.25):
+    """Positive values spread over 10^-40 .. 10^40, with some zero cells."""
+    vals = 10.0 ** rng.uniform(-40, 40, size=shape)
+    vals[rng.random(shape) < zero_frac] = 0.0
+    vals.flat[0] = 1.0
+    return vals
+
+
+def _pair_cells(f, g, h, params):
+    """Every pair of positive cells of f and g: (f cells, g cells, means,
+    cells of h's lattice that z = lam*x + (1-lam)*y snaps to, in h's grid)."""
+    frac = params.lam_fraction
+    a, b = frac.numerator, frac.denominator
+    off_g = np.array(_offset_cells(f, g))
+    off_h = np.array(_offset_cells(f, h))
+    idx_f = np.argwhere(f.values > 0)
+    idx_g = np.argwhere(g.values > 0)
+    m = p_mean_arr(params.lam_float, params.p,
+                   f.values[tuple(idx_f.T)][:, None], g.values[tuple(idx_g.T)][None, :])
+    s = a * idx_f[:, None, :] + (b - a) * (idx_g + off_g)[None, :, :]
+    k = _snap(s, b) - off_h
+    inside = np.all((k >= 0) & (k < np.array(h.shape)), axis=-1)
+    return idx_f, idx_g, m, k, inside
 
 
 def violation_scan_oracle(f, g, h, params, tol):
@@ -65,19 +94,9 @@ def violation_scan_oracle(f, g, h, params, tol):
     M(f(x), g(y)) > h(z) + tol, where z = lam*x + (1-lam)*y is snapped onto
     h's lattice with the integer rule of sup_convolution; h is zero off its
     grid."""
-    frac = params.lam_fraction
-    a, b = frac.numerator, frac.denominator
-    off_g = np.array(_offset_cells(f, g))
-    off_h = np.array(_offset_cells(f, h))
-    idx_f = np.argwhere(f.values > 0)
-    idx_g = np.argwhere(g.values > 0)
-    if len(idx_f) == 0 or len(idx_g) == 0:
+    if not (f.values > 0).any() or not (g.values > 0).any():
         return 0, []
-    m = p_mean_arr(params.lam_float, params.p,
-                   f.values[tuple(idx_f.T)][:, None], g.values[tuple(idx_g.T)][None, :])
-    s = a * idx_f[:, None, :] + (b - a) * (idx_g + off_g)[None, :, :]
-    k = _snap(s, b) - off_h
-    inside = np.all((k >= 0) & (k < np.array(h.shape)), axis=-1)
+    idx_f, idx_g, m, k, inside = _pair_cells(f, g, h, params)
     hvals = np.zeros(m.shape)
     hvals[inside] = h.values[tuple(k[inside].T)]
     bad = m > hvals + tol
@@ -91,6 +110,28 @@ def violation_scan_oracle(f, g, h, params, tol):
         for i, j in np.argwhere(bad)
     ]
     return int(bad.sum()), found
+
+
+def near_tie_h(f, g, h, params):
+    """h on h's grid plus one more cell per axis, so that every cell that
+    receives a pair holds the largest float t with fl(t + tol) < the cell's
+    largest pair mean.  The extra corner cell receives no pair and holds 4x
+    the largest mean, which fixes max(h) and so tol = 1e-9 * max(h)."""
+    h = h.with_values(np.pad(h.values, [(0, 1)] * h.dim))
+    _, _, m, k, inside = _pair_cells(f, g, h, params)
+    top = np.zeros(h.shape)
+    np.maximum.at(top, tuple(k[inside].T), m[inside])
+    sentinel = 4.0 * top.max()
+    tol = 1e-9 * sentinel
+    t = np.where(top > 0, top - tol, 0.0)
+    while True:
+        down = (top > 0) & (t + tol >= top)
+        up = (top > 0) & (np.nextafter(t, np.inf) + tol < top)
+        if not (down.any() or up.any()):
+            break
+        t = np.where(down, np.nextafter(t, -np.inf), np.where(up, np.nextafter(t, np.inf), t))
+    t[(-1,) * h.dim] = sentinel
+    return h.with_values(t)
 
 
 def minkowski_oracle(A, B, lam: Fraction):
@@ -132,52 +173,49 @@ class TestSupConvolution:
         vf, vh, _, sp = __import__("bblab").gridfn.common_grid(out, h)
         assert (vf[vh == 1.0] <= 1.0 + 1e-9).all()
 
-    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    @pytest.mark.parametrize("p", [-0.4, -0.25, -1e-7, 0.0, 1e-9, 1e-4, 1.0, 2.0])
     def test_matches_oracle(self, p, rng):
-        params = MeanParams(Fraction(1, 2), p)
-        for _ in range(15):
-            f = random_staircase(rng, n_max=12)
-            g = random_staircase(rng, n_max=12, origin=float(rng.integers(-3, 4)) * 0.1)
-            out = sup_convolution(f, g, params)
-            ref = supconv_oracle(f, g, Fraction(1, 2), p)
-            k0 = round((out.origin[0] - f.origin[0]) / f.spacing)
-            for k, v in ref.items():
-                assert out.values[k - k0] == pytest.approx(v, rel=1e-12)
-            got = {k0 + i for i in np.flatnonzero(out.values > 0)}
-            assert got == set(ref.keys())
+        for trial in range(15):
+            f = random_staircase(rng, n_max=12, spacing=SP)
+            g = random_staircase(rng, n_max=12, origin=float(rng.integers(-3, 4)) * SP, spacing=SP)
+            if trial >= 10:  # values spread over 10^+-40
+                f = f.with_values(spread_values(rng, f.shape))
+                g = g.with_values(spread_values(rng, g.shape))
+            assert_matches_supconv_oracle(f, g, Fraction(1, 2), p)
+        if p == 2.0:  # cells at 1e200: an unscaled lift overflows
+            f = random_staircase(rng, n_max=12, spacing=SP)
+            g = random_staircase(rng, n_max=12, spacing=SP)
+            assert_matches_supconv_oracle(f.with_values(f.values * 1e200),
+                                          g.with_values(g.values * 1e200), Fraction(1, 2), p)
 
     def test_matches_oracle_third(self, rng):
-        params = MeanParams(Fraction(1, 3), 0.5)
-        for _ in range(8):
-            f = random_staircase(rng, n_max=10)
-            g = random_staircase(rng, n_max=10)
-            out = sup_convolution(f, g, params)
-            ref = supconv_oracle(f, g, Fraction(1, 3), 0.5)
-            k0 = round((out.origin[0] - f.origin[0]) / f.spacing)
-            for k, v in ref.items():
-                assert out.values[k - k0] == pytest.approx(v, rel=1e-12)
+        for lam in (Fraction(1, 3), Fraction(2, 5), Fraction(3, 8)):
+            for p in (-0.4, -1e-7, 1e-9, 1e-4, 0.5, 2.0):
+                for trial in range(4):
+                    f = random_staircase(rng, n_max=10, spacing=SP)
+                    g = random_staircase(rng, n_max=10, origin=float(rng.integers(-3, 4)) * SP,
+                                         spacing=SP)
+                    if trial == 3:
+                        f = f.with_values(spread_values(rng, f.shape))
+                        g = g.with_values(spread_values(rng, g.shape))
+                    assert_matches_supconv_oracle(f, g, lam, p)
 
     def test_matches_oracle_2d(self, rng):
-        params = MeanParams(Fraction(1, 2), 0.0, n=2)
-        for _ in range(5):
-            vals = rng.uniform(0, 1, size=(5, 4))
-            vals[vals < 0.4] = 0.0
-            vals[2, 2] = 0.7
-            f = GridFunction(2, (0.0, 0.0), 0.1, vals)
-            out = sup_convolution(f, f, params)
-            # brute force on the first axis-projected logic: direct pair loop
-            h = f.spacing
-            best = {}
-            idx = np.argwhere(f.values > 0)
-            for a in idx:
-                for b in idx:
-                    z = tuple((int(ai) + int(bi) + 1) // 2 for ai, bi in zip(a, b))
-                    m = _mean_ref(0.5, 0.0, f.values[tuple(a)], f.values[tuple(b)])
-                    best[z] = max(best.get(z, 0.0), m)
-            k0 = tuple(round((o2 - o1) / h) for o2, o1 in zip(out.origin, f.origin))
-            for z, v in best.items():
-                cell = tuple(zi - ki for zi, ki in zip(z, k0))
-                assert out.values[cell] == pytest.approx(v, rel=1e-12)
+        for lam in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 8)):
+            for p in (-0.4, -1e-7, 0.0, 1e-9, 1e-4, 2.0):
+                for trial in range(3):
+                    vals = rng.uniform(0, 1, size=(5, 4))
+                    vals[vals < 0.4] = 0.0
+                    vals[2, 2] = 0.7
+                    if trial == 2:
+                        vals = spread_values(rng, (4, 5))
+                    f = GridFunction(2, (0.0, 0.0), SP, vals)
+                    g = f if trial == 0 else GridFunction(
+                        2, tuple(SP * rng.integers(-3, 4, size=2)), SP,
+                        rng.uniform(0.1, 1, size=(3, 4)) * (1e200 if p == 2.0 else 1.0))
+                    if g is not f and p == 2.0:
+                        f = f.with_values(f.values * 1e200)
+                    assert_matches_supconv_oracle(f, g, lam, p, n=2)
 
     def test_pointwise_domination(self, rng):
         for p in (-0.25, 0.0, 1.0):
@@ -338,9 +376,11 @@ class TestDeficit:
                                      Fraction(3, 8)])
     def test_matches_pair_scan_oracle(self, lam, p, dim, rng, monkeypatch):
         """Counts and witness lists equal the exhaustive pair scan, for h
-        canonical, jittered, a near-tie below canonical, or zero, with g and h
-        on grids offset by whole cells (h may also be cropped).  The last five
-        trials split the pair enumeration into batches of a few pairs."""
+        canonical, jittered, a near-tie below canonical, zero, or (near_tie_h)
+        just below every cell's largest pair mean, by less than the
+        sup-convolution's rounding, with g and h on grids offset by whole
+        cells (h may also be cropped).  The last five trials split the pair
+        enumeration into batches of a few pairs."""
         import bblab.supconv as sc
 
         params = MeanParams(lam, p, n=dim)
@@ -355,7 +395,7 @@ class TestDeficit:
             f = GridFunction(dim, (0.0,) * dim, sp, vf)
             g = GridFunction(dim, tuple(sp * rng.integers(-4, 5, size=dim)), sp, vg)
             h = sup_convolution(f, g, params)
-            mode = trial % 4
+            mode = trial % 5
             if mode == 1:
                 hv = h.values * rng.uniform(0.9, 1.1, size=h.shape)
             elif mode == 2:
@@ -371,6 +411,8 @@ class TestDeficit:
             crop = tuple(slice(0, n - int(rng.integers(0, 2)) if n > 1 else n) for n in hv.shape)
             origin = tuple(o - int(q) * sp for o, q in zip(h.origin, pad))
             h = GridFunction(dim, origin, sp, hv[crop])
+            if mode == 4:
+                h = near_tie_h(f, g, h, params)
             rep = deficit(f, g, h, params)
             count, ref = violation_scan_oracle(f, g, h, params, rep.tol)
             assert rep.pointwise_violations == count
@@ -392,6 +434,13 @@ class TestVerifyHypothesis:
         h = GridFunction(1, (0.0,), 0.1, np.zeros(3))
         bad = verify_bbl_hypothesis(f, g, h, HALF)
         assert len(bad) == 9
+        # at p = 100 the lifts of 1e-4 and 2e-4 underflow to 0 and their
+        # cell gets M* = 0; the values span too much for the filter's
+        # margin, so every cell is checked pair by pair
+        f = GridFunction(1, (0.0,), 0.1, np.array([1e-4, 0.0, 0.0, 0.0, 1.0]))
+        g = GridFunction(1, (0.0,), 0.1, np.array([2e-4]))
+        bad = verify_bbl_hypothesis(f, g, h, MeanParams(Fraction(1, 2), 100.0))
+        assert len(bad) == 2
 
     def test_dent_flags_feeding_pairs(self, rng):
         f = random_staircase(rng, n_min=6, n_max=10, zero_frac=0.0)
