@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfn import GridFunction, ZeroMassError, common_grid, integral, level_set, normalize
+from .gridfn import (GridFunction, ZeroMassError, _offset_cells, integral, level_set,
+                     normalize)
 from .hull import convex_hull_set, hull_deficit
 from .means import MeanParams, _mean
-from .supconv import minkowski_combination
+from .supconv import _crop, _overlap_counts, minkowski_combination, sup_convolution
 
 __all__ = [
     "MassMismatchError",
@@ -99,13 +100,16 @@ def _spatial_cdf(f: GridFunction):
 
 def _height_cdf(f: GridFunction):
     """Height knots (0 and the distinct values) and Phi(t) = int_0^t |F_s| ds
-    of the normalized function."""
-    vals = f.values[f.values > 0]
-    uniq = np.unique(vals)
-    knots = np.concatenate(([0.0], uniq))
-    cv = f.cell_volume
-    counts = np.array([(f.values > 0.5 * (a + b)).sum() for a, b in zip(knots[:-1], knots[1:])])
-    seg = counts * cv * np.diff(knots)
+    of the normalized function.
+
+    Between adjacent knots |F_t| is the count of values above the midpoint,
+    taken by one searchsorted on the sorted positive values.
+    """
+    vals = np.sort(f.values[f.values > 0])
+    knots = np.concatenate(([0.0], np.unique(vals)))
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    counts = len(vals) - np.searchsorted(vals, mids, side="right")
+    seg = counts * f.cell_volume * np.diff(knots)
     cums = np.concatenate(([0.0], np.cumsum(seg)))
     cums /= cums[-1]
     return knots, cums
@@ -175,22 +179,18 @@ class DiagnosticsReport:
 def _min_shift_symdiff(A, B) -> float:
     """min over integer cell shifts v of |(v + A) symdiff B| (measure).
 
-    Exhaustive via full cross-correlation of the masks, which covers every
-    shift with nonzero overlap; shifts beyond that cannot do better than the
-    no-overlap value, which the correlation window also contains.
+    |(v + A) symdiff B| = |A| + |B| - 2 |(v + A) & B|, so the minimum is at
+    the largest overlap.  _overlap_counts gives the overlap at every shift
+    where the masks' bounding boxes meet; every other shift has overlap 0.
+    Overlaps do not depend on where the masks sit, so each is cropped to
+    its bounding box.
     """
-    ma, mb, _, _ = common_grid(A, B)
-    na, nb = int(ma.sum()), int(mb.sum())
+    _offset_cells(A, B)  # one lattice, or raise
+    na, nb = A.cell_count, B.cell_count
     cv = A.spacing ** A.dim
     if na == 0 or nb == 0:
         return (na + nb) * cv
-    if A.dim == 1:
-        corr = np.correlate(ma.astype(float), mb.astype(float), mode="full")
-    else:
-        from scipy.signal import correlate
-
-        corr = correlate(ma.astype(float), mb.astype(float), mode="full", method="auto")
-    best_overlap = float(np.round(corr.max()))
+    best_overlap = int(_overlap_counts(_crop(A.mask)[0], _crop(B.mask)[0]).max())
     return (na + nb - 2.0 * best_overlap) * cv
 
 
@@ -219,8 +219,6 @@ def level_diagnostics(
     fn = normalize(f)
     gn = normalize(g)
     if h is None:
-        from .supconv import sup_convolution
-
         hn = sup_convolution(fn, gn, params)
         h_convention = "canonical"
     else:

@@ -15,6 +15,7 @@ from bblab import (
     fiber_project,
     fiber_reduction_check,
     gen_dented,
+    gen_sharpness_pair,
     gen_two_bump,
     integral,
     is_p_concave,
@@ -24,8 +25,11 @@ from bblab import (
     sup_convolution,
     translate,
 )
+from bblab import stability
+from bblab.gridfn import common_grid, normalize
 from bblab.means import _lift
-from bblab.stability import _shave_candidates_1d
+from bblab.stability import _best_shift, _shave_candidates_1d
+from bblab.supconv import _bounding_box
 from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
@@ -60,6 +64,139 @@ def shave_candidates_1d_oracle(f: GridFunction, p: float) -> list:
                 seen.add(key)
                 cands.append(("plane", m, q))
     return cands
+
+
+def best_shift_oracle(f: GridFunction, g: GridFunction):
+    """Reference best shift: the direct scan over the window, one numpy pass
+    per shift, with a loop per dimension.
+
+    Window: per-axis sum of the two support diameters.  Distances within
+    1e-11 (1 + mass) of the minimum tie, and ties break by smaller |v|^2,
+    then lexicographic v.
+    """
+    vf, vg, _, h = common_grid(f, g)
+    cv = h ** f.dim
+    bf = _bounding_box(vf)
+    bg = _bounding_box(vg)
+    if bf is None or bg is None:
+        return tuple([0] * f.dim), float(np.abs(vf - vg).sum()) * cv
+    widths = (bf[1] - bf[0]) + (bg[1] - bg[0]) + 1
+
+    if f.dim == 1:
+        n = vf.shape[0]
+        W = int(widths[0])
+        pad = np.zeros(n + 2 * W)
+        pad[W : W + n] = vf
+        vf_mass = float(vf.sum())
+        shifts = np.arange(-W, W + 1)
+        dists = np.empty(len(shifts))
+        for k, v in enumerate(shifts):
+            seg = pad[W + v : W + v + n]
+            dists[k] = (float(np.abs(seg - vg).sum()) + vf_mass - float(seg.sum())) * cv
+        tie = dists.min() + 1e-11 * (1.0 + vf_mass * cv)
+        cand = [int(v) for v in shifts[dists <= tie]]
+        v = min(cand, key=lambda s: (s * s, s))
+        return (v,), float(dists[v + W])
+
+    n0, n1 = vf.shape
+    W0, W1 = int(widths[0]), int(widths[1])
+    pad = np.zeros((n0 + 2 * W0, n1 + 2 * W1))
+    pad[W0 : W0 + n0, W1 : W1 + n1] = vf
+    vf_mass = float(vf.sum())
+    dists = {}
+    for v0 in range(-W0, W0 + 1):
+        for v1 in range(-W1, W1 + 1):
+            seg = pad[W0 + v0 : W0 + v0 + n0, W1 + v1 : W1 + v1 + n1]
+            dists[(v0, v1)] = (
+                float(np.abs(seg - vg).sum()) + vf_mass - float(seg.sum())
+            ) * cv
+    tie = min(dists.values()) + 1e-11 * (1.0 + vf_mass * cv)
+    cand = [v for v, d in dists.items() if d <= tie]
+    v = min(cand, key=lambda s: (s[0] * s[0] + s[1] * s[1], s))
+    return v, dists[v]
+
+
+def _staircase(rng, dim, levels=(0.0, 0.5, 1.0, 1.5)):
+    """Random staircase on few tied levels, zero cells included."""
+    shape = tuple(rng.integers(3, 9 if dim == 2 else 25, size=dim))
+    vals = rng.choice(levels, size=shape)
+    vals.flat[0] = 1.0  # support nonempty
+    return GridFunction(dim, (0.0,) * dim, 0.1, vals)
+
+
+def _box(shape, dim):
+    """Indicator of a box, of unit mass."""
+    return normalize(GridFunction(dim, (0.0,) * dim, 0.1, np.ones(shape)))
+
+
+def _bump(dim, n, sharp, center=0.13):
+    """Smooth bump off the grid's symmetry, so its values are distinct."""
+    u = (np.arange(n) + 0.5) / n * 2.0 - 1.0 - center
+    r2 = sum(x ** 2 for x in np.meshgrid(*[u * (1.0 + 0.3 * d) for d in range(dim)],
+                                          indexing="ij"))
+    return GridFunction(dim, (0.0,) * dim, 0.1, np.exp(-sharp * r2))
+
+
+def best_shift_corpus(kind, dim, rng):
+    """(f, g) pairs of unit mass for the best-shift oracle test."""
+    if kind == "staircases":
+        return [(normalize(_staircase(rng, dim)), normalize(_staircase(rng, dim)))
+                for _ in range(12)]
+    if kind == "indicators":  # unequal lengths: plateau ties, as in the sharpness pair
+        sizes = [(30, 25), (7, 12), (40, 41)] if dim == 1 else [((3, 4), (5, 2)), ((6, 6), (4, 7))]
+        return [(_box(np.atleast_1d(a), dim), _box(np.atleast_1d(b), dim)) for a, b in sizes]
+    if kind == "equal":
+        fs = [normalize(_staircase(rng, dim)) for _ in range(4)] + [normalize(_bump(dim, 9, 3.0))]
+        return [(f, f) for f in fs]
+    if kind == "translated":
+        out = []
+        for _ in range(4):
+            f = normalize(_staircase(rng, dim))
+            out.append((f, translate(f, rng.integers(-4, 5, size=dim))))
+        return out
+    # smooth bumps: K near the cell count, so the rule takes the direct scan
+    return [(normalize(_bump(dim, 40 if dim == 1 else 10, 3.0)),
+             normalize(_bump(dim, 40 if dim == 1 else 10, 8.0, center=-0.21)))]
+
+
+class TestBestShift:
+    @pytest.mark.parametrize("path", ["rule", "layers", "direct"])
+    @pytest.mark.parametrize("kind", ["staircases", "indicators", "equal", "translated", "bumps"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_oracle(self, dim, kind, path, rng, monkeypatch):
+        if path != "rule":
+            monkeypatch.setattr(stability, "_layers_cheaper", lambda *_: path == "layers")
+        for f, g in best_shift_corpus(kind, dim, rng):
+            shift, dist = _best_shift(f, g)
+            ref_shift, ref_dist = best_shift_oracle(f, g)
+            assert shift == ref_shift
+            # the oracle's zero distances carry summation noise (-1.4e-16 on
+            # a 2-D translated copy), so the bound has a floor at 1e-15
+            assert dist == pytest.approx(ref_dist, rel=1e-12, abs=1e-15)
+            if kind == "equal":
+                assert shift == (0,) * dim and dist == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rule_takes_both_scans(self, dim, rng, monkeypatch):
+        taken = []
+        scans = {name: getattr(stability, name) for name in ("_layer_scan", "_direct_scan")}
+        for name, scan in scans.items():
+            monkeypatch.setattr(stability, name,
+                                lambda *a, name=name, scan=scan: taken.append(name) or scan(*a))
+        for kind in ("indicators", "bumps"):
+            taken.clear()
+            for f, g in best_shift_corpus(kind, dim, rng):
+                _best_shift(f, g)
+            assert set(taken) == {"_layer_scan" if kind == "indicators" else "_direct_scan"}
+
+    def test_sharpness_pair_takes_layers(self, monkeypatch):
+        f, g, _ = gen_sharpness_pair(1e-3, 2.5e-4)
+        fn, gn = normalize(f), normalize(g)
+        monkeypatch.setattr(stability, "_direct_scan", None)  # must not run
+        shift, dist = _best_shift(fn, gn)
+        ref_shift, ref_dist = best_shift_oracle(fn, gn)
+        assert shift == ref_shift
+        assert dist == pytest.approx(ref_dist, rel=1e-12)
 
 
 class TestCertifySymdiff:

@@ -12,14 +12,16 @@ from bblab import (
     integral,
     level_set,
     minkowski_combination,
+    normalize,
     p_mean_arr,
     sup_convolution,
     translate,
     verify_bbl_hypothesis,
 )
+from bblab import supconv
 from bblab.gridfn import _offset_cells
-from bblab.supconv import _snap
-from conftest import hat, indicator, random_staircase
+from bblab.supconv import _overlap_counts, _snap
+from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF = MeanParams(Fraction(1, 2), 0.0)
 # a binary spacing: whole-cell offsets and lam-combinations of centers are
@@ -135,17 +137,47 @@ def near_tie_h(f, g, h, params):
 
 
 def minkowski_oracle(A, B, lam: Fraction):
+    """Cells of {lam*x + (1-lam)*y : x in A, y in B}, as index tuples on A's
+    lattice: a pure-Python pair loop with exact rational positions, each
+    assigned per axis to the half-open cell [k*h, (k+1)*h)."""
     h = Fraction(A.spacing)
-    oa = Fraction(A.origin[0])
-    ob = Fraction(B.origin[0])
+    oa = [Fraction(o) for o in A.origin]
+    ob = [Fraction(o) for o in B.origin]
     cells = set()
-    for i in np.flatnonzero(A.mask):
-        x = oa + (Fraction(int(i)) + Fraction(1, 2)) * h
-        for j in np.flatnonzero(B.mask):
-            y = ob + (Fraction(int(j)) + Fraction(1, 2)) * h
-            z = lam * x + (1 - lam) * y
-            cells.add(math.floor((z - oa) / h))
+    for i in A.indices():
+        x = [o + (Fraction(int(c)) + Fraction(1, 2)) * h for o, c in zip(oa, i)]
+        for j in B.indices():
+            y = [o + (Fraction(int(c)) + Fraction(1, 2)) * h for o, c in zip(ob, j)]
+            cells.add(tuple(math.floor((lam * xd + (1 - lam) * yd - o) / h)
+                            for xd, yd, o in zip(x, y, oa)))
     return cells
+
+
+def minkowski_pair_oracle(A, B, lam: Fraction):
+    """(mask, origin) of the combination from the |A| |B| array of lattice
+    sums s = a*i + (b-a)*j, each snapped to its cell."""
+    a, b = lam.numerator, lam.denominator
+    ia = A.indices().astype(np.int64)
+    ib = B.indices().astype(np.int64) + _offset_cells(A, B)
+    k = _snap(a * ia[:, None, :] + (b - a) * ib[None, :, :], b).reshape(-1, A.dim)
+    k_lo = k.min(axis=0)
+    mask = np.zeros(tuple(k.max(axis=0) - k_lo + 1), dtype=bool)
+    mask[tuple((k - k_lo).T)] = True
+    return mask, tuple(o + int(l) * A.spacing for o, l in zip(A.origin, k_lo))
+
+
+def overlap_counts_oracle(a, b):
+    """out[m - 1 + v] = #{x : a[x] and b[x - v]} per axis (m = b.shape), by
+    a loop over the shifts v."""
+    shape = tuple(n + m - 1 for n, m in zip(a.shape, b.shape))
+    out = np.zeros(shape, dtype=np.int64)
+    for t in np.ndindex(shape):
+        v = np.array(t) - np.array(b.shape) + 1
+        lo = np.maximum(0, v)
+        hi = np.minimum(a.shape, np.array(b.shape) + v)
+        out[t] = (a[tuple(slice(l, u) for l, u in zip(lo, hi))]
+                  & b[tuple(slice(l - w, u - w) for l, u, w in zip(lo, hi, v))]).sum()
+    return out
 
 
 class TestSupConvolution:
@@ -277,17 +309,45 @@ class TestMinkowski:
         assert C.measure == pytest.approx(1.0)
 
     def test_measure_lower_bound_and_oracle(self, rng):
-        for _ in range(40):
-            f = random_staircase(rng, n_max=14, zero_frac=0.5)
-            g = random_staircase(rng, n_max=14, zero_frac=0.5)
-            A = level_set(f, 0.0)
-            B = level_set(g, 0.0)
-            C = minkowski_combination(A, B, Fraction(1, 2))
-            ref = minkowski_oracle(A, B, Fraction(1, 2))
-            k0 = round((C.origin[0] - A.origin[0]) / A.spacing)
-            got = {k0 + int(i) for i in np.flatnonzero(C.mask)}
-            assert got == ref
-            assert C.measure >= min(A.measure, B.measure) - 1e-12
+        pairs = [(level_set(random_staircase(rng, n_max=14, zero_frac=0.5, spacing=SP), 0.0),
+                  level_set(random_staircase(rng, n_max=14, zero_frac=0.5, spacing=SP,
+                                             origin=SP * int(rng.integers(-5, 6))), 0.0))
+                 for _ in range(40)]
+        for _ in range(4):
+            blob = random_blob_2d(rng, n=int(rng.integers(3, 7)), spacing=SP)
+            other = random_blob_2d(rng, n=int(rng.integers(3, 7)), spacing=SP)
+            pairs.append((level_set(blob, 0.5),
+                          level_set(translate(other, rng.integers(-4, 5, size=2)), 0.5)))
+        for lam in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 8)):
+            for A, B in pairs:
+                C = minkowski_combination(A, B, lam)
+                ref = minkowski_oracle(A, B, lam)
+                lo = np.min(list(ref), axis=0)
+                assert C.origin == tuple(o + int(k) * A.spacing for o, k in zip(A.origin, lo))
+                assert {tuple(lo + k) for k in C.indices()} == ref
+                assert C.measure >= min(A.measure, B.measure) - 1e-12
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2, 5), Fraction(3, 4)])
+    def test_matches_pair_path(self, lam):
+        f = normalize(logconcave_bump(width=2.0, spacing=0.004, sharp=3.0))
+        g = normalize(logconcave_bump(width=1.6, spacing=0.004, sharp=8.0, origin=0.3))
+        x = (np.arange(40) + 0.5) / 20.0 - 1.0
+        r2 = x[:, None] ** 2 + (x[None, :] - 0.2) ** 2
+        wobble = (1.0 + 0.2 * np.sin(9 * x))[:, None]
+        F = GridFunction(2, (0.0, 0.0), 0.1, np.exp(-3.0 * r2) * wobble)
+        G = translate(F.with_values(np.exp(-5.0 * r2)), [3, -2])
+        for u, v in [(f, g), (F, G)]:
+            for t in (0.0, 0.3, 0.7):
+                A, B = level_set(u, t * u.max()), level_set(v, t * v.max())
+                C = minkowski_combination(A, B, lam)
+                mask, origin = minkowski_pair_oracle(A, B, lam)
+                assert np.array_equal(C.mask, mask)
+                assert C.origin == origin
+
+    def test_rejects_lambda_outside_unit_interval(self):
+        A = level_set(indicator(0.0, 1.0, 0.1), 0.0)
+        with pytest.raises(ValueError):
+            minkowski_combination(A, A, Fraction(-1, 2))
 
     def test_indicator_law(self, rng):
         for _ in range(20):
@@ -302,6 +362,30 @@ class TestMinkowski:
             mk_cells = set(np.flatnonzero(mk.mask).tolist())
             assert sc_cells == mk_cells
             assert set(np.unique(sc.values)) <= {0.0, 1.0}
+
+
+class TestOverlapCounts:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_brute_force(self, dim, rng, monkeypatch):
+        ffts = []
+        irfftn = np.fft.irfftn
+        monkeypatch.setattr(np.fft, "irfftn", lambda *a: ffts.append(1) or irfftn(*a))
+        for _ in range(20):  # small: the direct method
+            a = rng.random(tuple(rng.integers(1, 5, size=dim))) < 0.5
+            b = rng.random(tuple(rng.integers(1, 5, size=dim))) < 0.5
+            assert np.array_equal(_overlap_counts(a, b), overlap_counts_oracle(a, b))
+        assert not ffts
+        # large enough for the FFT method
+        shape_a, shape_b = ((1500,), (900,)) if dim == 1 else ((40, 36), (30, 33))
+        a, b = rng.random(shape_a) < 0.6, rng.random(shape_b) < 0.4
+        ref = overlap_counts_oracle(a, b)
+        assert np.array_equal(_overlap_counts(a, b), ref)
+        assert ffts
+        # above the proven FFT size the direct method runs
+        monkeypatch.setattr(supconv, "_FFT_MAX", 0)
+        ffts.clear()
+        assert np.array_equal(_overlap_counts(a, b), ref)
+        assert not ffts
 
 
 class TestDeficit:

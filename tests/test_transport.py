@@ -19,9 +19,24 @@ from bblab import (
     sup_convolution,
     translate,
 )
-from conftest import hat, indicator, random_staircase
+from bblab.transport import _height_cdf
+from conftest import hat, indicator, logconcave_bump, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
+
+
+def height_cdf_oracle(f: GridFunction):
+    """Reference height CDF: one count of the values above each knot
+    midpoint, in a loop over the knots."""
+    vals = f.values[f.values > 0]
+    uniq = np.unique(vals)
+    knots = np.concatenate(([0.0], uniq))
+    cv = f.cell_volume
+    counts = np.array([(f.values > 0.5 * (a + b)).sum() for a, b in zip(knots[:-1], knots[1:])])
+    seg = counts * cv * np.diff(knots)
+    cums = np.concatenate(([0.0], np.cumsum(seg)))
+    cums /= cums[-1]
+    return knots, cums
 
 
 class TestSpatialTransport:
@@ -61,6 +76,21 @@ class TestSpatialTransport:
 
 
 class TestHeightTransport:
+    def test_height_cdf_matches_oracle(self, rng):
+        fs = [logconcave_bump(width=2.0, spacing=1e-4)]  # 2e4 cells
+        for _ in range(30):
+            f = random_staircase(rng, n_max=60, zero_frac=0.3)
+            tied = np.ceil(f.values * 4) / 4  # few levels, many ties
+            fs.append(f.with_values(tied))
+        # adjacent floats: the knot midpoint rounds onto a knot
+        fs.append(indicator(0.0, 1.0, 0.1).with_values(
+            np.array([1.0, np.nextafter(1.0, 2.0)] * 5)))
+        for f in fs:
+            knots, cums = _height_cdf(f)
+            ref_knots, ref_cums = height_cdf_oracle(f)
+            assert np.array_equal(knots, ref_knots)
+            assert np.array_equal(cums, ref_cums)
+
     def test_identity(self, rng):
         f = random_staircase(rng)
         T = height_transport(f, f)
