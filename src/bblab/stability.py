@@ -13,11 +13,15 @@ caps: level caps, half-space cutoffs, and p-planes through pairs (1-D) or
 triples (2-D) of lifted support points of f.  A move is accepted only if it
 strictly increases the objective, so the invariant
     removed <= delta * mass / c
-is inherited from objective(f) = 0.
+is inherited from objective(f) = 0.  In 1-D at lam = 1/2 the integral of
+M*(f', f') comes from f''s concave pieces: O(n) for one piece and a slope
+merge for each pair of pieces, so a state with a hole costs O(r n) for r
+pieces; the max-plus kernel supconv._sup_cells takes the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,8 +40,9 @@ from .gridfn import (
 )
 from .hull import PPlane, p_concave_hull
 from .means import MeanParams, _lift, _unlift, exponent_map, p_mean_arr
-from .supconv import (_bounding_box, _crop, _fft_ns, _lam_ab, _overlap_counts, _sup_cells,
-                      deficit, sup_convolution, verify_bbl_hypothesis)
+from .supconv import (_bounding_box, _crop, _fft_ns, _lam_ab, _overlap_counts,
+                      _scaled_lifts, _sup_cells, _unlift_cells, deficit, sup_convolution,
+                      verify_bbl_hypothesis)
 
 __all__ = [
     "StabilityReport",
@@ -75,24 +80,25 @@ def _ratio(dist: float, scale: float) -> float:
     return 0.0 if dist <= 1e-15 else math.inf
 
 
-def _direct_scan(vf: np.ndarray, vg: np.ndarray, W: tuple) -> np.ndarray:
-    """sum |f - g(. - v)| over the grid for every v in the window, one numpy
-    pass per shift: O(n) per shift."""
-    n = vf.shape
-    pad = np.zeros(tuple(m + 2 * w for m, w in zip(n, W)))
-    pad[tuple(slice(w, w + m) for m, w in zip(n, W))] = vf
-    vf_mass = float(vf.sum())
-    dists = np.empty(tuple(2 * w + 1 for w in W))
-    # seg[y] = vf[y + v], so within the window the objective equals
-    # int |f - g(. - v h)|; f-mass sliding out of the window faces zero
-    for k in np.ndindex(dists.shape):
-        seg = pad[tuple(slice(i, i + m) for i, m in zip(k, n))]
-        dists[k] = float(np.abs(seg - vg).sum()) + vf_mass - float(seg.sum())
+def _direct_scan(fbox: np.ndarray, gbox: np.ndarray) -> np.ndarray:
+    """sum |f - g(. - v)| for every shift of the support boxes that overlaps
+    them, at its full-correlation index (_overlap_counts), one numpy pass
+    over the g box per shift."""
+    m = gbox.shape
+    pad = np.zeros(tuple(n + 2 * (k - 1) for n, k in zip(fbox.shape, m)))
+    pad[tuple(slice(k - 1, k - 1 + n) for n, k in zip(fbox.shape, m))] = fbox
+    f_mass = float(fbox.sum())
+    dists = np.empty(tuple(n + k - 1 for n, k in zip(fbox.shape, m)))
+    # seg[y] = f at y shifted by the index's offset; f-mass off the g box
+    # faces zero
+    for t in np.ndindex(dists.shape):
+        seg = pad[tuple(slice(i, i + k) for i, k in zip(t, m))]
+        dists[t] = float(np.abs(seg - gbox).sum()) + f_mass - float(seg.sum())
     return dists
 
 
-def _layer_scan(vf: np.ndarray, vg: np.ndarray, W: tuple, levels: np.ndarray) -> np.ndarray:
-    """The same sums over the window by the layer cake, exact in its counts.
+def _layer_scan(fbox: np.ndarray, gbox: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The same sums by the layer cake, exact in its counts.
 
     With 0 = t_0 < t_1 < ... < t_K the distinct positive values of f and g,
     |x - y| = sum_k (t_k - t_{k-1}) |1{x > t_{k-1}} - 1{y > t_{k-1}}|, so
@@ -101,70 +107,67 @@ def _layer_scan(vf: np.ndarray, vg: np.ndarray, W: tuple, levels: np.ndarray) ->
     from one _overlap_counts call per level on the support boxes.  The
     bracket is an integer, so f = g gives exactly 0 at v = 0.
     """
-    (fbox, flo), (gbox, glo) = _crop(vf), _crop(vg)
-    dists = np.zeros(tuple(2 * w + 1 for w in W))
-    # c_k(v) sits at full-correlation index v + glo - flo + m - 1 (m the g
-    # box); the window is v in [-W, W]
-    src, dst = [], []
-    for w, fl, gl, n, m in zip(W, flo, glo, fbox.shape, gbox.shape):
-        t0 = -w + gl - fl + m - 1
-        lo = max(t0, 0)
-        hi = max(lo, min(t0 + 2 * w + 1, n + m - 1))
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - t0, hi - t0))
+    dists = np.zeros(tuple(n + k - 1 for n, k in zip(fbox.shape, gbox.shape)))
     for t, dt in zip(np.concatenate(([0.0], levels[:-1])), np.diff(levels, prepend=0.0)):
         a, b = fbox > t, gbox > t
         bracket = np.full(dists.shape, int(a.sum()) + int(b.sum()), dtype=np.int64)
         if a.any() and b.any():
-            bracket[tuple(dst)] -= 2 * _overlap_counts(a, b)[tuple(src)]
+            bracket -= 2 * _overlap_counts(a, b)
         dists += dt * bracket
     return dists
 
 
-def _layers_cheaper(k: int, W: tuple, cells: int) -> bool:
-    """The cost rule between the scans, for k levels, the window [-W, W] and
-    a common grid of this many cells.  _layer_scan costs per level one FFT
-    correlation of the support boxes, whose full correlation has shape W
-    (supconv._fft_ns), 60 us of mask set-up and 2 ns per shift;
-    _direct_scan costs per shift 10 us plus 1 ns per grid cell (measured
-    like supconv._fft_ns, in 1-D and 2-D).  Either scan gives the same
-    shift, so the rule moves time only."""
-    shifts = math.prod(2 * w + 1 for w in W)
-    return k * (_fft_ns(W) + 6e4 + 2.0 * shifts) < shifts * (1e4 + cells)
+def _layers_cheaper(k: int, shape: tuple, cells: int) -> bool:
+    """The cost rule between the scans, for k levels, shifts of this shape
+    (the full correlation of the support boxes) and a g box of this many
+    cells.  _layer_scan costs per level one FFT correlation
+    (supconv._fft_ns), 20 us of mask set-up and 2 ns per shift;
+    _direct_scan costs per shift 10 us plus 1 ns per g box cell (measured
+    like supconv._fft_ns, in 1-D and 2-D, boxes of 3 to 2000 cells per
+    axis).  Either scan gives the same shift, so the rule moves time only."""
+    shifts = math.prod(shape)
+    return k * (_fft_ns(shape) + 2e4 + 2.0 * shifts) < shifts * (1e4 + cells)
 
 
 def _best_shift(f: GridFunction, g: GridFunction):
     """Exhaustive integer-shift search minimizing int |f - g(. - v h)|.
 
-    Window: per-axis sum of the two support diameters (larger shifts cannot
-    beat full separation).  Distances equal up to summation noise (1e-11
-    relative to 1 + mass) are ties, which break by smaller |v|^2, then
-    lexicographic v.  Every distance in the window comes from one of two
-    scans, chosen by the cost rule _layers_cheaper: _direct_scan, O(n) per
-    shift, or _layer_scan, by the layer cake
+    Range: per axis, the v in [lo_f - hi_g, hi_f - lo_g] at which the
+    support boxes overlap ([lo, hi] the box's index bounds on the common
+    grid).  Every other shift leaves the supports disjoint, at the
+    separation distance mass(f) + mass(g), which no shift that overlaps
+    two positive cells reaches.  Distances equal up to summation noise
+    (1e-11 relative to 1 + mass) are ties, which break by smaller |v|^2,
+    then lexicographic v; a minimum that ties with separation (an overlap
+    worth less than the noise) keeps the in-range shift the rule picks.
+    Every distance in the range comes from one of two scans, chosen by the
+    cost rule _layers_cheaper: _direct_scan, O(|g box|) per shift, or
+    _layer_scan, by the layer cake
         int |f - g_v| = int_0^inf |{f > t} symdiff ({g > t} + v)| dt,
     one exact mask correlation for each of the K distinct values of f and
     g.  The sharpness pair has K = 2; smooth inputs have K near the cell
-    count and take the direct scan.  The window and the tie rule are the
+    count and take the direct scan.  The range and the tie rule are the
     same on both.
     """
     vf, vg, _, h = common_grid(f, g)
     cv = h ** f.dim
-    bf = _bounding_box(vf)
-    bg = _bounding_box(vg)
-    if bf is None or bg is None:
+    cf, cg = _crop(vf), _crop(vg)
+    if cf is None or cg is None:
         return tuple([0] * f.dim), float(np.abs(vf - vg).sum()) * cv
-    W = tuple(int(w) for w in (bf[1] - bf[0]) + (bg[1] - bg[0]) + 1)
-    levels = np.unique(np.concatenate([vf[vf > 0], vg[vg > 0]]))
-    if _layers_cheaper(len(levels), W, vf.size):
-        dists = _layer_scan(vf, vg, W, levels) * cv
+    (fbox, flo), (gbox, glo) = cf, cg
+    # the scans index v by its full-correlation index v - lo_f + hi_g
+    v_lo = flo - (glo + np.array(gbox.shape) - 1)
+    levels = np.unique(np.concatenate([fbox[fbox > 0], gbox[gbox > 0]]))
+    shape = tuple(n + k - 1 for n, k in zip(fbox.shape, gbox.shape))
+    if _layers_cheaper(len(levels), shape, gbox.size):
+        dists = _layer_scan(fbox, gbox, levels) * cv
     else:
-        dists = _direct_scan(vf, vg, W) * cv
+        dists = _direct_scan(fbox, gbox) * cv
     tie = dists.min() + 1e-11 * (1.0 + float(vf.sum()) * cv)
-    cand = np.argwhere(dists <= tie) - np.array(W)
+    cand = np.argwhere(dists <= tie) + v_lo
     best = np.lexsort(np.vstack([cand.T[::-1], (cand ** 2).sum(axis=1)]))[0]
     v = tuple(int(x) for x in cand[best])
-    return v, float(dists[tuple(np.array(v) + W)])
+    return v, float(dists[tuple(np.array(v) - v_lo)])
 
 
 def certify_symmetric_difference(
@@ -202,38 +205,120 @@ def certify_symmetric_difference(
 # shaving
 
 
-def _self_sup_integral_rows_fast(rows: np.ndarray, params: MeanParams, cv: float):
-    """Exact integral of M*(g,g) for rows that are grid-p-concave, lam = 1/2.
+def _pieces_cheaper(r: np.ndarray, live: np.ndarray, box: np.ndarray, n: int) -> np.ndarray:
+    """The cost rule between the piece path and _sup_cells, per row of n
+    cells with r concave pieces, this many positive cells and a support box
+    of this many cells.  The piece path costs about 60 ns per merged slope,
+    (r - 1) * live in all over the r(r - 1)/2 cross pairs, plus 60 ns per
+    cell of the row; _sup_cells costs about 4 ns per pair, about
+    live * box / 2 pairs (fitted on a 2-vCPU VM, numpy 2.4, rows of 50 to
+    800 cells, 2 to 16 pieces).  Either path gives M*(g, g) up to rounding,
+    so the rule moves time only."""
+    return 60.0 * ((r - 1) * live + n) < 2.0 * live * box
 
-    For a concave lift with contiguous support, the pair maximizing the mean
-    at every output cell is the balanced one: the cell itself for exact
-    combinations and the adjacent pair for boundary combinations, so
-    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)).  Returns (integrals, valid).
+
+def _self_sup_integrals_1d(rows: np.ndarray, params: MeanParams, cv: float):
+    """integral(M*(g, g)) for 1-D rows g at lam = 1/2, by concave pieces.
+
+    Each row's positive cells split into maximal runs on which the lift is
+    concave (second differences at most 1e-9 max|L|).  A run breaks at a
+    zero cell and at a kink, and the kink cell belongs to both runs, so
+    every pair of positive cells lies in some pair of pieces P <= Q.  The
+    pair maximizing the mean at a lattice sum within P + P is the balanced
+    one: the cell itself, or the adjacent pair.  On one piece this gives
+    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)), summed by one O(n) formula.
+    Within P + Q (P < Q), the max-plus convolution of two concave sequences
+    is a slope merge (Bussieck, Hassler, Woeginger and Zimmermann 1994):
+    the pair at sum p0 + q0 + t takes, of the t largest slopes of P and Q
+    together, those of P as steps in P and the rest in Q.  One stable
+    argsort per piece-pair slot, over the rows with that many pieces in
+    blocks, gives the pairs; each is then evaluated with _sup_cells'
+    arithmetic, so pieces whose lifts are exactly concave give _sup_cells'
+    cells.  This costs O(r n) per row of r pieces against about n^2 / 2
+    pairs in the kernel.  Returns (integrals, done); the rows that the cost
+    rule _pieces_cheaper leaves (many pieces) are for _sup_cells.
     """
-    lam, p = params.lam_float, params.p
     B, n = rows.shape
+    starts, ends = _concave_pieces(rows, params.p)
+    r = starts.sum(axis=1)
+    ints = np.zeros(B)
+    one = r <= 1
+    if one.any():
+        g = rows[one]
+        madj = p_mean_arr(params.lam_float, params.p, g[:, :-1], g[:, 1:])
+        extra = np.clip(madj - g[:, 1:], 0.0, None).sum(axis=1)
+        ints[one] = (g.sum(axis=1) + extra) * cv
+        del g, madj  # before the piece path allocates its own
     pos = rows > 0
-    cnt = pos.sum(axis=1)
     first = np.argmax(pos, axis=1)
     last = n - 1 - np.argmax(pos[:, ::-1], axis=1)
-    contiguous = (cnt > 0) & (cnt == last - first + 1)
+    many = (r > 1) & _pieces_cheaper(r, pos.sum(axis=1), last - first + 1, n)
+    if many.any():
+        ints[many] = _piece_cells(rows[many], starts[many], ends[many], params).sum(axis=1) * cv
+    return ints, one | many
 
-    W = _lift(rows, p)
+
+def _concave_pieces(rows: np.ndarray, p: float):
+    """(starts, ends): boolean masks of the first and the last cell of each
+    concave piece of each row; a kink cell is both."""
+    pos = rows > 0
+    L = _lift(rows, p)
     with np.errstate(invalid="ignore"):
-        d2 = W[:, :-2] - 2.0 * W[:, 1:-1] + W[:, 2:]
-    interior = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:]
-    finiteW = np.where(np.isfinite(W), np.abs(W), 0.0)
-    slack = 1e-9 * np.maximum(finiteW.max(axis=1), 1.0)
-    concave_ok = np.ones(B, dtype=bool)
-    if interior.any():
-        bad = interior & (d2 > slack[:, None])
-        concave_ok = ~bad.any(axis=1)
-    valid = contiguous & concave_ok
+        d2 = L[:, :-2] - 2.0 * L[:, 1:-1] + L[:, 2:]
+    slack = 1e-9 * np.maximum(np.where(np.isfinite(L), np.abs(L), 0.0).max(axis=1), 1.0)
+    kink = np.zeros_like(pos)
+    kink[:, 1:-1] = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:] & (d2 > slack[:, None])
+    edge = np.zeros((len(rows), 1), dtype=bool)
+    starts = pos & ~np.hstack([edge, pos[:, :-1]]) | kink
+    ends = pos & ~np.hstack([pos[:, 1:], edge]) | kink
+    return starts, ends
 
-    madj = p_mean_arr(lam, p, rows[:, :-1], rows[:, 1:])
-    extra = np.clip(madj - rows[:, 1:], 0.0, None).sum(axis=1)
-    ints = (rows.sum(axis=1) + extra) * cv
-    return ints, valid
+
+def _piece_cells(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 params: MeanParams) -> np.ndarray:
+    """M*(g, g) on the cells of 1-D rows g (lam = 1/2) whose concave pieces
+    run from each set cell of starts to the matching set cell of ends."""
+    B, n = rows.shape
+    lf, _, e = _scaled_lifts(rows, rows, params, sym=True)
+    # pair (i, j) lands on the lattice sum s = i + j + 1, and cell k
+    # collects s in {2k, 2k + 1}; within a piece the balanced pairs
+    # (k, k) and (k, k + 1) are the best, and adjacent positive cells
+    # always share a piece
+    W = np.empty((B, 2 * n))
+    W[:, 0] = -np.inf
+    W[:, 1::2] = lf + lf
+    W[:, 2::2] = lf[:, :-1] + lf[:, 1:]
+    prow, ps = np.nonzero(starts)
+    pe = np.nonzero(ends)[1]
+    r = np.bincount(prow, minlength=B)
+    off = np.cumsum(r) - r
+    flat_lf, flat_W = lf.reshape(-1), W.reshape(-1)
+    for a, b in itertools.combinations(range(r.max()), 2):
+        rows_ab = np.flatnonzero(r > b)
+        span = (pe - ps)[off[rows_ab] + a] + (pe - ps)[off[rows_ab] + b] + 1
+        # rows per block, so that each temporary holds about 2^18 entries
+        step = max(1, (1 << 18) // int(span.max()))
+        for R in np.split(rows_ab, np.arange(step, len(rows_ab), step)):
+            (p0, p1), (q0, q1) = ((ps[off[R] + k], pe[off[R] + k]) for k in (a, b))
+            keys = []
+            for lo, m in ((p0, p1 - p0), (q0, q1 - q0)):
+                k = np.arange(m.max())
+                at = R[:, None] * n + np.minimum(lo[:, None] + k, n - 2)
+                with np.errstate(invalid="ignore"):  # -inf - -inf off the piece
+                    step_down = flat_lf[at] - flat_lf[at + 1]
+                keys.append(np.where(k < m[:, None], step_down, np.inf))
+            # stable: ties take P first; the +inf padding sorts last
+            order = np.argsort(np.hstack(keys), axis=1, kind="stable")
+            in_p = np.zeros((len(R), order.shape[1] + 1), dtype=np.intp)
+            np.cumsum(order < keys[0].shape[1], axis=1, out=in_p[:, 1:])
+            t = np.arange(in_p.shape[1])
+            # past the last real slope the clipped pair is still in P x Q
+            i = np.minimum(p0[:, None] + in_p, p1[:, None])
+            j = np.minimum(q0[:, None] + t - in_p, q1[:, None])
+            v = flat_lf[R[:, None] * n + i] + flat_lf[R[:, None] * n + j]
+            at = R[:, None] * (2 * n) + i + j + 1
+            flat_W[at] = np.maximum(flat_W[at], v)
+    return _unlift_cells(W, 2, params.p, e)
 
 
 def _shave_candidates_1d(f: GridFunction, p: float) -> list:
@@ -350,6 +435,12 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     accepted only on strict improvement; after a full sweep the best move is
     applied and the search rides the candidate order locally while gains
     continue, so monotone families (cap cascades, end cuts) cost one sweep.
+    The candidates' objectives are evaluated in batches.  In 1-D at
+    lam = 1/2, integral(M*(f', f')) comes from f''s concave pieces
+    (_self_sup_integrals_1d): one piece by the balanced-pair formula,
+    several by a slope merge per pair of pieces, while the cost rule finds
+    that cheaper than the max-plus kernel; every other state (many pieces,
+    2-D, lam != 1/2) takes supconv._sup_cells.
     """
     if c is None:
         c = 0.1 * params.lam_float
@@ -375,8 +466,8 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
         out = np.empty(len(states))
         rest = np.arange(len(states))
         if f.dim == 1 and lam_is_half:
-            # concave rows cost O(n)
-            ints, valid = _self_sup_integral_rows_fast(states, params, cv)
+            # rows of few concave pieces cost O(n) per piece
+            ints, valid = _self_sup_integrals_1d(states, params, cv)
             out[valid] = ints[valid]
             rest = np.flatnonzero(~valid)
         if len(rest) == 0:

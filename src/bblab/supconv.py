@@ -23,6 +23,7 @@ every other cell are compared one by one with p_mean_arr.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,6 +189,30 @@ def _overlap_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(shape).astype(np.int64)
 
 
+def _scaled_lifts(fv, gv, params: MeanParams, sym: bool):
+    """(lam L(f / sigma), (1 - lam) L(g / sigma), e) with sigma = 2^e the
+    smallest power of two >= max(f, g), so that a maximum that is a power of
+    two (an indicator) scales to exactly 1.  sym: g is f and lam = 1/2."""
+    e = math.frexp(math.nextafter(max(fv.max(), gv.max()), 0.0))[1]
+    # weights that sum to exactly 1 in real arithmetic (1 - c is exact for
+    # c >= 1/2): only then does the -1/p of the Box-Cox lift cancel
+    c = 1.0 - params.lam_float
+    lf = (1.0 - c) * _lift(np.ldexp(fv, -e), params.p)
+    lg = lf if sym else c * _lift(np.ldexp(gv, -e), params.p)
+    return lf, lg, e
+
+
+def _unlift_cells(W: np.ndarray, b: int, p: float, e: int) -> np.ndarray:
+    """Cells from the lifted lattice sums W (B, b*n_1, ...): the max over
+    each cell's block of b^dim sums, one unlift, times 2^e.  The max runs
+    over strided slices, one axis at a time (numpy reduces a short inner
+    axis about 20 times slower)."""
+    for d in range(1, W.ndim):
+        at = (slice(None),) * d
+        W = functools.reduce(np.maximum, (W[at + (slice(k, None, b),)] for k in range(b)))
+    return np.ldexp(_unlift(W, p), e)
+
+
 def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray:
     """M*_{lam,p} on output cells for a batch of pairs of grid functions.
 
@@ -204,14 +229,7 @@ def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray
     a, b = _lam_ab(params)
     step = b - a
     dim = fv.ndim - 1
-    # smallest power of two >= the maximum, so that a maximum that is a
-    # power of two (an indicator) scales to exactly 1
-    e = math.frexp(math.nextafter(max(fv.max(), gv.max()), 0.0))[1]
-    # weights that sum to exactly 1 in real arithmetic (1 - c is exact for
-    # c >= 1/2): only then does the -1/p of the Box-Cox lift cancel
-    c = 1.0 - params.lam_float
-    lf = (1.0 - c) * _lift(np.ldexp(fv, -e), params.p)
-    lg = lf if sym else c * _lift(np.ldexp(gv, -e), params.p)
+    lf, lg, e = _scaled_lifts(fv, gv, params, sym)
     B = len(fv)
     W = np.full((B,) + tuple(b * n for n in shape), -np.inf)
     buf = np.empty(lg.shape)
@@ -227,9 +245,7 @@ def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray
             slice(a * i[d] + step * j0[d] + base[d], a * i[d] + step * n + base[d], step)
             for d, n in enumerate(ng))]
         np.maximum(seg, t, out=seg)
-    blocks = sum(((n, b) for n in shape), ())
-    W = W.reshape((B,) + blocks).max(axis=tuple(range(2, 2 + 2 * dim, 2)))
-    return np.ldexp(_unlift(W, params.p), e)
+    return _unlift_cells(W, b, params.p, e)
 
 
 def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> GridFunction:

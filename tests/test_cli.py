@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,3 +115,14 @@ def test_equipartition(tmp_path):
     dump_gfn(f, pf)
     rc = main(["equipartition", "--f", str(pf)])
     assert rc == 0
+
+
+def test_import_leaves_scipy_signal_out():
+    """import bblab must not load scipy.signal: it adds about 22 MB of RSS
+    and 178 modules to every process that imports the package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bblab; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -27,9 +27,10 @@ from bblab import (
 )
 from bblab import stability
 from bblab.gridfn import common_grid, normalize
-from bblab.means import _lift
-from bblab.stability import _best_shift, _shave_candidates_1d
-from bblab.supconv import _bounding_box
+from bblab.means import _lift, p_mean_arr
+from bblab.stability import (_best_shift, _concave_pieces, _self_sup_integrals_1d,
+                             _shave_candidates_1d)
+from bblab.supconv import _bounding_box, _sup_cells
 from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
@@ -66,13 +67,48 @@ def shave_candidates_1d_oracle(f: GridFunction, p: float) -> list:
     return cands
 
 
+def self_sup_integral_rows_oracle(rows: np.ndarray, params: MeanParams, cv: float):
+    """Reference one-piece shave objective: exact integral of M*(g,g) for
+    rows that are grid-p-concave, lam = 1/2.
+
+    For a concave lift with contiguous support, the pair maximizing the mean
+    at every output cell is the balanced one: the cell itself for exact
+    combinations and the adjacent pair for boundary combinations, so
+    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)).  Returns (integrals, valid).
+    """
+    lam, p = params.lam_float, params.p
+    B, n = rows.shape
+    pos = rows > 0
+    cnt = pos.sum(axis=1)
+    first = np.argmax(pos, axis=1)
+    last = n - 1 - np.argmax(pos[:, ::-1], axis=1)
+    contiguous = (cnt > 0) & (cnt == last - first + 1)
+
+    W = _lift(rows, p)
+    with np.errstate(invalid="ignore"):
+        d2 = W[:, :-2] - 2.0 * W[:, 1:-1] + W[:, 2:]
+    interior = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:]
+    finiteW = np.where(np.isfinite(W), np.abs(W), 0.0)
+    slack = 1e-9 * np.maximum(finiteW.max(axis=1), 1.0)
+    concave_ok = np.ones(B, dtype=bool)
+    if interior.any():
+        bad = interior & (d2 > slack[:, None])
+        concave_ok = ~bad.any(axis=1)
+    valid = contiguous & concave_ok
+
+    madj = p_mean_arr(lam, p, rows[:, :-1], rows[:, 1:])
+    extra = np.clip(madj - rows[:, 1:], 0.0, None).sum(axis=1)
+    ints = (rows.sum(axis=1) + extra) * cv
+    return ints, valid
+
+
 def best_shift_oracle(f: GridFunction, g: GridFunction):
-    """Reference best shift: the direct scan over the window, one numpy pass
+    """Reference best shift: the direct scan over the range, one numpy pass
     per shift, with a loop per dimension.
 
-    Window: per-axis sum of the two support diameters.  Distances within
-    1e-11 (1 + mass) of the minimum tie, and ties break by smaller |v|^2,
-    then lexicographic v.
+    Range: per axis, [lo_f - hi_g, hi_f - lo_g], the shifts at which the
+    support boxes overlap.  Distances within 1e-11 (1 + mass) of the
+    minimum tie, and ties break by smaller |v|^2, then lexicographic v.
     """
     vf, vg, _, h = common_grid(f, g)
     cv = h ** f.dim
@@ -80,15 +116,16 @@ def best_shift_oracle(f: GridFunction, g: GridFunction):
     bg = _bounding_box(vg)
     if bf is None or bg is None:
         return tuple([0] * f.dim), float(np.abs(vf - vg).sum()) * cv
-    widths = (bf[1] - bf[0]) + (bg[1] - bg[0]) + 1
+    lo, hi = bf[0] - bg[1], bf[1] - bg[0]
+    W = np.maximum(np.abs(lo), np.abs(hi))
 
     if f.dim == 1:
         n = vf.shape[0]
-        W = int(widths[0])
+        W = int(W[0])
         pad = np.zeros(n + 2 * W)
         pad[W : W + n] = vf
         vf_mass = float(vf.sum())
-        shifts = np.arange(-W, W + 1)
+        shifts = np.arange(lo[0], hi[0] + 1)
         dists = np.empty(len(shifts))
         for k, v in enumerate(shifts):
             seg = pad[W + v : W + v + n]
@@ -96,16 +133,16 @@ def best_shift_oracle(f: GridFunction, g: GridFunction):
         tie = dists.min() + 1e-11 * (1.0 + vf_mass * cv)
         cand = [int(v) for v in shifts[dists <= tie]]
         v = min(cand, key=lambda s: (s * s, s))
-        return (v,), float(dists[v + W])
+        return (v,), float(dists[v - lo[0]])
 
     n0, n1 = vf.shape
-    W0, W1 = int(widths[0]), int(widths[1])
+    W0, W1 = int(W[0]), int(W[1])
     pad = np.zeros((n0 + 2 * W0, n1 + 2 * W1))
     pad[W0 : W0 + n0, W1 : W1 + n1] = vf
     vf_mass = float(vf.sum())
     dists = {}
-    for v0 in range(-W0, W0 + 1):
-        for v1 in range(-W1, W1 + 1):
+    for v0 in range(lo[0], hi[0] + 1):
+        for v1 in range(lo[1], hi[1] + 1):
             seg = pad[W0 + v0 : W0 + v0 + n0, W1 + v1 : W1 + v1 + n1]
             dists[(v0, v1)] = (
                 float(np.abs(seg - vg).sum()) + vf_mass - float(seg.sum())
@@ -154,6 +191,14 @@ def best_shift_corpus(kind, dim, rng):
             f = normalize(_staircase(rng, dim))
             out.append((f, translate(f, rng.integers(-4, 5, size=dim))))
         return out
+    if kind == "far":  # supports far apart on their common grid
+        out = []
+        for _ in range(3):
+            f = normalize(_staircase(rng, dim))
+            v = rng.integers(20, 60, size=dim) * rng.choice([-1, 1], size=dim)
+            out.append((f, translate(f, v)))
+            out.append((f, translate(normalize(_staircase(rng, dim)), v)))
+        return out
     # smooth bumps: K near the cell count, so the rule takes the direct scan
     return [(normalize(_bump(dim, 40 if dim == 1 else 10, 3.0)),
              normalize(_bump(dim, 40 if dim == 1 else 10, 8.0, center=-0.21)))]
@@ -161,7 +206,8 @@ def best_shift_corpus(kind, dim, rng):
 
 class TestBestShift:
     @pytest.mark.parametrize("path", ["rule", "layers", "direct"])
-    @pytest.mark.parametrize("kind", ["staircases", "indicators", "equal", "translated", "bumps"])
+    @pytest.mark.parametrize("kind", ["staircases", "indicators", "equal", "translated", "far",
+                                      "bumps"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_oracle(self, dim, kind, path, rng, monkeypatch):
         if path != "rule":
@@ -175,6 +221,16 @@ class TestBestShift:
             assert dist == pytest.approx(ref_dist, rel=1e-12, abs=1e-15)
             if kind == "equal":
                 assert shift == (0,) * dim and dist == 0.0
+
+    @pytest.mark.parametrize("path", ["layers", "direct"])
+    def test_finds_far_translates(self, path, monkeypatch):
+        # the range follows the supports, so copies far away on the common
+        # grid are found at distance 0
+        monkeypatch.setattr(stability, "_layers_cheaper", lambda *_: path == "layers")
+        f = GridFunction(1, (0.0,), 0.1, np.array([1.0, 2.0, 1.0]))
+        assert _best_shift(f, translate(f, [100])) == ((-100,), 0.0)
+        block = GridFunction(2, (0.0, 0.0), 0.1, np.arange(1.0, 7.0).reshape(3, 2))
+        assert _best_shift(block, translate(block, [40, -7])) == ((-40, 7), 0.0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rule_takes_both_scans(self, dim, rng, monkeypatch):
@@ -317,10 +373,127 @@ class TestShave:
         for f in inputs:
             assert _shave_candidates_1d(f, p) == shave_candidates_1d_oracle(f, p)
 
+    def test_piece_path_changes_nothing(self, rng, monkeypatch):
+        """shave with the piece path equals shave with the one-piece oracle
+        and _sup_cells for every other row: same states, same removed mass
+        and objective up to rounding."""
+        def dented(width, spacing):
+            base = indicator(0.0, 1.0, spacing)
+            return gen_dented(base, [((1.0 - width) / 2.0, width, 1.0)])
+
+        cases = [(dented(w, 0.002), 0.75) for w in (0.01, 0.05, 0.1, 0.2)]
+        cases += [(dented(0.1, 0.001), 0.75), (dented(0.05, 0.002), None)]
+        cases.append((gen_two_bump(1e-6, 50.0, spacing=0.05), None))
+        cases += [(random_staircase(rng, n_max=40), None) for _ in range(20)]
+        f, g, _ = gen_sharpness_pair(1e-3, 1e-3)
+        fn, gn = normalize(f), normalize(g)
+        vf, vg, origin, spacing = common_grid(f, translate(g, _best_shift(fn, gn)[0]))
+        cases.append((GridFunction(1, origin, spacing, np.minimum(vf, vg)), None))
+        for f, c in cases:
+            fp, removed, obj = shave(f, HALF0, c)
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_self_sup_integrals_1d", self_sup_integral_rows_oracle)
+                ref_fp, ref_removed, ref_obj = shave(f, HALF0, c)
+            assert np.array_equal(fp.values, ref_fp.values)
+            assert removed == pytest.approx(ref_removed, rel=1e-14, abs=0.0)
+            assert obj == pytest.approx(ref_obj, rel=1e-14, abs=0.0)
+
     def test_rejects_bad_c(self):
         f = indicator(0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             shave(f, HALF0, c=1.5)
+
+
+def _pconcave_profile(p, m):
+    """Positive p-concave values on m cells: the lift is a concave parabola."""
+    u = (np.arange(m) + 0.5) / m * 2.0 - 1.0
+    if p > 0:
+        return (1.0 - 0.9 * u ** 2) ** (1.0 / p)
+    if p == 0:
+        return np.exp(-3.0 * u ** 2)
+    return (1.0 + 3.0 * u ** 2) ** (1.0 / p)
+
+
+def piece_rows(kind, p, rng, n=48, count=25):
+    """Rows of a few concave pieces (mostly 1 to 4) for the shave-objective
+    oracle test.
+
+    dented: unit indicators with 0 to 3 holes (constant lifts);
+    stairs: 1 to 4 blocks on tied levels, zero cells between some;
+    bumps: p-concave profiles separated by gaps of 1 to 3 zero cells;
+    kinked: the max of 1 to 4 tents with dyadic heights and integer slopes,
+    whose lifts are concave on each tent and kink where two tents cross.
+    """
+    rows = np.zeros((count, n))
+    for row in rows:
+        parts = int(rng.integers(1, 5))
+        if kind == "dented":
+            row[2:-2] = 1.0
+            for c in rng.choice(np.arange(5, n - 8), size=parts - 1, replace=False):
+                row[c:c + int(rng.integers(1, 4))] = 0.0
+        elif kind == "stairs":
+            cuts = np.sort(rng.choice(np.arange(3, n - 3), size=parts - 1, replace=False))
+            for lo, hi in zip(np.r_[1, cuts], np.r_[cuts, n - 1]):
+                row[lo:hi] = rng.choice([0.5, 1.0, 1.5])
+                if rng.random() < 0.3:
+                    row[lo] = 0.0
+        elif kind == "bumps":
+            at = 1
+            for _ in range(parts):
+                m = int(rng.integers(4, n // 4))
+                row[at:at + m] = _pconcave_profile(p, m)[: n - at]
+                at += m + int(rng.integers(1, 4))
+                if at >= n - 4:
+                    break
+        else:
+            k = np.arange(n)
+            centers = np.sort(rng.choice(np.arange(4, n - 4), size=parts, replace=False))
+            tents = [int(rng.integers(8, 32)) - int(rng.integers(1, 4)) * np.abs(k - c)
+                     for c in centers]
+            row[:] = np.maximum(np.max(tents, axis=0), 0) / 16.0
+    return rows
+
+
+def _piece_counts(rows, p):
+    """Concave pieces per row, as _self_sup_integrals_1d splits them."""
+    return _concave_pieces(rows, p)[0].sum(axis=1)
+
+
+class TestShaveObjective:
+    @pytest.mark.parametrize("kind", ["dented", "stairs", "bumps", "kinked"])
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 0.5, 1.0])
+    def test_matches_kernel(self, p, kind, rng, monkeypatch):
+        """Rows of several pieces, on the piece path, against _sup_cells;
+        rows of one piece, on the O(n) formula, against the old formula."""
+        params = MeanParams(Fraction(1, 2), p)
+        monkeypatch.setattr(stability, "_pieces_cheaper", lambda r, *_: np.ones(len(r), bool))
+        rows = piece_rows(kind, p, rng)
+        r = _piece_counts(rows, p)
+        assert r.min() >= 1 and (r >= 2).sum() >= 5
+        multi = rows[r >= 2]
+        ints, done = _self_sup_integrals_1d(multi, params, 0.25)
+        assert done.all()
+        ref = _sup_cells(multi, multi, params, (1,), (rows.shape[1],), sym=True).sum(axis=1) * 0.25
+        # constant lifts (indicators) and dyadic tents at p = 1 sum exactly
+        if kind == "dented" or (kind == "kinked" and p == 1.0):
+            assert np.array_equal(ints, ref)
+        else:
+            np.testing.assert_allclose(ints, ref, rtol=1e-13, atol=0.0)
+        single = rows[r == 1]
+        ints, done = _self_sup_integrals_1d(single, params, 0.25)
+        ref_ints, ref_valid = self_sup_integral_rows_oracle(single, params, 0.25)
+        assert done.all() and ref_valid.all()
+        assert np.array_equal(ints, ref_ints)
+
+    def test_rule_takes_both_paths(self, rng):
+        """The cost rule sends a dented indicator of 1000 cells to the piece
+        path and a random 24-cell row of many pieces to _sup_cells."""
+        dented = np.ones((1, 1000))
+        dented[0, 450:550] = 0.0
+        ragged = rng.uniform(0.1, 2.0, size=(1, 24))
+        for rows, piece_path in ((dented, True), (ragged, False)):
+            assert _piece_counts(rows, 0.0)[0] >= 2
+            assert _self_sup_integrals_1d(rows, HALF0, 1.0)[1][0] == piece_path
 
 
 class TestCertifyLinear:
