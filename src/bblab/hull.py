@@ -13,10 +13,19 @@ signs the bound leaves in doubt; its facets are those of an all-Fraction
 wrap, in the same order.  Zero cells never enter the envelope (their lift
 is -inf); the envelope is then evaluated on every cell of the convex hull
 of the support, which is exactly the domain where co_p is defined here.
+
+The midpoint test is_p_concave (dims 1 and 2) gives the report of a scan
+of every pair of positive cells, but scans only where a filter cannot
+clear a midpoint cell k: one max-plus pass of sup_convolution's kernel
+bounds M_{1/2,p} over the distinct pairs with midpoint k, the proof at
+supconv._MARGIN turns that bound into "every gap at k is negative", and the
+pairs of the remaining cells are enumerated and compared with p_mean_arr.
+Ties go to the first pair in row-major order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +35,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .gridfn import GridFunction, LevelSet, ZeroMassError, _cell_centers, integral, level_set
-from .means import _SMALL_P, _lift, _unlift, p_mean_arr
+from .means import _SMALL_P, MeanParams, _lift, _unlift, p_mean_arr
+from .supconv import _MARGIN, _bounding_box, _lattice_sums, _margin_covers, _progression_pairs
 
 __all__ = [
     "PPlane",
@@ -374,37 +384,85 @@ class PConcavityReport:
         return self.ok
 
 
+def _midpoint_means(fv: np.ndarray, p: float) -> np.ndarray:
+    """V(k), the largest M_{1/2,p}(fv[i], fv[j]) over the pairs i != j with
+    i + j = 2k, as the kernel of sup_convolution rounds it (0 where there
+    is none).
+
+    i + j is even exactly when i and j have the same parity c on every
+    axis, and then i = 2i' + c, j = 2j' + c and k = i' + j' + c.  So the
+    2^dim parity classes of fv go through _lattice_sums as one batch, sym
+    and distinct, and class c's lattice sum i' + j' lands on k: the odd
+    sums are never formed.
+    """
+    classes = list(itertools.product((0, 1), repeat=fv.ndim))
+    half = tuple((n + 1) // 2 for n in fv.shape)
+    sub = np.zeros((len(classes),) + half)
+    for r, c in enumerate(classes):
+        part = fv[tuple(slice(a, None, 2) for a in c)]
+        sub[(r,) + tuple(slice(0, n) for n in part.shape)] = part
+    W, e = _lattice_sums(sub, sub, MeanParams(Fraction(1, 2), p), (0,) * fv.ndim, half,
+                         sym=True, distinct=True)
+    top = np.full(fv.shape, -np.inf)
+    for r, c in enumerate(classes):
+        at = top[tuple(slice(a, None) for a in c)]
+        np.maximum(at, W[(r,) + tuple(slice(0, n - a) for n, a in zip(fv.shape, c))], out=at)
+    return np.ldexp(_unlift(top, p), e)
+
+
 def is_p_concave(f: GridFunction, p: float, tol: float = 1e-9) -> PConcavityReport:
     """Midpoint test f((x+y)/2) >= M_{1/2,p}(f(x), f(y)) - tol over all grid
-    pairs whose midpoint is a grid node; reports the worst violating triple."""
-    if f.dim == 1:
-        idx = np.flatnonzero(f.values > 0)
-    else:
-        idx = np.argwhere(f.values > 0)
-    if len(idx) == 0:
+    pairs of positive cells whose midpoint is a grid node, in dims 1 and 2.
+
+    worst_gap is the largest gap M_{1/2,p}(f(x), f(y)) - f(k), k the
+    midpoint cell, or 0.0 when no gap is positive; the witness (x, y, k) in
+    positions is the first of the worst pairs in row-major order of x, then
+    of y, or None.  The report is that of a scan of every pair, computed
+    as follows.
+    - Filter: one pass of the max-plus kernel of sup_convolution at
+      lam = 1/2 over the distinct pairs with an even lattice sum
+      (_midpoint_means; the pair (x, x) has gap exactly 0) gives V(k), the
+      largest mean at each midpoint cell k as the kernel rounds it.  By the
+      proof at supconv._MARGIN, every pair of a cell with
+      V(k)(1 + _MARGIN) <= f(k) has a gap < 0 in float, so only the other
+      cells stay suspect.  Every cell stays suspect where that proof does
+      not reach: p <= -1, or positive values whose ratio max/min exceeds
+      2^(999/max(|p|, 1) - 1).
+    - Enumeration: on the suspect cells, the ordered pairs with midpoint k
+      are compared with p_mean_arr one by one, as the scan does.
+    Flat and p-affine stretches (indicators, the hull's facets) leave
+    V(k) = f(k) up to rounding, so their cells stay suspect and cost what a
+    scan of their pairs costs.
+    """
+    if f.dim not in (1, 2):
+        raise ValueError("is_p_concave supports dim 1 and 2")
+    box = _bounding_box(f.values)
+    if box is None:
         return PConcavityReport(True, 0.0, None)
-    vals = f.values[idx] if f.dim == 1 else f.values[tuple(idx.T)]
-    idx2 = idx.reshape(len(idx), -1)
-    worst = 0.0
-    witness = None
-    chunk = max(1, 2 * 10 ** 6 // max(len(idx), 1))
-    for lo in range(0, len(idx2), chunk):
-        hiS = slice(lo, lo + chunk)
-        s = idx2[hiS][:, None, :] + idx2[None, :, :]
-        even = np.all(s % 2 == 0, axis=-1)
-        if not even.any():
+    lo, hi = box
+    fv = f.values[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
+    # MeanParams takes p in (-1, inf) at n = 1
+    if -1.0 < p < math.inf and _margin_covers(fv[fv > 0], p):
+        suspect = np.argwhere(_midpoint_means(fv, p) * (1.0 + _MARGIN) > fv)
+    else:
+        suspect = np.argwhere(np.ones(fv.shape, dtype=bool))
+    n = np.array(fv.shape)
+    worst, first = 0.0, None
+    for cell, i, j in _progression_pairs(2 * suspect, 1, 1, n, n):
+        gaps = p_mean_arr(0.5, p, fv[i], fv[j]) - fv[tuple(suspect[cell].T)]
+        top = gaps.max()
+        if not (top > worst or top == worst and first is not None):
             continue
-        m = p_mean_arr(0.5, p, vals[hiS][:, None], vals[None, :])
-        mid = (s // 2)[even]
-        fm = f.values[tuple(mid.T)] if f.dim == 2 else f.values[mid[:, 0]]
-        gaps = m[even] - fm
-        k = int(np.argmax(gaps))
-        if gaps[k] > worst:
-            worst = float(gaps[k])
-            loc = np.argwhere(even)[k]
-            i_idx = idx2[lo + loc[0]]
-            j_idx = idx2[loc[1]]
-            witness = tuple(_cell_centers(f, np.stack([i_idx, j_idx, (i_idx + j_idx) // 2])))
+        at = np.flatnonzero(gaps == top)
+        ri, rj = (np.ravel_multi_index(tuple(x[at] for x in ij), fv.shape) for ij in (i, j))
+        k = np.lexsort((rj, ri))[0]
+        key = (int(ri[k]), int(rj[k]))
+        if top > worst or key < first:
+            worst, first = float(top), key
+    witness = None
+    if first is not None:
+        ij = np.array([np.unravel_index(r, fv.shape) for r in first]) + lo
+        witness = tuple(_cell_centers(f, np.vstack([ij, ij.sum(axis=0) // 2])))
     return PConcavityReport(worst <= tol, worst, witness)
 
 

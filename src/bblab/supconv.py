@@ -14,11 +14,14 @@ Lifted kernel.  M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)) for the
 increasing lift L of means._lift, so M* is a max-plus convolution of
 lam L(f) and (1-lam) L(g) on the lattice sums s, a block max onto cells and
 one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
-2; sup_convolution and the shaving objective both call it.  Its values
+2; sup_convolution and the shaving objective both call it, and
+hull.is_p_concave calls its max-plus half, _lattice_sums.  Its values
 differ from the pair means p_mean_arr computes by rounding (at most 2^-35
 relative, proven at _MARGIN), so the hypothesis check uses them only as a
 filter: a cell is cleared when M*(1 + 2^-32) <= h + tol, and the pairs of
-every other cell are compared one by one with p_mean_arr.
+every other cell are compared one by one with p_mean_arr
+(_progression_pairs enumerates them).  The midpoint test filters the same
+way.
 """
 
 from __future__ import annotations
@@ -46,17 +49,20 @@ __all__ = [
 # pairs enumerated at once by the hypothesis check; bounds its memory only
 _PAIRS_PER_BATCH = 1 << 20
 
-# Relative margin of the cell filter in _violations.  Claim: every pair
-# (x, y) feeding cell k has m = p_mean_arr(x, y) < fl(v_k * (1 + _MARGIN)),
-# v_k the value _sup_cells gives cell k; so a cell that passes the filter
-# has no violating pair, and the count equals that of a scan of all pairs.
+# Relative margin of the cell filters in _violations and hull.is_p_concave.
+# Claim: every pair (x, y) feeding cell k has
+# m = p_mean_arr(x, y) < fl(v_k * (1 + _MARGIN)), v_k the value _sup_cells
+# gives cell k; so a cell that passes the filter has no violating pair, and
+# the count equals that of a scan of all pairs.  The claim holds as well
+# when W_k below is the maximum over any set of pairs that contains (x, y)
+# (hull.is_p_concave leaves out the pairs (i, i)).
 #
 # Proof.  Let u = 2^-53, and take each log, exp, expm1, log1p and power
-# call to be within 4 ulps (relative error 8u).  _violations checks every
+# call to be within 4 ulps (relative error 8u).  The callers check every
 # cell unless the positive values of f and g span at most 2^R with
-# R * max(|p|, 1) <= 999 (so 2^R >= sigma/min, sigma < 2 max being the
-# kernel's scale).  Then each scaled value z lies in [2^-999, 1], |ln z| <=
-# 693, and z^p, the weighted lifts and p_mean_arr's r^p lie in
+# R * max(|p|, 1) <= 999 (_margin_covers; so 2^R >= sigma/min, sigma < 2 max
+# being the kernel's scale).  Then each scaled value z lies in [2^-999, 1],
+# |ln z| <= 693, and z^p, the weighted lifts and p_mean_arr's r^p lie in
 # [2^-1005, 2^999]: all normal, so each operation has relative error <= u
 # (8u for the calls above).  With weights w + c = 1 (exact), the mean is
 # M = sigma U(T), T = w L(z_x) + c L(z_y); the kernel sums some t <= W_k,
@@ -213,19 +219,12 @@ def _unlift_cells(W: np.ndarray, b: int, p: float, e: int) -> np.ndarray:
     return np.ldexp(_unlift(W, p), e)
 
 
-def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray:
-    """M*_{lam,p} on output cells for a batch of pairs of grid functions.
-
-    fv (B, *nf) and gv (B, *ng) hold row r's f and g on boxes of one
-    lattice; returns (B, *shape).  Pair (i, j) lands on the lattice sum
-    s = a*i + (b-a)*j + base (per axis, 0 <= base < b), and output cell k
-    collects s in [b*k, b*k + b).  Each pair costs one add and one max of
-    lifted values; each cell one unlift.  f and g are divided by a power of
-    two sigma >= max(f, g) first and the result is multiplied back; M is
-    1-homogeneous, so this is exact, and the lifts cannot overflow for
-    p > 0.  sym (fv is gv and lam = 1/2) visits only pairs with j >= i on
-    axis 0: the mirror pair lands on the same s with the same float sum.
-    """
+def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
+                  distinct: bool = False):
+    """The max-plus half of _sup_cells: (W, e), W (B, *(b*n for n in shape))
+    the largest lifted pair sum at each lattice sum (-inf where no pair
+    lands) and 2^e the scale.  distinct (with sym) leaves out the pair
+    (i, i)."""
     a, b = _lam_ab(params)
     step = b - a
     dim = fv.ndim - 1
@@ -241,11 +240,31 @@ def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray
         rows = (slice(None),) + tuple(slice(j, None) for j in j0)
         t = buf[rows]
         np.add(lf[(slice(None),) + i].reshape((B,) + (1,) * dim), lg[rows], out=t)
+        if distinct:
+            t[(slice(None), 0) + i[1:]] = -np.inf
         seg = W[(slice(None),) + tuple(
             slice(a * i[d] + step * j0[d] + base[d], a * i[d] + step * n + base[d], step)
             for d, n in enumerate(ng))]
         np.maximum(seg, t, out=seg)
-    return _unlift_cells(W, b, params.p, e)
+    return W, e
+
+
+def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray:
+    """M*_{lam,p} on output cells for a batch of pairs of grid functions.
+
+    fv (B, *nf) and gv (B, *ng) hold row r's f and g on boxes of one
+    lattice; returns (B, *shape).  Pair (i, j) lands on the lattice sum
+    s = a*i + (b-a)*j + base (per axis, 0 <= base < b), and output cell k
+    collects s in [b*k, b*k + b).  Each pair costs one add and one max of
+    lifted values (_lattice_sums); each cell one unlift.  f and g are
+    divided by a power of two sigma >= max(f, g) first and the result is
+    multiplied back; M is 1-homogeneous, so this is exact, and the lifts
+    cannot overflow for p > 0.  sym (fv is gv and lam = 1/2) visits only
+    pairs with j >= i on axis 0: the mirror pair lands on the same s with
+    the same float sum.
+    """
+    W, e = _lattice_sums(fv, gv, params, base, shape, sym)
+    return _unlift_cells(W, _lam_ab(params)[1], params.p, e)
 
 
 def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> GridFunction:
@@ -318,6 +337,53 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     return LevelSet(A.dim, 0.0, mask, origin, A.spacing)
 
 
+def _margin_covers(pos: np.ndarray, p: float) -> bool:
+    """Whether _MARGIN's proof covers the positive values pos at exponent p:
+    they span at most 2^R with R * max(|p|, 1) <= 999."""
+    if len(pos) == 0:
+        return True
+    return max(abs(p), 1.0) * (math.log2(pos.max()) - math.log2(pos.min()) + 1) <= 999
+
+
+def _progression_pairs(s: np.ndarray, a: int, step: int, n_f, n_g):
+    """The pairs (i, j) with a*i + step*j = s on every axis, 0 <= i < n_f
+    and 0 <= j < n_g, for each row of s (cells, dim), in batches of about
+    _PAIRS_PER_BATCH pairs (a cell is never split).
+
+    Yields (cell, i, j): the row of s of each pair and its i and j as index
+    tuples per axis.  Within a cell the pairs come in row-major order of i.
+    """
+    dim = s.shape[1]
+    # per cell and axis, the solutions form one progression
+    # (i, j) = (i0 + step*r, j0 - a*r), r = 0 .. n - 1, clipped to
+    # 0 <= i < n_f and 0 <= j < n_g
+    inv_a = pow(a, -1, step)
+    i_lo = np.maximum(0, -((step * (n_g - 1) - s) // a))
+    i0 = i_lo + (s * inv_a - i_lo) % step
+    j0 = (s - a * i0) // step
+    n_axis = np.maximum(0, (np.minimum(n_f - 1, s // a) - i0) // step + 1)
+    n_cell = n_axis.prod(axis=1)
+    some = np.flatnonzero(n_cell)
+    if len(some) == 0:
+        return
+    cum = np.cumsum(n_cell[some])
+    cuts = np.searchsorted(cum, np.arange(_PAIRS_PER_BATCH, cum[-1], _PAIRS_PER_BATCH))
+    for part in np.split(some, cuts):
+        if len(part) == 0:
+            continue
+        # r per axis: the pair's index within its cell in mixed radix,
+        # last axis fastest
+        n_part = n_cell[part]
+        cell = np.repeat(part, n_part)
+        q = np.arange(len(cell)) - np.repeat(np.cumsum(n_part) - n_part, n_part)
+        r = [None] * dim
+        for d in range(dim - 1, 0, -1):
+            q, r[d] = np.divmod(q, n_axis[cell, d])
+        r[0] = q
+        yield (cell, tuple(i0[cell, d] + step * r[d] for d in range(dim)),
+               tuple(j0[cell, d] - a * r[d] for d in range(dim)))
+
+
 def _violations(f, g, h, params, tol, collect):
     """Count (and optionally collect) pairs with M(f(x), g(y)) > h(z) + tol.
 
@@ -332,9 +398,8 @@ def _violations(f, g, h, params, tol, collect):
     lam, p = params.lam_float, params.p
     vm, vh, origin, spacing = common_grid(sup_convolution(f, g, params), h)
     suspect = vm * (1.0 + _MARGIN) > vh + tol
-    pos = np.concatenate([f.values[f.values > 0], g.values[g.values > 0]])
-    if len(pos) and max(abs(p), 1.0) * (math.log2(pos.max()) - math.log2(pos.min()) + 1) > 999:
-        suspect[...] = True  # outside the range _MARGIN is proven for
+    if not _margin_covers(np.concatenate([f.values[f.values > 0], g.values[g.values > 0]]), p):
+        suspect[...] = True
     bad = LevelSet(f.dim, 0.0, suspect, origin, spacing)
     if bad.cell_count == 0:
         return 0, []
@@ -346,38 +411,10 @@ def _violations(f, g, h, params, tol, collect):
     n_f, n_g = np.array(f.shape), np.array(g.shape)
     # cell k collects s = a*i + step*(j + off_g) in [b*k - b//2, b*k - b//2 + b)
     s_lo = b * (cells + _offset_cells(f, bad)) - b // 2 - step * np.array(_offset_cells(f, g))
-    inv_a = pow(a, -1, step)
     count = 0
     hits = []
     for phase in itertools.product(range(b), repeat=f.dim):
-        # per cell and axis, the solutions of a*i + step*j = s form one
-        # progression (i, j) = (i0 + step*r, j0 - a*r), r = 0 .. n - 1,
-        # clipped to 0 <= i < n_f and 0 <= j < n_g
-        s = s_lo + phase
-        i_lo = np.maximum(0, -((step * (n_g - 1) - s) // a))
-        i0 = i_lo + (s * inv_a - i_lo) % step
-        j0 = (s - a * i0) // step
-        n_axis = np.maximum(0, (np.minimum(n_f - 1, s // a) - i0) // step + 1)
-        n_cell = n_axis.prod(axis=1)
-        some = np.flatnonzero(n_cell)
-        if len(some) == 0:
-            continue
-        cum = np.cumsum(n_cell[some])
-        cuts = np.searchsorted(cum, np.arange(_PAIRS_PER_BATCH, cum[-1], _PAIRS_PER_BATCH))
-        for part in np.split(some, cuts):
-            if len(part) == 0:
-                continue
-            # r per axis: the pair's index within its cell in mixed radix,
-            # last axis fastest
-            n_part = n_cell[part]
-            cell = np.repeat(part, n_part)
-            q = np.arange(len(cell)) - np.repeat(np.cumsum(n_part) - n_part, n_part)
-            r = [None] * f.dim
-            for d in range(f.dim - 1, 0, -1):
-                q, r[d] = np.divmod(q, n_axis[cell, d])
-            r[0] = q
-            fi = tuple(i0[cell, d] + step * r[d] for d in range(f.dim))
-            gj = tuple(j0[cell, d] - a * r[d] for d in range(f.dim))
+        for cell, fi, gj in _progression_pairs(s_lo + phase, a, step, n_f, n_g):
             m = p_mean_arr(lam, p, f.values[fi], g.values[gj])
             viol = m > limit[cell]
             count += int(viol.sum())

@@ -17,7 +17,7 @@ import numpy as np
 from .gridfn import (GridFunction, ZeroMassError, _offset_cells, integral, level_set,
                      normalize)
 from .hull import convex_hull_set, hull_deficit
-from .means import MeanParams, _mean
+from .means import MeanParams, _mean, p_mean_arr
 from .supconv import _crop, _overlap_counts, minkowski_combination, sup_convolution
 
 __all__ = [
@@ -194,6 +194,20 @@ def _min_shift_symdiff(A, B) -> float:
     return (na + nb - 2.0 * best_overlap) * cv
 
 
+def _mean_knots(lam: float, p: float, T: TransportMap1D, t_max: float, u: np.ndarray):
+    """For each value of u in (0, M(t_max, T(t_max))), the height t where
+    M_{lam,p}(t, T(t)), increasing in t, crosses it: 80 bisection steps on
+    [1e-300, t_max], run on all of u at once."""
+    lo = np.full(len(u), 1e-300)
+    hi = np.full(len(u), t_max)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = p_mean_arr(lam, p, mid, T(mid)) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def level_diagnostics(
     f: GridFunction,
     g: GridFunction,
@@ -239,18 +253,7 @@ def level_diagnostics(
     def mt(t):
         return _mean(lam, p, t, float(T(t))) if t > 0 else 0.0
 
-    top = mt(maxf)
-    for u in hvals:
-        if not 0.0 < u < top:
-            continue
-        lo, hi = 1e-300, maxf
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mt(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        knots.add(0.5 * (lo + hi))
+    knots.update(_mean_knots(lam, p, T, maxf, hvals[hvals < mt(maxf)]).tolist())
     knots = np.array(sorted(k for k in knots if 0.0 <= k <= maxf))
     if knots[0] > 0.0:
         knots = np.concatenate(([0.0], knots))

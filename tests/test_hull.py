@@ -17,7 +17,9 @@ from bblab import (
     tail_lower_bound,
     tail_ratio,
 )
+from bblab.gridfn import _cell_centers
 from bblab.hull import (
+    PConcavityReport,
     _collinear_envelope_2d,
     _convex_hull_2d,
     _cross2,
@@ -26,8 +28,9 @@ from bblab.hull import (
     _upper_chain,
     _upper_envelope_2d,
 )
-from bblab.means import _lift
-from conftest import hat, indicator, random_staircase
+from bblab.means import _lift, p_mean_arr
+from bblab.supconv import _margin_covers
+from conftest import hat, indicator, logconcave_bump, pconcave_bump, random_staircase
 
 
 # --- independent 1-D oracle: exhaustive search over supporting lines through
@@ -147,6 +150,75 @@ def upper_envelope_2d_oracle(pts):
 def assert_envelope_matches_oracle(idx, w):
     pts = [(int(a), int(b), Fraction(v)) for (a, b), v in zip(idx.tolist(), w.tolist())]
     assert _upper_envelope_2d(idx, w) == upper_envelope_2d_oracle(pts)
+
+
+# --- reference midpoint test: every pair of positive cells, in chunks of
+#     rows; is_p_concave must give the same report
+
+def is_p_concave_oracle(f: GridFunction, p: float, tol: float = 1e-9) -> PConcavityReport:
+    if f.dim == 1:
+        idx = np.flatnonzero(f.values > 0)
+    else:
+        idx = np.argwhere(f.values > 0)
+    if len(idx) == 0:
+        return PConcavityReport(True, 0.0, None)
+    vals = f.values[idx] if f.dim == 1 else f.values[tuple(idx.T)]
+    idx2 = idx.reshape(len(idx), -1)
+    worst = 0.0
+    witness = None
+    chunk = max(1, 2 * 10 ** 6 // max(len(idx), 1))
+    for lo in range(0, len(idx2), chunk):
+        hiS = slice(lo, lo + chunk)
+        s = idx2[hiS][:, None, :] + idx2[None, :, :]
+        even = np.all(s % 2 == 0, axis=-1)
+        if not even.any():
+            continue
+        m = p_mean_arr(0.5, p, vals[hiS][:, None], vals[None, :])
+        mid = (s // 2)[even]
+        fm = f.values[tuple(mid.T)] if f.dim == 2 else f.values[mid[:, 0]]
+        gaps = m[even] - fm
+        k = int(np.argmax(gaps))
+        if gaps[k] > worst:
+            worst = float(gaps[k])
+            loc = np.argwhere(even)[k]
+            i_idx = idx2[lo + loc[0]]
+            j_idx = idx2[loc[1]]
+            witness = tuple(_cell_centers(f, np.stack([i_idx, j_idx, (i_idx + j_idx) // 2])))
+    return PConcavityReport(worst <= tol, worst, witness)
+
+
+def concavity_corpus(rng, dim, p):
+    """Inputs for the midpoint test at exponent p: random values with holes,
+    staircases on tied levels, indicators, p-concave bumps (with and without
+    holes), p-concave hulls (exact up to rounding, so near-ties everywhere)
+    and values spanning more than _MARGIN's proof covers."""
+    fs = []
+    for k in range(150 if dim == 1 else 60):
+        shape = ((int(rng.integers(1, 31)),) if dim == 1
+                 else tuple(int(n) for n in rng.integers(1, 9, size=2)))
+        kind = k % 6
+        if kind == 0:
+            vals = rng.uniform(0.1, 2.0, size=shape)
+        elif kind == 1:
+            vals = rng.choice([0.5, 1.0, 2.0], size=shape)
+        elif kind == 2:
+            vals = np.full(shape, float(rng.choice([1.0, 3.0, 0.25])))
+        elif kind == 3:
+            if dim == 1:
+                vals = pconcave_bump(p, width=2.0, spacing=2.0 / (shape[0] + 2)).values
+            else:
+                vals = gaussian_2d(max(shape)).values
+        elif kind == 4:
+            vals = 2.0 ** rng.uniform(-700, 700, size=shape)
+        else:
+            g = GridFunction(dim, (0.0,) * dim, 0.1, rng.uniform(0.1, 2.0, size=shape))
+            vals = p_concave_hull(g, max(p, -0.45)).hull.values
+        if kind != 4 and rng.random() < 0.5:
+            vals = np.where(rng.random(vals.shape) < 0.2, 0.0, vals)
+        fs.append(GridFunction(dim, (0.3,) * dim, 0.1, vals))
+        if kind < 2 and (vals > 0).any():
+            fs.append(p_concave_hull(fs[-1], max(p, -0.45)).hull)
+    return fs
 
 
 def gaussian_2d(n, spacing=0.2, sigma=0.5):
@@ -379,6 +451,63 @@ class TestIsPConcave:
         vals[0, 0] = vals[4, 4] = 1.0
         f = GridFunction(2, (0.0, 0.0), 1.0, vals)
         assert not is_p_concave(f, 0.0).ok
+
+    @pytest.mark.parametrize("p", [-0.4, -0.25, -1e-4, 0.0, 1e-4, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_scan_oracle(self, dim, p, rng):
+        cases = [(f, p) for f in concavity_corpus(rng, dim, p)]
+        # p <= -1 is outside the kernel's parameters: every cell is suspect
+        cases += [(f, -1.5) for f in concavity_corpus(rng, dim, 0.0)[:6]]
+        if dim == 1 and p == 1.0:
+            # the mean overflows: the scan reports inf
+            cases.append((GridFunction(1, (0.0,), 1.0, np.array([1e-300, 1.0, 1e300])), p))
+        wide = 0
+        for f, q in cases:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                got = is_p_concave(f, q)
+                ref = is_p_concave_oracle(f, q)
+            assert (got.ok, got.worst_gap, got.witness) == (ref.ok, ref.worst_gap, ref.witness)
+            wide += not _margin_covers(f.values[f.values > 0], q)
+        assert wide >= 3
+        if dim == 1 and p == 1.0:
+            assert got.worst_gap == math.inf and got.witness == (0.5, 2.5, 1.5)
+
+    def test_tie_takes_first_pair(self, monkeypatch, rng):
+        f = GridFunction(1, (0.0,), 1.0, np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
+        rep = is_p_concave(f, 0.0)
+        assert rep.worst_gap == 1.0 and rep.witness == (0.5, 2.5, 1.5)
+        # ties between batches of the enumeration
+        monkeypatch.setattr("bblab.supconv._PAIRS_PER_BATCH", 3)
+        for k in range(40):
+            shape = (int(rng.integers(3, 25)),) if k % 2 else (int(rng.integers(2, 7)),) * 2
+            vals = rng.choice([0.0, 0.5, 1.0], size=shape)
+            g = GridFunction(len(shape), (0.0,) * len(shape), 1.0, vals)
+            got, ref = is_p_concave(g, 0.0), is_p_concave_oracle(g, 0.0)
+            assert (got.ok, got.worst_gap, got.witness) == (ref.ok, ref.worst_gap, ref.witness)
+
+    def test_filter_clears_concave_inputs(self, monkeypatch):
+        """Strictly log-concave inputs have every cell cleared by the
+        filter: no pair reaches p_mean_arr."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return p_mean_arr(*args)
+
+        monkeypatch.setattr("bblab.hull.p_mean_arr", spy)
+        bump = logconcave_bump(width=2.0, spacing=1e-3)
+        assert bump.shape == (2000,)
+        for f in (bump, gaussian_2d(20)):
+            assert is_p_concave(f, 0.0) == PConcavityReport(True, 0.0, None)
+        assert calls == []
+        two = GridFunction(1, (0.0,), 1.0, np.array([1.0, 0.0, 1.0]))
+        assert not is_p_concave(two, 0.0).ok
+        assert calls
+
+    def test_rejects_other_dims(self):
+        f = GridFunction(3, (0.0,) * 3, 1.0, np.ones((3, 3, 3)))
+        with pytest.raises(ValueError, match="dim 1 and 2"):
+            is_p_concave(f, 0.0)
 
 
 class TestConvexHullSet:

@@ -19,7 +19,9 @@ from bblab import (
     sup_convolution,
     translate,
 )
-from bblab.transport import _height_cdf
+from bblab import transport
+from bblab.means import _mean
+from bblab.transport import _height_cdf, _mean_knots
 from conftest import hat, indicator, logconcave_bump, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
@@ -37,6 +39,29 @@ def height_cdf_oracle(f: GridFunction):
     cums = np.concatenate(([0.0], np.cumsum(seg)))
     cums /= cums[-1]
     return knots, cums
+
+
+def mean_knots_oracle(lam, p, T, t_max, u):
+    """Reference knots: one 80-step bisection per value of u, each step one
+    scalar _mean and one T call."""
+    out = []
+    for target in u:
+        lo, hi = 1e-300, t_max
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if _mean(lam, p, mid, float(T(mid))) < target:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return np.array(out)
+
+
+def bump_pair(cells):
+    """Two log-concave bumps of equal mass, the second sharper."""
+    f = logconcave_bump(width=2.0, spacing=2.0 / cells, sharp=3.0)
+    g = logconcave_bump(width=2.0, spacing=2.0 / cells, sharp=8.0)
+    return f, g.with_values(g.values * (integral(f) / integral(g)))
 
 
 class TestSpatialTransport:
@@ -189,6 +214,36 @@ class TestDiagnostics:
         f = hat(spacing=0.1)
         with pytest.raises(ValueError):
             level_diagnostics(f, f, None, HALF0, alpha=1.5)
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 0.5, 1.0])
+    def test_mean_knots_match_scalar_bisection(self, p):
+        """The vectorized bisection evaluates M with p_mean_arr, the scalar
+        one with _mean, which differ by a few ulps, and so do the knots."""
+        f, g = bump_pair(500)
+        params = MeanParams(Fraction(1, 2), p)
+        fn, gn = normalize(f), normalize(g)
+        T = height_transport(fn, gn)
+        hvals = np.unique(sup_convolution(fn, gn, params).values)
+        top = _mean(0.5, p, fn.max(), float(T(fn.max())))
+        u = hvals[(hvals > 0) & (hvals < top)]
+        assert len(u) > 400
+        got = _mean_knots(0.5, p, T, fn.max(), u)
+        ref = mean_knots_oracle(0.5, p, T, fn.max(), u)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    def test_masses_match_scalar_bisection(self, p, monkeypatch):
+        f, g = bump_pair(200)
+        params = MeanParams(Fraction(1, 2), p)
+        reports = []
+        for knots in (_mean_knots, mean_knots_oracle):
+            monkeypatch.setattr(transport, "_mean_knots", knots)
+            reports.append([level_diagnostics(f, g, h, params, alpha=0.1)
+                            for h in (None, sup_convolution(f, g, params))])
+        for got, ref in zip(*reports):
+            assert got.masses == pytest.approx(ref.masses, rel=1e-9, abs=1e-12)
+            assert got.hull_gap_integral == pytest.approx(ref.hull_gap_integral, rel=1e-9,
+                                                          abs=1e-12)
 
     def test_i2_linear_in_delta_family(self):
         # paper bound shape: I2 mass <= C * delta * mass on dented indicators
