@@ -657,16 +657,23 @@ class Cone2D:
         return out
 
     def sector_masses(self, f: GridFunction) -> tuple:
-        return _sector_masses(f, self)
+        return _sector_masses(_cone_cells(f), self)
 
 
 def _clip_halfplane(px, py, cnt, nx, ny, off):
-    """Vectorized Sutherland-Hodgman: clip N polygons to n.x >= off."""
+    """Vectorized Sutherland-Hodgman (Sutherland and Hodgman 1974): clip
+    polygon r, the first cnt[r] vertices of row r, to the half-plane
+    nx[r] x + ny[r] y >= off[r].
+
+    Each row carries its own half-plane, so one call clips the cells of all
+    three sectors; a row's output does not depend on the other rows.  A
+    polygon with every vertex at d >= 0 comes back unchanged, vertices in
+    order, and one with every vertex at d < 0 comes back empty."""
     N, V = px.shape
     ox = np.zeros((N, V + 1))
     oy = np.zeros((N, V + 1))
     oc = np.zeros(N, dtype=np.int64)
-    d = nx * px + ny * py - off
+    d = nx[:, None] * px + ny[:, None] * py - off[:, None]
     rows = np.arange(N)
     for i in range(V):
         valid = i < cnt
@@ -702,29 +709,71 @@ def _poly_areas(px, py, cnt):
     return 0.5 * np.abs(area)
 
 
-def _sector_masses(f: GridFunction, cone: Cone2D) -> tuple:
-    """Integrals of f over the three sectors, with cells treated as squares
-    clipped exactly against the sector boundaries (continuous in the apex)."""
+def _cone_cells(f: GridFunction) -> tuple:
+    """The positive cells of a 2-D f as squares, built once per solve:
+    values (N,) in row-major order, corner coordinates X, Y (4, N)
+    counter-clockwise, the shoelace area of each uncut square (N,) and the
+    reach max |x| + max |y| over the corners."""
     if f.dim != 2:
         raise ValueError("sector masses need a 2-D function")
     h = f.spacing
     idx = np.argwhere(f.values > 0)
-    if len(idx) == 0:
-        return (0.0, 0.0, 0.0)
     vals = f.values[tuple(idx.T)]
     x0 = f.origin[0] + idx[:, 0] * h
     y0 = f.origin[1] + idx[:, 1] * h
-    N = len(idx)
-    px = np.stack([x0, x0 + h, x0 + h, x0], axis=1)
-    py = np.stack([y0, y0, y0 + h, y0 + h], axis=1)
-    cnt0 = np.full(N, 4, dtype=np.int64)
-    masses = []
-    for (hp0, hp1) in cone.sector_halfplanes():
-        cx, cy, cc = _clip_halfplane(px, py, cnt0, *hp0)
-        cx, cy, cc = _clip_halfplane(cx, cy, cc, *hp1)
-        areas = _poly_areas(cx, cy, cc)
-        masses.append(float((vals * areas).sum()))
-    return tuple(masses)
+    X = np.stack([x0, x0 + h, x0 + h, x0])
+    Y = np.stack([y0, y0, y0 + h, y0 + h])
+    full = _poly_areas(X.T, Y.T, np.full(len(idx), 4))
+    reach = float(np.abs(X).max() + np.abs(Y).max()) if len(idx) else 0.0
+    return vals, X, Y, full, reach
+
+
+def _sector_masses(cells: tuple, cone: Cone2D) -> tuple:
+    """Integrals of f over the three sectors, with cells treated as squares
+    clipped exactly against the sector boundaries (continuous in the apex).
+
+    Each mass is the float that clipping every cell against both half-planes
+    of its sector (Sutherland-Hodgman, then the shoelace area) gives, but
+    only the cells a sector boundary crosses are clipped.  With
+    d = nx x + ny y - off at the corners, by the clip's own expression, a
+    cell is
+      - inside when d >= 0 at every corner for both half-planes: both clips
+        return its 4 corners in order, so its area is `full`, the shoelace
+        of the uncut square, the same float;
+      - outside when d < 0 at every corner for the first half-plane (the
+        first clip empties it), or for the second when the first keeps it
+        whole.  Otherwise the first clip cuts new vertices on the cell's
+        edges, and rounding can carry one past a corner by an ulp or two of
+        the coordinates, so the second half-plane needs d < -tol at every
+        corner, tol = 1e-13 (reach + |apex|_1), far above that rounding.
+        Its area is 0;
+      - mixed otherwise.  The mixed cells of all three sectors are clipped
+        as one batch with per-row half-planes: two clip calls and one area
+        call per apex.
+    Each mass sums vals * areas over all N cells in row-major order, as
+    the all-cells clip did, so the masses are bit-identical to it.
+    """
+    vals, X, Y, full, reach = cells
+    N = len(vals)
+    if N == 0:
+        return (0.0, 0.0, 0.0)
+    H = np.array(cone.sector_halfplanes()).reshape(6, 3)  # (nx, ny, off), two per sector
+    d = H[:, 0, None, None] * X + H[:, 1, None, None] * Y - H[:, 2, None, None]
+    lo = d.min(axis=1).reshape(3, 2, N)
+    hi = d.max(axis=1).reshape(3, 2, N)
+    tol = 1e-13 * (reach + abs(cone.apex[0]) + abs(cone.apex[1]))
+    whole0 = lo[:, 0] >= 0.0
+    inside = whole0 & (lo[:, 1] >= 0.0)
+    outside = (hi[:, 0] < 0.0) | (hi[:, 1] < np.where(whole0, 0.0, -tol))
+    areas = np.where(inside, full, 0.0)
+    s, c = np.nonzero(~(inside | outside))
+    if len(c):
+        P = H.reshape(3, 6)[s]
+        cx, cy, cc = _clip_halfplane(X[:, c].T, Y[:, c].T, np.full(len(c), 4),
+                                     P[:, 0], P[:, 1], P[:, 2])
+        cx, cy, cc = _clip_halfplane(cx, cy, cc, P[:, 3], P[:, 4], P[:, 5])
+        areas[s, c] = _poly_areas(cx, cy, cc)
+    return tuple(float((vals * a).sum()) for a in areas)
 
 
 @dataclass(frozen=True)
@@ -742,6 +791,14 @@ def cone_equipartition_2d(f: GridFunction, tol_rel: float = 1e-6,
     Nested continuity root-finding: for fixed apex_y, the difference of the
     two lower sector masses is monotone in apex_x (inner root); the upper
     sector mass then crosses mass/3 along apex_y (outer root).
+
+    The positive cells are built once per call, and each apex clips only
+    the cells a ray crosses (see `_sector_masses`).  The masses go through
+    a memo keyed by the apex floats, local to the call: the bracket checks,
+    brentq's first evaluations at the bracket ends and the final inner
+    solve revisit apexes already evaluated, and the masses are a
+    deterministic function of the apex, so each distinct apex is evaluated
+    once and the result is the same.
     """
     if f.dim != 2:
         raise ValueError("cone_equipartition_2d needs dim 2")
@@ -758,8 +815,14 @@ def cone_equipartition_2d(f: GridFunction, tol_rel: float = 1e-6,
     yhi = f.origin[1] + (idx[:, 1].max() + 1) * h
     span = max(xhi - xlo, yhi - ylo)
 
+    cells = _cone_cells(f)
+    memo = {}
+
     def masses(ax, ay):
-        return _sector_masses(f, Cone2D.simplex((ax, ay)))
+        m = memo.get((ax, ay))
+        if m is None:
+            m = memo[ax, ay] = _sector_masses(cells, Cone2D.simplex((ax, ay)))
+        return m
 
     def inner(ay):
         def gdiff(ax):

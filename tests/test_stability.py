@@ -577,7 +577,176 @@ class TestCertifyMain:
         assert 0.45 <= slope <= 0.55, (slope, se)
 
 
+def clip_halfplane_oracle(px, py, cnt, nx, ny, off):
+    """Sutherland-Hodgman with one scalar half-plane n.x >= off for all rows
+    (the all-cells clip of `sector_masses_oracle`)."""
+    N, V = px.shape
+    ox = np.zeros((N, V + 1))
+    oy = np.zeros((N, V + 1))
+    oc = np.zeros(N, dtype=np.int64)
+    d = nx * px + ny * py - off
+    rows = np.arange(N)
+    for i in range(V):
+        valid = i < cnt
+        nxt = np.where(i + 1 < cnt, i + 1, 0)
+        di = d[rows, i]
+        dj = d[rows, nxt]
+        xi, yi = px[rows, i], py[rows, i]
+        xj, yj = px[rows, nxt], py[rows, nxt]
+        keep = valid & (di >= 0.0)
+        r = np.flatnonzero(keep)
+        ox[r, oc[r]] = xi[r]
+        oy[r, oc[r]] = yi[r]
+        oc[r] += 1
+        crossing = valid & ((di >= 0.0) != (dj >= 0.0))
+        r = np.flatnonzero(crossing)
+        if len(r):
+            t = di[r] / (di[r] - dj[r])
+            ox[r, oc[r]] = xi[r] + t * (xj[r] - xi[r])
+            oy[r, oc[r]] = yi[r] + t * (yj[r] - yi[r])
+            oc[r] += 1
+    return ox, oy, oc
+
+
+def sector_masses_oracle(f: GridFunction, cone: Cone2D) -> tuple:
+    """Sector masses by clipping every positive cell against both
+    half-planes of each sector (the path `_sector_masses` replaces)."""
+    h = f.spacing
+    idx = np.argwhere(f.values > 0)
+    if len(idx) == 0:
+        return (0.0, 0.0, 0.0)
+    vals = f.values[tuple(idx.T)]
+    x0 = f.origin[0] + idx[:, 0] * h
+    y0 = f.origin[1] + idx[:, 1] * h
+    N = len(idx)
+    px = np.stack([x0, x0 + h, x0 + h, x0], axis=1)
+    py = np.stack([y0, y0, y0 + h, y0 + h], axis=1)
+    cnt0 = np.full(N, 4, dtype=np.int64)
+    masses = []
+    for (hp0, hp1) in cone.sector_halfplanes():
+        cx, cy, cc = clip_halfplane_oracle(px, py, cnt0, *hp0)
+        cx, cy, cc = clip_halfplane_oracle(cx, cy, cc, *hp1)
+        areas = stability._poly_areas(cx, cy, cc)
+        masses.append(float((vals * areas).sum()))
+    return tuple(masses)
+
+
+def _gaussian_2d(n, spacing, sigma=0.6, center=(0.0, 0.0)):
+    half = n * spacing / 2.0
+    x = (np.arange(n) + 0.5) * spacing - half
+    r2 = (x[:, None] - center[0]) ** 2 + (x[None, :] - center[1]) ** 2
+    return GridFunction(2, (-half, -half), spacing, np.exp(-r2 / (2.0 * sigma * sigma)))
+
+
+def equipartition_corpus(rng):
+    """2-D inputs for the sector-mass oracle: Gaussians, random blobs with
+    holes, single cells, one-row and one-column supports."""
+    fs = [_gaussian_2d(40, 0.1), _gaussian_2d(15, 0.25, center=(0.3, -0.2)),
+          GridFunction(2, (-2.05, -2.05), 0.1, _gaussian_2d(41, 0.1).values)]
+    for n in (8, 12, 20):
+        blob = random_blob_2d(rng, n=n)
+        fs.append(blob.with_values(blob.values * (rng.random((n, n)) > 0.2)))
+    fs.append(GridFunction(2, (0.0, 0.0), 0.1, np.ones((1, 1))))
+    fs.append(GridFunction(2, (-0.35, 1.7), 0.05, np.full((1, 1), 2.5)))
+    fs.append(GridFunction(2, (-1.0, 0.3), 0.1, rng.uniform(0.5, 1.5, size=(1, 17))))
+    fs.append(GridFunction(2, (0.3, -1.0), 0.1, rng.uniform(0.5, 1.5, size=(17, 1))))
+    row = np.zeros((9, 9))
+    row[4, 2:7] = 1.0
+    fs.append(GridFunction(2, (0.0, 0.0), 1.0 / 3.0, row))
+    return fs
+
+
+def equipartition_apexes(f: GridFunction, rng, count=12):
+    """Apexes at grid nodes, a few ulps off them, at cell centres and on
+    cell edges (where corners land on the sector boundaries), at random,
+    and far outside the support."""
+    h = f.spacing
+    shape = np.array(f.values.shape)
+    out = []
+    for kind in ("node", "ulp", "centre", "edge", "random"):
+        for _ in range(count):
+            i, j = rng.integers(-2, shape + 3)
+            a = [f.origin[0] + i * h, f.origin[1] + j * h]
+            if kind == "centre":
+                a = [a[0] + h / 2, a[1] + h / 2]
+            elif kind == "ulp":
+                a = [v + int(rng.integers(-3, 4)) * np.spacing(v) for v in a]
+            elif kind == "edge":
+                a[int(rng.integers(2))] += float(rng.uniform(0, h))
+            elif kind == "random":
+                a = [f.origin[k] + rng.uniform(-2, shape[k] + 2) * h for k in range(2)]
+            out.append((float(a[0]), float(a[1])))
+    span = float(shape.max()) * h
+    for t in np.linspace(0.0, 2 * math.pi, 9)[:-1]:
+        for r in (3.0, 1e3):
+            out.append((f.origin[0] + r * span * math.cos(t), f.origin[1] + r * span * math.sin(t)))
+    return out
+
+
 class TestEquipartition:
+    @pytest.mark.parametrize("cone", ["simplex", "fiber_partition"])
+    def test_sector_masses_match_oracle(self, cone, rng):
+        make = getattr(Cone2D, cone)
+        for f in equipartition_corpus(rng):
+            for apex in equipartition_apexes(f, rng):
+                c = make(apex)
+                assert c.sector_masses(f) == sector_masses_oracle(f, c), (f.values.shape, apex)
+
+    def test_cut_vertex_rounding_past_corner(self):
+        # apex two ulps off a grid node: a vertex cut by the first clip
+        # rounds past the node, so the all-cells clip leaves a sliver of
+        # about 3.5e-18 in the third sector, though every corner of that
+        # cell lies outside the sector's second half-plane
+        f = GridFunction(2, (-0.34672742624407343, -0.09527844139877213), 0.7, np.ones((2, 2)))
+        cone = Cone2D.fiber_partition((0.3532725737559265, -0.09527844139877215))
+        m = cone.sector_masses(f)
+        assert m == sector_masses_oracle(f, cone) and 0.0 < m[2] < 1e-17
+
+    def test_equipartition_matches_oracle(self, monkeypatch):
+        # criterion 10's blob recipe, solved with either mass function
+        rng = np.random.default_rng(10)
+        blobs = []
+        for _ in range(20):
+            blob = rng.uniform(0, 1, size=(20, 20))
+            blob[blob < 0.45] = 0.0
+            blob[10, 10] += 1.0
+            blobs.append(GridFunction(2, (0.0, 0.0), 0.1, blob))
+        fast = [cone_equipartition_2d(g) for g in blobs]
+        for g, res in zip(blobs, fast):
+            monkeypatch.setattr(stability, "_sector_masses",
+                                lambda cells, cone, g=g: sector_masses_oracle(g, cone))
+            assert cone_equipartition_2d(g) == res
+
+    def test_clips_only_boundary_cells(self, monkeypatch):
+        # at the apex, only cells a ray crosses are clipped: each of the 3
+        # rays bounds 2 sectors and crosses at most about 41 of the 40x40
+        # cells; clipping every cell would take 3 * 1600 rows
+        f = _gaussian_2d(40, 0.1)
+        apex = cone_equipartition_2d(f).apex
+        rows = []
+        clip = stability._clip_halfplane
+
+        def spy(px, *args):
+            rows.append(len(px))
+            return clip(px, *args)
+
+        monkeypatch.setattr(stability, "_clip_halfplane", spy)
+        Cone2D.simplex(apex).sector_masses(f)
+        assert len(rows) == 2 and rows[0] == rows[1]
+        assert 0 < rows[0] <= 3 * 2 * 41, rows
+
+    def test_each_apex_evaluated_once(self, monkeypatch):
+        apexes = []
+        masses = stability._sector_masses
+
+        def spy(cells, cone):
+            apexes.append(cone.apex)
+            return masses(cells, cone)
+
+        monkeypatch.setattr(stability, "_sector_masses", spy)
+        cone_equipartition_2d(_gaussian_2d(40, 0.1))
+        assert len(apexes) == len(set(apexes))
+
     def test_radial_bump_center(self):
         n = 41
         x = (np.arange(n) - n // 2) * 0.1
