@@ -11,6 +11,7 @@ Values are immutable after construction; operations return new instances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +109,7 @@ class LevelSet:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "origin", tuple(float(o) for o in np.atleast_1d(self.origin)))
 
-    @property
+    @functools.cached_property
     def cell_count(self) -> int:
         return int(self.mask.sum())
 

@@ -3,7 +3,8 @@
 The p-concave hull co_p(f) is computed by lifting positive samples with the
 increasing lift of means._lift (log f at p = 0, sign(p) f^p, or its
 Box-Cox form for small |p|), under which p-concavity is concavity, taking
-the upper concave envelope of the lifted cloud, and mapping back.  Hull
+the upper concave envelope of the lifted cloud, and mapping back.  The
+lift is of f / 2^e (means._scale_exp), so it cannot overflow.  Hull
 combinatorics are exact: cell indices are integers and every float lift is
 an exact rational.  In 1-D the chain runs on Fractions.
 In 2-D the gift wrap evaluates its orientation predicates in float, for all
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .gridfn import GridFunction, LevelSet, ZeroMassError, _cell_centers, integral, level_set
-from .means import _SMALL_P, MeanParams, _lift, _unlift, p_mean_arr
+from .means import _SMALL_P, MeanParams, _lift, _scale_exp, _unlift, p_mean_arr
 from .supconv import _MARGIN, _bounding_box, _lattice_sums, _margin_covers, _progression_pairs
 
 __all__ = [
@@ -72,14 +73,15 @@ def p_plane_eval(plane: PPlane, x) -> float:
     return s ** (1.0 / plane.p)
 
 
-def _pplane(f: GridFunction, p: float, coef, const) -> PPlane:
-    """The facet w = <coef, index> + const on the lift scale L, as a PPlane
-    in position space.  PPlanes live on the x^p scale (log x at p = 0),
-    which is sign(p) L, or 1 + p L for the Box-Cox lift."""
+def _pplane(f: GridFunction, p: float, e: int, coef, const) -> PPlane:
+    """The facet w = <coef, index> + const on the lift scale L of z = f / 2^e
+    as a PPlane in position space, on the x^p scale (2^(ep) times sign(p) L,
+    or 1 + p L for Box-Cox; L + e log 2 at p = 0; inf or nan past floats)."""
     box_cox = 0.0 < abs(p) < _SMALL_P
-    scale = p if box_cox else (-1.0 if p < 0 else 1.0)
+    g = 2.0 ** (e * p) if e * p < 1024 else math.inf
+    scale = g * (p if box_cox else (-1.0 if p < 0 else 1.0))
     y = [scale * float(a) for a in coef]
-    d = scale * float(const) + 1.0 if box_cox else scale * float(const)
+    d = scale * float(const) + (g if box_cox else e * math.log(2.0) if p == 0.0 else 0.0)
     # index -> position: i = (x - origin)/h - 1/2
     for a, o in zip(y, f.origin):
         d -= a * (o / f.spacing + 0.5)
@@ -345,31 +347,32 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
     if integral(f) <= 0:
         raise ZeroMassError("p_concave_hull needs positive mass")
 
+    e = int(_scale_exp(f.max(), f.values[f.values > 0].min(), p))
     if f.dim == 1:
         idx = np.flatnonzero(f.values > 0)
-        chain = _upper_chain(idx, [Fraction(x) for x in _lift(f.values[idx], p).tolist()])
+        chain = _upper_chain(idx, [Fraction(x) for x in _lift(f.values[idx], p, e).tolist()])
         domain = np.arange(idx.min(), idx.max() + 1)
         xs = [float(x) for x, _ in chain]
         ws = [float(v) for _, v in chain]
         hull_vals = np.zeros(f.shape)
-        hull_vals[domain] = _unlift(np.interp(domain.astype(float), xs, ws), p)
+        hull_vals[domain] = _unlift(np.interp(domain.astype(float), xs, ws), p, e)
         facets = []
         for (x1, w1), (x2, w2) in zip(chain[:-1], chain[1:]):
             m = float((w2 - w1) / Fraction(x2 - x1))
-            facets.append(_pplane(f, p, (m,), float(w1) - m * x1))
+            facets.append(_pplane(f, p, e, (m,), float(w1) - m * x1))
         if not facets:  # one support cell: a constant, slope +0.0 for every p
-            facets.append(PPlane(p, (0.0,), _pplane(f, p, (), chain[0][1]).d))
+            facets.append(PPlane(p, (0.0,), _pplane(f, p, e, (), chain[0][1]).d))
     else:
         idx = np.argwhere(f.values > 0)
-        planes = _upper_envelope_2d(idx, _lift(f.values[tuple(idx.T)], p))
+        planes = _upper_envelope_2d(idx, _lift(f.values[tuple(idx.T)], p, e))
         cells = convex_hull_set(level_set(f, 0.0)).indices()
         env = np.full(len(cells), np.inf)
         for alpha, beta, gamma in planes:
             vals_p = float(alpha) * cells[:, 0] + float(beta) * cells[:, 1] + float(gamma)
             np.minimum(env, vals_p, out=env)
         hull_vals = np.zeros(f.shape)
-        hull_vals[tuple(cells.T)] = _unlift(env, p)
-        facets = [_pplane(f, p, (alpha, beta), gamma) for alpha, beta, gamma in planes]
+        hull_vals[tuple(cells.T)] = _unlift(env, p, e)
+        facets = [_pplane(f, p, e, (alpha, beta), gamma) for alpha, beta, gamma in planes]
     hull = f.with_values(np.maximum(hull_vals, f.values))
     return HullResult(hull, integral(hull) - integral(f), facets)
 
@@ -407,7 +410,7 @@ def _midpoint_means(fv: np.ndarray, p: float) -> np.ndarray:
     for r, c in enumerate(classes):
         at = top[tuple(slice(a, None) for a in c)]
         np.maximum(at, W[(r,) + tuple(slice(0, n - a) for n, a in zip(fv.shape, c))], out=at)
-    return np.ldexp(_unlift(top, p), e)
+    return _unlift(top, p, e)
 
 
 def is_p_concave(f: GridFunction, p: float, tol: float = 1e-9) -> PConcavityReport:

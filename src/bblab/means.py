@@ -2,9 +2,10 @@
 
 The p-mean of nonnegative numbers is the kernel everything else is built on:
 it is zero as soon as one argument vanishes, the geometric mean at p = 0,
-and (lam*x^p + (1-lam)*y^p)^(1/p) otherwise.  The two ``check_*`` functions
-evaluate both sides of an inequality and return the margin LHS - RHS, which
-callers assert to be >= -tol.
+and (lam*x^p + (1-lam)*y^p)^(1/p) otherwise; p_mean_arr is its one
+implementation, and p_mean and _mean wrap it.  The two ``check_*``
+functions evaluate both sides of an inequality and return the margin
+LHS - RHS, which callers assert to be >= -tol.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ __all__ = [
     "check_pq_switch",
 ]
 
-# below this |p| the direct power formula loses about eps/|p| to
-# cancellation (5e-11 relative at |p| = 1e-6); use the log1p/expm1 form so
-# the family is numerically continuous and monotone through p = 0
+# bounds of the Box-Cox and the first-order regimes of _lift and _unlift
 _SMALL_P = 1e-3
-# below this |p log(y/x)| use the first-order expansion of that form in p,
-# which stays exact when the product underflows (subnormal p)
 _SMALL_U = 1e-8
+_SPAN = 1000  # scaled values stay within [2^-_SPAN, 2^_SPAN] (see _scale_exp)
+_BLOCK = 1 << 14  # pairs per block of p_mean_arr; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,7 @@ def _mean(lam: float, p: float, x: float, y: float) -> float:
     """Scalar M_{lam,p}(x, y) without parameter validation."""
     if x < 0 or y < 0:
         raise ValueError("p-mean arguments must be nonnegative")
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    if x == y:
-        return x
-    if p == 0.0:
-        return x ** lam * y ** (1.0 - lam)
-    if abs(p) < _SMALL_P:
-        L = math.log(y) - math.log(x)
-        u = p * L
-        c = 1.0 - lam
-        if abs(u) < _SMALL_U:
-            return x * math.exp(c * L + 0.5 * c * lam * u * L)
-        return x * math.exp(math.log1p(c * math.expm1(u)) / p)
-    # factored form x * (lam + (1-lam) r^p)^(1/p) keeps intermediates scaled
-    r = y / x
-    return x * (lam + (1.0 - lam) * r ** p) ** (1.0 / p)
+    return float(p_mean_arr(lam, p, x, y))
 
 
 def p_mean(params, x: float, y: float) -> float:
@@ -113,73 +97,96 @@ def p_mean(params, x: float, y: float) -> float:
 
 
 def p_mean_arr(lam: float, p: float, x, y):
-    """Vectorized M_{lam,p} over broadcastable nonnegative arrays."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    """Vectorized M_{lam,p} over broadcastable nonnegative arrays: 0 where an
+    argument is 0, x where x = y, else sigma U(w L(x/sigma) + c L(y/sigma))
+    with the lift pair L, U, the kernel's weights c = 1 - lam and w = 1 - c,
+    and sigma from _scale_exp for each pair."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.zeros(x.shape)
     pos = (x > 0) & (y > 0)
-    if not pos.any():
-        return out
-    xv = np.broadcast_to(x, out.shape)[pos]
-    yv = np.broadcast_to(y, out.shape)[pos]
-    if p == 0.0:
-        vals = np.exp(lam * np.log(xv) + (1.0 - lam) * np.log(yv))
-    elif abs(p) < _SMALL_P:
-        L = np.log(yv) - np.log(xv)
-        u = p * L
-        c = 1.0 - lam
-        series = c * L + 0.5 * c * lam * u * L
-        vals = xv * np.exp(np.where(np.abs(u) < _SMALL_U, series, np.log1p(c * np.expm1(u)) / p))
-    else:
-        r = yv / xv
-        vals = xv * (lam + (1.0 - lam) * r ** p) ** (1.0 / p)
-    eq = xv == yv
-    if eq.any():
-        vals = np.where(eq, xv, vals)
+    x, y = x[pos], y[pos]
+    c = 1.0 - lam
+    w = 1.0 - c
+    vals = np.empty(len(x))
+    for k in range(0, len(x), _BLOCK):
+        xb, yb = x[k : k + _BLOCK], y[k : k + _BLOCK]
+        e = _scale_exp(xb, yb, p)
+        t = w * _lift(xb, p, e)
+        t += c * _lift(yb, p, e)
+        vals[k : k + _BLOCK] = _unlift(t, p, e)
+    np.copyto(vals, x, where=x == y)
     out[pos] = vals
     return out
 
 
-def _lift(x, p: float) -> np.ndarray:
-    """Increasing lift L with M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)).
+def _scale_exp(x, y, p: float):
+    """Exponent e of the scale sigma = 2^e at which x and y (scalars or
+    arrays, >= 0) are lifted: the smallest power of two >= the larger for
+    p >= 0, >= the smaller for p < 0, so that no lift overflows and an
+    indicator scales to 1.  Past a span of 2^_SPAN, sigma moves toward the
+    other end until that end scales into [2^-_SPAN, 2^_SPAN], or as far as
+    the first end's z and |z^p| stay in that range."""
+    (mx, ex), (my, ey) = np.frexp(x), np.frexp(y)
+    s = 1 if p >= 0 else -1  # p < 0 is the p >= 0 rule on negated exponents
+    ex, ey = s * (ex - (mx == 0.5)), s * (ey - (my == 0.5))
+    top, bot = np.maximum(ex, ey), np.minimum(ex, ey)
+    k = int(_SPAN // max(abs(p), 1.0))
+    return s * np.minimum(np.maximum(bot + _SPAN, top - k), top)
 
-    Zeros map to -inf, so a max-plus sum over pairs ignores them and
-    concavity checks see the support boundary.  Three regimes, split at
-    _SMALL_P as in p_mean_arr, because no single form is accurate for every
-    p:
-    - p = 0: log x;
-    - 0 < |p| < _SMALL_P: expm1(p log x)/p (Box-Cox), which tends to log x;
-      the signed power would lose about eps/|p| to cancellation there;
-    - otherwise sign(p) x^p, which keeps full relative precision on values
-      far below the largest, where Box-Cox at p = 1 (x - 1) loses it all.
-    Any increasing affine image of x^p (or of log x) is such a lift, since
+
+def _lift(x, p: float, e=0) -> np.ndarray:
+    """Increasing lift L of z = x / 2^e (e an integer or an array of x's
+    shape), with M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)).
+
+    Zeros of x map to -inf, so a max-plus sum over pairs ignores them and
+    concavity checks see the support boundary; a positive x whose z
+    underflows takes the lift's limit at 0.  Four forms, because no single
+    one is accurate for every p:
+    - p = 0: log z;
+    - 0 < |p| < _SMALL_P: expm1(p log z)/p (Box-Cox), which tends to log z,
+      so the means are continuous and monotone through p = 0; the signed
+      power would lose about eps/|p| to cancellation (5e-11 at 1e-6);
+    - and there, where |p log z| < _SMALL_U: log z (1 + p log z / 2), its
+      first-order form, which stays accurate when p log z underflows;
+    - otherwise sign(p) z^p, which keeps full relative precision on values
+      far below the largest, where Box-Cox at p = 1 (z - 1) loses it all.
+    Any increasing affine image of z^p (or of log z) is such a lift, since
     the weights sum to 1.
     """
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
+    z = np.ldexp(x, -e)
     pos = x > 0
-    v = x[pos]
-    if p == 0.0:
-        out[pos] = np.log(v)
-    elif abs(p) < _SMALL_P:
-        out[pos] = np.expm1(p * np.log(v)) / p
-    elif p > 0:
-        out[pos] = v ** p
-    else:
-        out[pos] = -(v ** p)
+    every = pos.all()  # else lift the positive values alone
+    out, z = (None, z) if every else (np.full(x.shape, -np.inf), z[pos])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p == 0.0:
+            lifted = np.log(z)
+        elif abs(p) < _SMALL_P:
+            lz = np.log(z)
+            u = p * lz
+            lifted = np.where(np.abs(u) < _SMALL_U, lz + 0.5 * u * lz, np.expm1(u) / p)
+        else:
+            lifted = math.copysign(1.0, p) * z ** p
+    if every:
+        return lifted
+    out[pos] = lifted
     return out
 
 
-def _unlift(s, p: float) -> np.ndarray:
-    """Inverse of _lift: -inf and values below the lift's range map to 0,
-    values above it (only possible for p < 0) to inf."""
+def _unlift(s, p: float, e=0) -> np.ndarray:
+    """2^e times the inverse of _lift: -inf and values below the lift's
+    range map to 0, values above it (only possible for p < 0) to inf."""
     s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if p == 0.0:
-            return np.exp(s)
-        if abs(p) < _SMALL_P:
-            return np.exp(np.log1p(np.maximum(p * s, -1.0)) / p)
-        return np.maximum(math.copysign(1.0, p) * s, 0.0) ** (1.0 / p)
+            z = np.exp(s)
+        elif abs(p) < _SMALL_P:
+            v = p * s
+            z = np.exp(np.where(np.abs(v) < _SMALL_U, s - 0.5 * v * s,
+                                np.log1p(np.maximum(v, -1.0)) / p))
+        else:
+            z = np.maximum(math.copysign(1.0, p) * s, 0.0) ** (1.0 / p)
+        return np.ldexp(z, e)
 
 
 def exponent_map(p: float, n: int) -> float:
@@ -206,11 +213,10 @@ def check_holder_derivative(params: MeanParams, t: float, Tt: float, dTdt: float
         raise ValueError(f"check_holder_derivative needs p in (-1, 0), got {p}")
     if t <= 0 or Tt <= 0 or dTdt <= 0:
         raise ValueError("t, Tt, dTdt must be positive")
-    lhs = (lam * t ** (p - 1.0) + (1.0 - lam) * Tt ** (p - 1.0) * dTdt) * (
-        lam * t ** p + (1.0 - lam) * Tt ** p
-    ) ** (1.0 / p - 1.0)
-    rhs = _mean(lam, p, 1.0, dTdt)
-    return lhs - rhs
+    # (lam t^p + (1-lam) T^p)^(1/p - 1) = M(t, T)^(1 - p)
+    lhs = (lam * t ** (p - 1.0) + (1.0 - lam) * Tt ** (p - 1.0) * dTdt) * _mean(
+        lam, p, t, Tt) ** (1.0 - p)
+    return lhs - _mean(lam, p, 1.0, dTdt)
 
 
 def check_pq_switch(

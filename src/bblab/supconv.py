@@ -15,13 +15,13 @@ increasing lift L of means._lift, so M* is a max-plus convolution of
 lam L(f) and (1-lam) L(g) on the lattice sums s, a block max onto cells and
 one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
 2; sup_convolution and the shaving objective both call it, and
-hull.is_p_concave calls its max-plus half, _lattice_sums.  Its values
-differ from the pair means p_mean_arr computes by rounding (at most 2^-35
-relative, proven at _MARGIN), so the hypothesis check uses them only as a
-filter: a cell is cleared when M*(1 + 2^-32) <= h + tol, and the pairs of
-every other cell are compared one by one with p_mean_arr
-(_progression_pairs enumerates them).  The midpoint test filters the same
-way.
+hull.is_p_concave calls its max-plus half, _lattice_sums.  p_mean_arr
+evaluates the same formula per pair, at the pair's own scale, so the two
+differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
+hypothesis check uses the kernel's values as a filter: a cell is cleared
+when M*(1 + 2^-32) <= h + tol, and the pairs of every other cell are
+compared one by one with p_mean_arr (_progression_pairs enumerates them).
+The midpoint test filters the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .gridfn import (GridFunction, LevelSet, ZeroMassError, _cell_centers, _offset_cells,
                      common_grid, integral)
-from .means import MeanParams, _lift, _unlift, p_mean_arr
+from .means import MeanParams, _lift, _scale_exp, _unlift, p_mean_arr
 
 __all__ = [
     "DeficitReport",
@@ -57,31 +57,33 @@ _PAIRS_PER_BATCH = 1 << 20
 # when W_k below is the maximum over any set of pairs that contains (x, y)
 # (hull.is_p_concave leaves out the pairs (i, i)).
 #
-# Proof.  Let u = 2^-53, and take each log, exp, expm1, log1p and power
-# call to be within 4 ulps (relative error 8u).  The callers check every
-# cell unless the positive values of f and g span at most 2^R with
-# R * max(|p|, 1) <= 999 (_margin_covers; so 2^R >= sigma/min, sigma < 2 max
-# being the kernel's scale).  Then each scaled value z lies in [2^-999, 1],
-# |ln z| <= 693, and z^p, the weighted lifts and p_mean_arr's r^p lie in
-# [2^-1005, 2^999]: all normal, so each operation has relative error <= u
-# (8u for the calls above).  With weights w + c = 1 (exact), the mean is
-# M = sigma U(T), T = w L(z_x) + c L(z_y); the kernel sums some t <= W_k,
-# W_k its cell maximum, and v_k = fl(sigma U(W_k)); U is increasing.
-# - p = 0: |t - T| <= 10u * 693 (log, weight, sum) and exp adds 8u, so
-#   M <= sigma exp(W_k + 6930u) <= v_k (1 + 7000u).
+# Proof.  m and v_k evaluate one formula, M = sigma U(T) with
+# T = w L(z_x) + c L(z_y), z = x/sigma, w + c = 1 exactly; only sigma
+# differs (means._scale_exp of the pair, or of all of f and g).  Let
+# u = 2^-53, and take each log, exp, expm1, log1p and power call to be
+# within 4 ulps (relative error 8u).  The callers check every cell unless
+# the positive values of f and g span at most 2^R with
+# R * max(|p|, 1) <= 999 (_margin_covers).  Then each sigma is the smallest
+# power of two >= the larger value (p >= 0) or the smaller (p < 0), each z
+# is exact and in [2^-R, 2^R], |ln z| <= 693, and z^p is in [2^-999, 2^999]:
+# all normal, so each operation has relative error <= u.  Each regime below
+# bounds U(T)/U(t), t the computed sum, and U(s)/U^(s), U^ the computed
+# unlift, by 1 + D_a and 1 + D_b both ways, D = D_a + D_b.  U is increasing
+# and the kernel's t for (x, y) is at most W_k, its cell maximum, so
+# M <= v_k (1 + D) and m <= M (1 + D).
+# - p = 0: |t - T| <= 10u * 693 (log, weight, sum), exp adds 8u: D <= 7000u.
 # - |p| >= _SMALL_P: L = +-z^p, and terms of one sign keep t = T(1 + d),
 #   |d| <= 10u; U = |.|^(1/p) turns d into d/|p| <= 10^4 u, and power adds
-#   8u: M <= v_k (1 + 11000u).
-# - 0 < |p| < _SMALL_P: 1 + pL = z^p lies in [1/2, 2], so |L| <= 1400, and
-#   U(W) = exp(log1p(pW)/p) has d ln U/dW = 1/(1 + pW) <= 2.  Rounding pW
-#   (or p ln z) moves it by u|pW|, which log1p (expm1) turns into at most
-#   2u|pW| and the division by p back into 2u|W|; the calls' own errors
-#   give 16u|W| and 8u|L|.  So |t - T| <= 30000u and the exponent of v_k is
-#   off by at most 28000u: M <= v_k (1 + 90000u).
-# p_mean_arr's own formulas (the same three forms on unscaled values, |ln|
-# <= 745, weights lam and c = 1 - lam, |lam - w| <= u) are within
-# 90000u of M by the same count.  So m <= v_k (1 + 2^-35), below
-# v_k (1 + 2^-32)(1 - u) <= fl(v_k (1 + 2^-32)).
+#   8u: D <= 11000u.
+# - 0 < |p| < _SMALL_P: 1 + pL = z^p lies in [1/2, 2], so |L| <= 2|ln z|
+#   <= 1386.  Rounding p ln z moves expm1 (slope <= 2) by 18u|p ln z| and
+#   expm1 errs by 8u|pL|, so after the division by p, the weights and the
+#   sum, |t - T| <= 30000u (the first-order form, for |p ln z| < _SMALL_U,
+#   drops terms below 0.2u|ln z| and errs less).  ln U(s) = log1p(ps)/p has
+#   slope 1/(1 + ps) <= 2: D_a <= 60000u; U^ adds 2u|s| + 9u * 693 to the
+#   exponent and 8u in exp: D <= 70000u.
+# So m <= v_k (1 + 70000u)^2 < v_k (1 + 2^-35) <= fl(v_k (1 + 2^-32)),
+# with a factor 8 to spare for the 4-ulp assumption on libm.
 _MARGIN = 2.0 ** -32
 
 
@@ -196,15 +198,16 @@ def _overlap_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _scaled_lifts(fv, gv, params: MeanParams, sym: bool):
-    """(lam L(f / sigma), (1 - lam) L(g / sigma), e) with sigma = 2^e the
-    smallest power of two >= max(f, g), so that a maximum that is a power of
-    two (an indicator) scales to exactly 1.  sym: g is f and lam = 1/2."""
-    e = math.frexp(math.nextafter(max(fv.max(), gv.max()), 0.0))[1]
+    """(lam L(f / sigma), (1 - lam) L(g / sigma), e), sigma = 2^e from
+    means._scale_exp on the largest and smallest positive values of f and g,
+    as p_mean_arr scales each pair.  sym: g is f and lam = 1/2."""
+    lo = min(fv.min(where=fv > 0, initial=np.inf), gv.min(where=gv > 0, initial=np.inf))
+    e = int(_scale_exp(max(fv.max(), gv.max()), lo, params.p))
     # weights that sum to exactly 1 in real arithmetic (1 - c is exact for
     # c >= 1/2): only then does the -1/p of the Box-Cox lift cancel
     c = 1.0 - params.lam_float
-    lf = (1.0 - c) * _lift(np.ldexp(fv, -e), params.p)
-    lg = lf if sym else c * _lift(np.ldexp(gv, -e), params.p)
+    lf = (1.0 - c) * _lift(fv, params.p, e)
+    lg = lf if sym else c * _lift(gv, params.p, e)
     return lf, lg, e
 
 
@@ -216,7 +219,7 @@ def _unlift_cells(W: np.ndarray, b: int, p: float, e: int) -> np.ndarray:
     for d in range(1, W.ndim):
         at = (slice(None),) * d
         W = functools.reduce(np.maximum, (W[at + (slice(k, None, b),)] for k in range(b)))
-    return np.ldexp(_unlift(W, p), e)
+    return _unlift(W, p, e)
 
 
 def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
@@ -257,9 +260,9 @@ def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray
     s = a*i + (b-a)*j + base (per axis, 0 <= base < b), and output cell k
     collects s in [b*k, b*k + b).  Each pair costs one add and one max of
     lifted values (_lattice_sums); each cell one unlift.  f and g are
-    divided by a power of two sigma >= max(f, g) first and the result is
-    multiplied back; M is 1-homogeneous, so this is exact, and the lifts
-    cannot overflow for p > 0.  sym (fv is gv and lam = 1/2) visits only
+    divided by the power of two sigma of _scaled_lifts first and the result
+    is multiplied back; M is 1-homogeneous, so this is exact, and the lifts
+    cannot overflow.  sym (fv is gv and lam = 1/2) visits only
     pairs with j >= i on axis 0: the mirror pair lands on the same s with
     the same float sum.
     """

@@ -17,7 +17,7 @@ import numpy as np
 from .gridfn import (GridFunction, ZeroMassError, _offset_cells, integral, level_set,
                      normalize)
 from .hull import convex_hull_set, hull_deficit
-from .means import MeanParams, _mean, p_mean_arr
+from .means import MeanParams, p_mean_arr
 from .supconv import _crop, _overlap_counts, minkowski_combination, sup_convolution
 
 __all__ = [
@@ -249,55 +249,41 @@ def level_diagnostics(
     knots.update(np.asarray(_pl_inverse(kf, cf, cg)).tolist())
     maxf = fn.max()
     hvals = np.unique(hn.values[hn.values > 0])
+    top = p_mean_arr(lam, p, maxf, T(maxf))
+    knots.update(_mean_knots(lam, p, T, maxf, hvals[hvals < top]).tolist())
+    knots = np.array(sorted(k for k in knots if 0.0 <= k <= maxf))  # kf[0] = 0
 
-    def mt(t):
-        return _mean(lam, p, t, float(T(t))) if t > 0 else 0.0
-
-    knots.update(_mean_knots(lam, p, T, maxf, hvals[hvals < mt(maxf)]).tolist())
-    knots = np.array(sorted(k for k in knots if 0.0 <= k <= maxf))
-    if knots[0] > 0.0:
-        knots = np.concatenate(([0.0], knots))
+    # per interval: midpoint t, s = T(t), M(t, s), |F_t|, |G_s| and criterion 3's mean
+    tms = 0.5 * (knots[:-1] + knots[1:])
+    ss = T(tms)
+    us = p_mean_arr(lam, p, tms, ss)
+    sf, sg = np.sort(fn.values, axis=None), np.sort(gn.values, axis=None)
+    mFs = (sf.size - np.searchsorted(sf, tms, side="right")) * fn.cell_volume
+    mGs = (sg.size - np.searchsorted(sg, ss, side="right")) * gn.cell_volume
+    means3 = p_mean_arr(lam, 1.0 / n, mFs, mGs)
 
     masses = np.zeros(5)
     gap_integral = 0.0
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        dt = t1 - t0
-        if dt <= 0:
+    for dt, tm, s, u, mF, mG, m3 in zip(np.diff(knots), tms, ss, us, mFs, mGs, means3):
+        if mF == 0:  # knots are distinct, but a midpoint can round onto max(fn)
             continue
-        tm = 0.5 * (t0 + t1)
         F = level_set(fn, tm)
-        if F.cell_count == 0:
-            continue
-        s = float(T(tm))
         G = level_set(gn, s)
-        u = mt(tm)
         H = level_set(hn, u)
-        mF, mG = F.measure, G.measure
-        weight = mF * dt
-
-        bad = [False] * 5
-        dT = mF / mG if mG > 0 else np.inf
-        bad[0] = not (1.0 - alpha <= dT <= 1.0 + alpha)
         hdF = hull_deficit(F)
         hdG = hull_deficit(G) if G.cell_count else 0.0
-        bad[1] = hdF >= alpha or hdG >= alpha
-        if G.cell_count:
-            mink = minkowski_combination(F, G, params.lam_fraction).measure
-            bad[2] = mink >= (1.0 + alpha) * _mean(lam, 1.0 / n, mF, mG)
-        else:
-            bad[2] = True
-        if H.cell_count:
-            bad[3] = _min_shift_symdiff(F, H) >= alpha * mF
-        else:
-            bad[3] = True
-        if G.cell_count:
-            bad[4] = _min_shift_symdiff(convex_hull_set(F), convex_hull_set(G)) >= alpha * mF
-        else:
-            bad[4] = True
-
-        for k in range(5):
-            if bad[k]:
-                masses[k] += weight
+        # an empty G or H fails the criteria that need it
+        bad = [
+            not (mG > 0 and 1.0 - alpha <= mF / mG <= 1.0 + alpha),
+            hdF >= alpha or hdG >= alpha,
+            not G.cell_count
+            or minkowski_combination(F, G, params.lam_fraction).measure >= (1.0 + alpha) * m3,
+            not H.cell_count or _min_shift_symdiff(F, H) >= alpha * mF,
+            not G.cell_count
+            or _min_shift_symdiff(convex_hull_set(F), convex_hull_set(G)) >= alpha * mF,
+        ]
+        for k in np.flatnonzero(bad):
+            masses[k] += mF * dt
         if not any(bad):
             gap_integral += (hdF * mF + hdG * mG) * dt
 

@@ -332,6 +332,14 @@ class TestHull1D:
         with pytest.raises(Exception):
             p_concave_hull(z, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lift_beyond_float_range(self):
+        """1e200 at p = 2: f^p overflows, f / sigma does not.  The middle
+        cell of [1, 0, 1e200] takes ((1 + 1e400) / 2)^(1/2)."""
+        f = GridFunction(1, (0.0,), 1.0, np.array([1.0, 0.0, 1e200]))
+        hull = p_concave_hull(f, 2.0).hull.values
+        assert hull == pytest.approx([1.0, 1e200 * math.sqrt(0.5), 1e200], rel=1e-12)
+
 
 class TestHull2D:
     def _lp_oracle(self, f, p):
@@ -429,6 +437,18 @@ class TestHull2D:
             assert np.all(res.hull.values >= f.values - 1e-12)
             assert bool(is_p_concave(res.hull, p, 1e-9))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lift_beyond_float_range(self):
+        """1e200 at p = 2 on one corner of a 3x3 square, 1 on the others:
+        the centre lies on the diagonal from the 1e200 corner, so it takes
+        ((1e400 + 1) / 2)^(1/2), though 1e200^2 overflows."""
+        vals = np.zeros((3, 3))
+        vals[::2, ::2] = 1.0
+        vals[0, 0] = 1e200
+        res = p_concave_hull(GridFunction(2, (0.0, 0.0), 1.0, vals), 2.0)
+        assert res.hull.values[1, 1] == pytest.approx(1e200 * math.sqrt(0.5), rel=1e-12)
+        assert np.all(np.isfinite(res.hull.values)) and np.all(res.hull.values >= vals)
+
 
 class TestIsPConcave:
     def test_indicator_any_p(self):
@@ -459,7 +479,7 @@ class TestIsPConcave:
         # p <= -1 is outside the kernel's parameters: every cell is suspect
         cases += [(f, -1.5) for f in concavity_corpus(rng, dim, 0.0)[:6]]
         if dim == 1 and p == 1.0:
-            # the mean overflows: the scan reports inf
+            # y/x overflows, the mean does not
             cases.append((GridFunction(1, (0.0,), 1.0, np.array([1e-300, 1.0, 1e300])), p))
         wide = 0
         for f, q in cases:
@@ -470,7 +490,7 @@ class TestIsPConcave:
             wide += not _margin_covers(f.values[f.values > 0], q)
         assert wide >= 3
         if dim == 1 and p == 1.0:
-            assert got.worst_gap == math.inf and got.witness == (0.5, 2.5, 1.5)
+            assert got.worst_gap == 5e299 and got.witness == (0.5, 2.5, 1.5)
 
     def test_tie_takes_first_pair(self, monkeypatch, rng):
         f = GridFunction(1, (0.0,), 1.0, np.array([1.0, 0.0, 1.0, 0.0, 1.0]))

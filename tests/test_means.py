@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,13 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bblab import (
+    GridFunction,
     MeanParams,
     check_holder_derivative,
     check_pq_switch,
     exponent_map,
+    p_concave_hull,
     p_mean,
     p_mean_arr,
+    sup_convolution,
 )
+from conftest import random_blob_2d
+
+# an overflow inside a mean fails the test instead of passing as inf
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def mean_reference(lam: float, p: float, x: float, y: float) -> float:
+    """M_{lam,p}(x, y) of positive x, y in 80-digit decimal arithmetic.
+
+    ln M = ln(lam e^(pa) + (1-lam) e^(pb)) / p with a = ln x, b = ln y; for
+    |p| < 1e-25 its expansion lam a + (1-lam) b + p lam (1-lam) (a-b)^2 / 2,
+    whose next term is below 1e-40.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        w, a, b, P = Decimal(lam), Decimal(x).ln(), Decimal(y).ln(), Decimal(p)
+        if abs(p) < 1e-25:
+            ln_m = w * a + (1 - w) * b + P * w * (1 - w) * (a - b) ** 2 / 2
+        else:
+            ln_m = (w * (P * a).exp() + (1 - w) * (P * b).exp()).ln() / P
+        return float(ln_m.exp())
 
 
 def test_param_validation():
@@ -75,6 +101,18 @@ class TestPMean:
             g = p_mean((lam, 0.0), x, y)
             for p in (1e-8, -1e-8):
                 assert abs(p_mean((lam, p), x, y) - g) <= 1e-6 * max(x, y)
+
+    def test_ratio_beyond_float_range(self):
+        """Means whose ratio y/x or (y/x)^p overflows a float."""
+        assert p_mean_arr(0.5, 1.0, 1e-300, 1e300) == 5e299
+        assert p_mean((0.5, 1.0), 1e-300, 1e300) == 5e299
+        assert p_mean_arr(0.5, 2.0, 1e-160, 1.0) == pytest.approx(0.7071067811865476, rel=1e-15)
+        # 1e-300 scales below the float range here, and still counts
+        assert p_mean_arr(0.5, 3.0, 1e-300, 1e300) == pytest.approx(1e300 * 0.5 ** (1 / 3))
+        # the geometric mean of values 2^1993 apart
+        assert p_mean((0.5, 0.0), 1e-300, 1e300) == pytest.approx(1.0)
+        # the smaller value decides a mean at p < 0, so it sets the scale
+        assert p_mean((0.5, -3.0), 1e-200, 1e200) == pytest.approx(1e-200 * 2.0 ** (1 / 3))
 
     def test_array_matches_scalar(self, rng):
         xs = rng.uniform(0.0, 5.0, size=50)
@@ -161,3 +199,30 @@ def test_hypothesis_monotone_and_bounds(x, y, lam, p, q_shift):
     assert min(x, y) - 1e-12 * max(x, y) <= mid <= max(x, y) * (1 + 1e-12)
     hi = p_mean((lam, p + q_shift), x, y)
     assert mid <= hi + 1e-11 * max(1.0, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(1e-300, 1e300),
+    y=st.floats(1e-300, 1e300),
+    lam=st.floats(0.01, 0.5),
+    p=st.floats(-0.9, 3.0),
+)
+def test_hypothesis_matches_decimal_reference(x, y, lam, p):
+    ref = mean_reference(lam, p, x, y)
+    assert p_mean_arr(lam, p, x, y) == pytest.approx(ref, rel=1e-11)
+    assert p_mean((lam, p), x, y) == pytest.approx(ref, rel=1e-11)
+
+
+@pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-320, 1e-300])
+def test_tiny_p_matches_geometric(p, rng):
+    """At |p| so small that p log x underflows, the means, the
+    sup-convolution and the hull are those of p = 0."""
+    xs, ys = 10.0 ** rng.uniform(-5, 5, size=(2, 200))
+    assert p_mean_arr(0.3, p, xs, ys) == pytest.approx(p_mean_arr(0.3, 0.0, xs, ys), rel=1e-12)
+    f1 = GridFunction(1, (0.0,), 1.0, np.array([0.5, 1.0, 0.25, 0.8]))
+    for f in (f1, random_blob_2d(rng, n=8)):
+        got, ref = (sup_convolution(f, f, MeanParams(Fraction(1, 2), q)).values for q in (p, 0.0))
+        assert got == pytest.approx(ref, rel=1e-12)
+        got, ref = (p_concave_hull(f, q).hull.values for q in (p, 0.0))
+        assert got == pytest.approx(ref, rel=1e-12)

@@ -184,6 +184,18 @@ class TestDiagnostics:
         # which is bounded below by hole measure x height range of the hole
         assert rep.masses[1] >= hole * 1.0 - 1e-9
 
+    def test_minkowski_criterion_uses_both_measures(self):
+        """F_t = [0, 1] u [2, 3] and G_s = [0, 4] at every height: the
+        Minkowski half-sum has measure 3.5 against M_{1/2,1}(2, 4) = 3, so
+        criterion 3 holds its whole mass at alpha = 0.1 (and none if the
+        mean were taken of |G_s| twice: 3.5 < 1.1 * 4)."""
+        vals = np.ones(30)
+        vals[10:20] = 0.0
+        f = GridFunction(1, (0.0,), 0.1, vals)
+        g = GridFunction(1, (0.0,), 0.1, np.full(40, 0.5))
+        rep = level_diagnostics(f, g, None, HALF0, alpha=0.1)
+        assert rep.masses[2] == pytest.approx(1.0, rel=1e-12)
+
     def test_translate_criteria_insensitive(self):
         base = indicator(0.0, 1.0, 0.01)
         f = gen_dented(base, [(0.45, 0.1, 1.0)])
@@ -218,7 +230,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("p", [-0.25, 0.0, 0.5, 1.0])
     def test_mean_knots_match_scalar_bisection(self, p):
         """The vectorized bisection evaluates M with p_mean_arr, the scalar
-        one with _mean, which differ by a few ulps, and so do the knots."""
+        one with _mean, its scalar wrapper: the knots are identical."""
         f, g = bump_pair(500)
         params = MeanParams(Fraction(1, 2), p)
         fn, gn = normalize(f), normalize(g)
@@ -229,7 +241,7 @@ class TestDiagnostics:
         assert len(u) > 400
         got = _mean_knots(0.5, p, T, fn.max(), u)
         ref = mean_knots_oracle(0.5, p, T, fn.max(), u)
-        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
     def test_masses_match_scalar_bisection(self, p, monkeypatch):
