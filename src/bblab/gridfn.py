@@ -256,12 +256,8 @@ def normalize(f: GridFunction) -> GridFunction:
 def restrict(f: GridFunction, s) -> GridFunction:
     """f * 1_S for a LevelSet or boolean mask on the same grid."""
     if isinstance(s, LevelSet):
-        if s.dim != f.dim or s.mask.shape != f.shape:
+        if any(_offset_cells(f, s)) or s.mask.shape != f.shape:
             raise GeometryMismatchError("level set does not match the grid")
-        if abs(s.spacing - f.spacing) > 1e-9 * f.spacing or any(
-            abs(a - b) > 1e-9 * f.spacing for a, b in zip(s.origin, f.origin)
-        ):
-            raise GeometryMismatchError("level set geometry differs from the grid")
         mask = s.mask
     else:
         mask = np.asarray(s, dtype=bool)

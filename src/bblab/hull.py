@@ -5,15 +5,17 @@ increasing lift of means._lift (log f at p = 0, sign(p) f^p, or its
 Box-Cox form for small |p|), under which p-concavity is concavity, taking
 the upper concave envelope of the lifted cloud, and mapping back.  The
 lift is of f / 2^e (means._scale_exp), so it cannot overflow.  Hull
-combinatorics are exact: cell indices are integers and every float lift is
-an exact rational.  In 1-D the chain runs on Fractions.
-In 2-D the gift wrap evaluates its orientation predicates in float, for all
-points at once, with a rigorous error bound (a filter in the manner of
-Shewchuk's adaptive predicates), and falls back to Fractions only for the
-signs the bound leaves in doubt; its facets are those of an all-Fraction
-wrap, in the same order.  Zero cells never enter the envelope (their lift
-is -inf); the envelope is then evaluated on every cell of the convex hull
-of the support, which is exactly the domain where co_p is defined here.
+combinatorics are exact: cell indices are integers, and the exact
+predicates run on the float lifts times one power of two 2^K, as Python
+integers (_dyadic_ints); the signs do not change, and planes are divided
+by 2^K at the end.  In 2-D the gift wrap evaluates its orientation
+predicates in float, for all points at once, with a rigorous error bound
+(a filter in the manner of Shewchuk's adaptive predicates), and falls back
+to the exact predicate only for the signs the bound leaves in doubt; its
+facets are those of an all-Fraction wrap, in the same order.  Zero cells
+never enter the envelope (their lift is -inf); the envelope is then
+evaluated on every cell of the convex hull of the support, which is
+exactly the domain where co_p is defined here.
 
 The midpoint test is_p_concave (dims 1 and 2) gives the report of a scan
 of every pair of positive cells, but scans only where a filter cannot
@@ -37,7 +39,7 @@ from scipy.integrate import quad
 
 from .gridfn import GridFunction, LevelSet, ZeroMassError, _cell_centers, integral, level_set
 from .means import _SMALL_P, MeanParams, _lift, _scale_exp, _unlift, p_mean_arr
-from .supconv import _MARGIN, _bounding_box, _lattice_sums, _margin_covers, _progression_pairs
+from .supconv import _MARGIN, _crop, _lattice_sums, _margin_covers, _progression_pairs
 
 __all__ = [
     "PPlane",
@@ -88,6 +90,21 @@ def _pplane(f: GridFunction, p: float, e: int, coef, const) -> PPlane:
     return PPlane(p, tuple(a / f.spacing for a in y), d)
 
 
+def _dyadic_ints(w: np.ndarray):
+    """(ints, K): every float of w times 2^K as a Python integer, for the
+    least K >= 0 that makes them all integers.  The chain and orientation
+    tests below are homogeneous in the lifts, so they give the same signs
+    on these integers as on the floats, without a Fraction."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(w, dtype=float).tolist()]
+    K = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return [m << (K - d.bit_length() + 1) for m, d in ratios], K
+
+
+def _unscale(planes: list, K: int) -> list:
+    """Planes of the lifts times 2^K as Fraction planes of the lifts."""
+    return [tuple(Fraction(c) / (1 << K) for c in plane) for plane in planes]
+
+
 # --------------------------------------------------------------------------
 # exact 1-D upper concave chain on (integer index, rational value) points
 
@@ -133,9 +150,9 @@ def _convex_hull_2d(points: np.ndarray) -> list:
     return lower[:-1] + upper[:-1]
 
 
-def _orient_above(P, Q, C, D) -> Fraction:
-    """det[[Q-P],[C-P],[D-P]]; positive = D above plane(P,Q,C) when (P,Q,C)
-    is CCW in the xy projection."""
+def _orient_above(P, Q, C, D):
+    """det[[Q-P],[C-P],[D-P]], exact on integers or Fractions; positive = D
+    above plane(P,Q,C) when (P,Q,C) is CCW in the xy projection."""
     a1, a2, a3 = Q[0] - P[0], Q[1] - P[1], Q[2] - P[2]
     b1, b2, b3 = C[0] - P[0], C[1] - P[1], C[2] - P[2]
     c1, c2, c3 = D[0] - P[0], D[1] - P[1], D[2] - P[2]
@@ -240,8 +257,8 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
     to each later candidate strictly above plane(P, Q, C).
 
     Filter: every predicate is first evaluated in float for all points at
-    once, with the bound e of _orient_filter, and the exact Fraction
-    predicate runs only where the float sign is in doubt.
+    once, with the bound e of _orient_filter, and the exact predicate, on
+    the integers of _dyadic_ints, runs only where the float sign is in doubt.
     - Choosing C: s is computed as o/k (k = cross(P, Q, D) >= 1), with
       e_s = e/k + _TINY.  The quotient adds u*|o|/k <= u*m/k, or _TINY/2
       if it underflows, to the 4.01u*m/k error of o/k.  e_s covers that:
@@ -259,17 +276,12 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
     Y = idx[:, 1].astype(np.int64)
     W = np.asarray(w, dtype=float)
     n = len(W)
-    exact = {}
-
-    def pt(k):
-        k = int(k)
-        if k not in exact:
-            exact[k] = (int(X[k]), int(Y[k]), Fraction(float(W[k])))
-        return exact[k]
+    ints, K = _dyadic_ints(W)
+    pts = list(zip(X.tolist(), Y.tolist(), ints))
 
     hull_xy = _convex_hull_2d(idx)
     if len(hull_xy) <= 2:
-        return _collinear_envelope_2d([pt(k) for k in range(n)])
+        return _unscale(_collinear_envelope_2d(pts), K)
 
     planes = []
     seen = set()
@@ -281,7 +293,7 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
         on_line = (X - U[0]) * uy == (Y - U[1]) * ux
         on = np.flatnonzero(on_line & (t >= 0) & (t <= ux * ux + uy * uy))
         on = on[np.argsort(t[on])]
-        chain = _upper_chain(t[on], [pt(k)[2] for k in on])
+        chain = _upper_chain(t[on], [pts[k][2] for k in on])
         keep = {int(c[0]) for c in chain}
         verts = [int(k) for k in on if t[k] in keep]
         queue.extend(zip(verts[:-1], verts[1:]))
@@ -308,20 +320,20 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
         top = cand[hi >= lo.max()]
         C = int(top[0])
         for D in top[1:]:
-            if _orient_above(pt(P), pt(Q), pt(C), pt(D)) > 0:
+            if _orient_above(pts[P], pts[Q], pts[C], pts[D]) > 0:
                 C = int(D)
         o, e = _orient_filter(X, Y, W, P, Q, C, cross)
         doubt = ~(o < -e)
         doubt[[P, Q, C]] = False
         for D in np.flatnonzero(doubt):
-            if _orient_above(pt(P), pt(Q), pt(C), pt(D)) > 0:
+            if _orient_above(pts[P], pts[Q], pts[C], pts[D]) > 0:
                 raise RuntimeError("hull wrap produced a non-supporting facet")
-        planes.append(_plane_through(pt(P), pt(Q), pt(C)))
+        planes.append(_plane_through(pts[P], pts[Q], pts[C]))
         seen.update(((P, Q), (Q, C), (C, P)))
         for E in ((C, Q), (P, C)):
             if E not in seen:
                 queue.append(E)
-    return planes
+    return _unscale(planes, K)
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +362,8 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
     e = int(_scale_exp(f.max(), f.values[f.values > 0].min(), p))
     if f.dim == 1:
         idx = np.flatnonzero(f.values > 0)
-        chain = _upper_chain(idx, [Fraction(x) for x in _lift(f.values[idx], p, e).tolist()])
+        ints, K = _dyadic_ints(_lift(f.values[idx], p, e))
+        chain = [(x, Fraction(w, 1 << K)) for x, w in _upper_chain(idx, ints)]
         domain = np.arange(idx.min(), idx.max() + 1)
         xs = [float(x) for x, _ in chain]
         ws = [float(v) for _, v in chain]
@@ -439,11 +452,10 @@ def is_p_concave(f: GridFunction, p: float, tol: float = 1e-9) -> PConcavityRepo
     """
     if f.dim not in (1, 2):
         raise ValueError("is_p_concave supports dim 1 and 2")
-    box = _bounding_box(f.values)
-    if box is None:
+    cropped = _crop(f.values)
+    if cropped is None:
         return PConcavityReport(True, 0.0, None)
-    lo, hi = box
-    fv = f.values[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
+    fv, lo = cropped
     # MeanParams takes p in (-1, inf) at n = 1
     if -1.0 < p < math.inf and _margin_covers(fv[fv > 0], p):
         suspect = np.argwhere(_midpoint_means(fv, p) * (1.0 + _MARGIN) > fv)

@@ -9,9 +9,9 @@ combined certificate chains the two through k = min(f, translated g).
 Shaving maximizes
     integral(M*(f,f) - M*(f',f')) - (1 + c) * integral(f - f')
 over f' = min(f, ell) by greedy ascent on a finite dictionary of p-concave
-caps: level caps, half-space cutoffs, and p-planes through pairs (1-D) or
-triples (2-D) of lifted support points of f.  A move is accepted only if it
-strictly increases the objective, so the invariant
+caps: level caps, half-space cutoffs, and p-planes through pairs of lifted
+support points (1-D) or unit lattice triangles of them (2-D, O(N) caps for
+N support cells).  A move is accepted only on strict gain, so the invariant
     removed <= delta * mass / c
 is inherited from objective(f) = 0.  In 1-D at lam = 1/2 the integral of
 M*(f', f') comes from f''s concave pieces: O(n) for one piece and a slope
@@ -38,11 +38,10 @@ from .gridfn import (
     normalize,
     translate,
 )
-from .hull import PPlane, p_concave_hull
+from .hull import _convex_hull_2d, p_concave_hull
 from .means import MeanParams, _lift, _unlift, exponent_map, p_mean_arr
-from .supconv import (_bounding_box, _crop, _fft_ns, _lam_ab, _overlap_counts,
-                      _scaled_lifts, _sup_cells, _unlift_cells, deficit, sup_convolution,
-                      verify_bbl_hypothesis)
+from .supconv import (_crop, _fft_ns, _lam_ab, _overlap_counts, _scaled_lifts, _sup_cells,
+                      _unlift_cells, deficit, sup_convolution, verify_bbl_hypothesis)
 
 __all__ = [
     "StabilityReport",
@@ -354,72 +353,65 @@ def _shave_candidates_1d(f: GridFunction, p: float) -> list:
 
 
 def _shave_candidates_2d(f: GridFunction, p: float) -> list:
+    """Dictionary descriptors in a fixed order, O(N) of them for N support
+    cells: level caps (descending); half-planes ("halfplane", n0, n1, c),
+    keeping n0*i + n1*j + c >= 0, on both sides of each distinct line
+    through a support cell along (1, 0), (0, 1), (1, 1), (1, -1) and the
+    edges of the support's convex hull, by direction, then offset; and
+    ("plane", alpha, beta, gamma) through the lifts w of each unit lattice
+    triangle of positive cells, two per unit square, the first of equal
+    keys.  No hull facet is a candidate: its plane dominates every lifted
+    point, so min(cur, ell) = cur."""
     vals = f.values
-    sup = np.argwhere(vals > 0)
-    cands: list[tuple] = []
-    for t in np.unique(vals[vals > 0])[:-1][::-1]:
-        cands.append(("cap", float(t)))
-    for a in range(len(sup)):
-        for b in range(a + 1, len(sup)):
-            A, B = sup[a], sup[b]
-            d0, d1 = int(B[0] - A[0]), int(B[1] - A[1])
-            cands.append(("halfplane", (int(A[0]), int(A[1])), (d0, d1), 1))
-            cands.append(("halfplane", (int(A[0]), int(A[1])), (d0, d1), -1))
-    w = _lift(vals, p)[tuple(sup.T)]
-    seen = set()
-    # exhaustive triples at desk scale; beyond that restrict to the lifted
-    # hull facets, which contain every supporting plane the ascent can use
-    if len(sup) <= 48:
-        triples = [
-            (a, b, cc)
-            for a in range(len(sup))
-            for b in range(a + 1, len(sup))
-            for cc in range(b + 1, len(sup))
-        ]
-    else:
-        hull = p_concave_hull(f, p)
-        triples = []
-        cands.extend(("pplane", fac) for fac in hull.facets)
-    for a, b, cc in triples:
-        A, B, C = sup[a], sup[b], sup[cc]
-        det = (B[0] - A[0]) * (C[1] - A[1]) - (B[1] - A[1]) * (C[0] - A[0])
-        if det == 0:
-            continue
-        mread = np.array(
-            [[B[0] - A[0], B[1] - A[1]], [C[0] - A[0], C[1] - A[1]]], dtype=float
-        )
-        coef = np.linalg.solve(mread, np.array([w[b] - w[a], w[cc] - w[a]]))
-        q = w[a] - coef[0] * A[0] - coef[1] * A[1]
-        key = (coef[0], coef[1], q)
-        if key not in seen:
-            seen.add(key)
-            cands.append(("plane", float(coef[0]), float(coef[1]), float(q)))
+    pos = vals > 0
+    sup = np.argwhere(pos)
+    cands: list[tuple] = [("cap", float(t)) for t in np.unique(vals[pos])[:-1][::-1]]
+    dirs = {(1, 0): None, (0, 1): None, (1, 1): None, (1, -1): None}
+    hull_xy = _convex_hull_2d(sup)
+    for (a0, a1), (b0, b1) in zip(hull_xy, hull_xy[1:] + hull_xy[:1]):
+        g = math.gcd(b0 - a0, b1 - a1) * (1 if (b0, b1) > (a0, a1) else -1)
+        if g:  # primitive, first nonzero component positive
+            dirs[(b0 - a0) // g, (b1 - a1) // g] = None
+    for d0, d1 in dirs:
+        for c in np.unique(sup @ (d1, -d0)).tolist():
+            cands += [("halfplane", d1, -d0, -c), ("halfplane", -d1, d0, c)]
+    # the triangle with corner (i + t, j + t) and legs s = 1 - 2t along
+    # each axis, t = 0 and 1, so that its plane has slopes
+    # alpha = s (w(i + t + s, j + t) - w(i + t, j + t)), beta likewise
+    w = _lift(vals, p)
+    tri = np.stack([pos[:-1, :-1] & pos[1:, :-1] & pos[:-1, 1:],
+                    pos[1:, 1:] & pos[:-1, 1:] & pos[1:, :-1]], axis=-1)
+    i, j, t = np.nonzero(tri)
+    i, j, s = i + t, j + t, 1 - 2 * t
+    alpha = s * (w[i + s, j] - w[i, j]) + 0.0  # + 0.0: -0.0 and 0.0 are one key
+    beta = s * (w[i, j + s] - w[i, j]) + 0.0
+    gamma = w[i, j] - alpha * i - beta * j + 0.0
+    cands += [("plane",) + key for key in dict.fromkeys(zip(alpha.tolist(), beta.tolist(),
+                                                           gamma.tolist()))]
     return cands
 
 
 def _materialize(cands: list, shape: tuple, p: float) -> np.ndarray:
     """The caps ell of dictionary descriptors on f's grid (f' = min(f, ell)),
-    one row per descriptor; the p-planes are unlifted in one call."""
+    one row per descriptor.  p-planes and half-planes are linear forms
+    (kind, coefficient per axis..., constant) in the cell index, each kind
+    evaluated in one pass: a p-plane is unlifted, a half-plane keeps the
+    cells where its form is >= 0."""
     idx = np.indices(shape)
     out = np.empty((len(cands),) + shape)
-    planes = [k for k, cand in enumerate(cands) if cand[0] == "plane"]
-    if planes:
-        # ("plane", slope per axis..., offset) on the lift scale
-        coef = np.array([cands[k][1:] for k in planes])[(...,) + (None,) * len(shape)]
-        w = coef[:, 0] * idx[0]
-        for d in range(1, len(shape)):
-            w = w + coef[:, d] * idx[d]
-        out[planes] = _unlift(w + coef[:, -1], p)
+    for kind in ("plane", "halfplane"):
+        ks = [k for k, cand in enumerate(cands) if cand[0] == kind]
+        if ks:
+            coef = np.array([cands[k][1:] for k in ks], dtype=float)[(...,) + (None,) * len(shape)]
+            form = coef[:, 0] * idx[0]
+            for d in range(1, len(shape)):
+                form = form + coef[:, d] * idx[d]
+            form = form + coef[:, -1]
+            out[ks] = _unlift(form, p) if kind == "plane" else np.where(form >= 0, np.inf, 0.0)
     for k, cand in enumerate(cands):
         kind = cand[0]
         if kind == "cap":
             out[k] = cand[1]
-        elif kind == "pplane":
-            # facet planes are stored in position space; unused at desk scale
-            raise NotImplementedError("hull-facet candidates need position eval")
-        elif kind == "halfplane":
-            _, (a0, a1), (d0, d1), side = cand
-            out[k] = np.where(side * ((idx[0] - a0) * d1 - (idx[1] - a1) * d0) >= 0, np.inf, 0.0)
         elif kind == "cutL":  # keep the cells left of cand[1], inclusive
             out[k] = np.where(idx[0] <= cand[1], np.inf, 0.0)
         elif kind == "cutR":
@@ -440,7 +432,9 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     (_self_sup_integrals_1d): one piece by the balanced-pair formula,
     several by a slope merge per pair of pieces, while the cost rule finds
     that cheaper than the max-plus kernel; every other state (many pieces,
-    2-D, lam != 1/2) takes supconv._sup_cells.
+    2-D, lam != 1/2) takes supconv._sup_cells.  The dictionary
+    (_shave_candidates_1d, _shave_candidates_2d) decides the quality of f'
+    only: any dictionary keeps removed <= delta * mass / c.
     """
     if c is None:
         c = 0.1 * params.lam_float
@@ -473,11 +467,11 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
         if len(rest) == 0:
             return out
         sub = states[rest]
-        box = _bounding_box(sub.max(axis=0))
-        if box is None:
+        cropped = _crop(sub, sub.max(axis=0))
+        if cropped is None:
             out[rest] = 0.0
             return out
-        sub = sub[(slice(None),) + tuple(slice(l, h + 1) for l, h in zip(*box))]
+        sub = cropped[0]
         cells = _sup_cells(sub, sub, params, base, sub.shape[1:], sym=lam_is_half)
         out[rest] = cells.reshape(len(rest), -1).sum(axis=1) * cv
         return out

@@ -127,12 +127,13 @@ def _bounding_box(values: np.ndarray):
     return pos.min(axis=0), pos.max(axis=0)
 
 
-def _crop(mask: np.ndarray):
-    """(mask on the bounding box of its set cells, the box's low corner), or None."""
-    box = _bounding_box(mask)
+def _crop(a: np.ndarray, of: np.ndarray | None = None):
+    """(a on the bounding box of the positive cells of `of`, a itself by
+    default, over its trailing axes; the box's low corner), or None."""
+    box = _bounding_box(a if of is None else of)
     if box is None:
         return None
-    return mask[tuple(slice(lo, hi + 1) for lo, hi in zip(*box))], box[0]
+    return a[(...,) + tuple(slice(lo, hi + 1) for lo, hi in zip(*box))], box[0]
 
 
 # Padded FFT sizes up to this many points are proven exact in _overlap_counts;
@@ -281,17 +282,14 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
     a, b = _lam_ab(params)
     off_g = _offset_cells(f, g)
 
-    box_f = _bounding_box(f.values)
-    box_g = _bounding_box(g.values)
-    if box_f is None or box_g is None:
+    cf, cg = _crop(f.values), _crop(g.values)
+    if cf is None or cg is None:
         return GridFunction(f.dim, f.origin, f.spacing, np.zeros((1,) * f.dim))
 
-    (flo, fhi), (glo, ghi) = box_f, box_g
+    (fv, flo), (gv, glo) = cf, cg
     s_lo = a * flo + (b - a) * (glo + off_g)
     k_lo = _snap(s_lo, b)
-    k_hi = _snap(a * fhi + (b - a) * (ghi + off_g), b)
-    fv = f.values[tuple(slice(l, h + 1) for l, h in zip(flo, fhi))]
-    gv = g.values[tuple(slice(l, h + 1) for l, h in zip(glo, ghi))]
+    k_hi = _snap(s_lo + a * (np.array(fv.shape) - 1) + (b - a) * (np.array(gv.shape) - 1), b)
     # cell k collects s in [b*k - b//2, b*k - b//2 + b)
     out = _sup_cells(fv[None], gv[None], params, s_lo - (b * k_lo - b // 2),
                      tuple(int(n) for n in k_hi - k_lo + 1), sym=f is g and 2 * a == b)[0]

@@ -74,6 +74,23 @@ def test_certify_main(files):
     assert rc == 0
 
 
+def test_certify_main_2d_above_48_cells(tmp_path):
+    """The bench's 49-cell pair of 7 x 7 Gaussians against h = M*."""
+    x = (np.arange(7) + 0.5) * 0.2 - 0.7
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    f, g = (GridFunction(2, (-0.7, -0.7), 0.2, np.exp(-r2 / (2.0 * s * s))) for s in (0.4, 0.5))
+    h = sup_convolution(f, g, MeanParams(0.5, 0.0, n=2))
+    paths = [tmp_path / name for name in ("f.gfn", "g.gfn", "h.gfn")]
+    for fn, path in zip((f, g, h), paths):
+        dump_gfn(fn, path)
+    out = tmp_path / "main.csv"
+    rc = main(["certify-main", "--f", str(paths[0]), "--g", str(paths[1]), "--h", str(paths[2]),
+               "--lambda", "1/2", "--p", "0", "--report", str(out)])
+    assert rc == 0
+    header, line = out.read_text().splitlines()
+    assert np.isfinite(float(dict(zip(header.split(","), line.split(",")))["ratio_main"]))
+
+
 def test_certify_flags_invalid_h(files):
     tmp, pf, pg, _ = files
     f = load_gfn(pf)

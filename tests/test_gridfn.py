@@ -4,6 +4,7 @@ import pytest
 from bblab import (
     GeometryMismatchError,
     GridFunction,
+    LevelSet,
     ZeroMassError,
     cap,
     dump_gfn,
@@ -189,6 +190,16 @@ class TestTranslateCapNormalizeRestrict:
         a = integral(restrict(f, s))
         b = integral(restrict(f, ~s.mask))
         assert a + b == pytest.approx(integral(f), rel=1e-12)
+
+    def test_restrict_rejects_other_grids(self, rng):
+        """A level set one cell off the grid, or of another shape, raises."""
+        f = random_staircase(rng, n_min=8)
+        s = level_set(f, 0.0)
+        off = LevelSet(1, 0.0, s.mask, (f.origin[0] + f.spacing,), f.spacing)
+        short = LevelSet(1, 0.0, s.mask[:-1], f.origin, f.spacing)
+        for bad in (off, short):
+            with pytest.raises(GeometryMismatchError):
+                restrict(f, bad)
 
 
 class TestGfnFormat:

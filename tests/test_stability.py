@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -64,6 +65,36 @@ def shave_candidates_1d_oracle(f: GridFunction, p: float) -> list:
             if key not in seen:
                 seen.add(key)
                 cands.append(("plane", m, q))
+    return cands
+
+
+def shave_candidates_2d_oracle(f: GridFunction, p: float) -> list:
+    """Reference 2-D shaving dictionary, exhaustive and meant for at most
+    48 support cells: level caps (descending), both half-planes of the line
+    through each pair of support cells, then the p-plane through each
+    triple of lifted support points that is not collinear, in triple
+    order, keeping the first of equal coefficients."""
+    vals = f.values
+    sup = np.argwhere(vals > 0)
+    cands: list[tuple] = [("cap", float(t)) for t in np.unique(vals[vals > 0])[:-1][::-1]]
+    for a in range(len(sup)):
+        for b in range(a + 1, len(sup)):
+            (a0, a1), (b0, b1) = sup[a].tolist(), sup[b].tolist()
+            n0, n1 = b1 - a1, a0 - b0
+            for s in (1, -1):
+                cands.append(("halfplane", s * n0, s * n1, -s * (n0 * a0 + n1 * a1)))
+    w = _lift(vals, p)[tuple(sup.T)]
+    seen = set()
+    for a, b, c in itertools.combinations(range(len(sup)), 3):
+        A, B, C = sup[a], sup[b], sup[c]
+        if (B[0] - A[0]) * (C[1] - A[1]) == (B[1] - A[1]) * (C[0] - A[0]):
+            continue
+        coef = np.linalg.solve(np.array([B - A, C - A], dtype=float),
+                               np.array([w[b] - w[a], w[c] - w[a]]))
+        key = (float(coef[0]), float(coef[1]), float(w[a] - coef[0] * A[0] - coef[1] * A[1]))
+        if key not in seen:
+            seen.add(key)
+            cands.append(("plane",) + key)
     return cands
 
 
@@ -347,11 +378,10 @@ class TestShave:
         assert np.array_equal(fp.values, f.values)
 
     def test_removed_bounded_by_delta_over_c(self, rng):
-        # 1-D at lam = 1/2 and 1/3, and a 2-D blob of at most 48 cells
+        # 1-D at lam = 1/2 and 1/3, and 2-D blobs of 6 x 6 and 12 x 12 cells
         cases = [(random_staircase(rng), HALF0) for _ in range(10)]
         cases += [(random_staircase(rng), MeanParams(Fraction(1, 3), 0.0)) for _ in range(4)]
-        cases.append((random_blob_2d(rng, n=6), MeanParams(Fraction(1, 2), 0.0, n=2)))
-        assert (cases[-1][0].values > 0).sum() <= 48
+        cases += [(random_blob_2d(rng, n=n), MeanParams(Fraction(1, 2), 0.0, n=2)) for n in (6, 12)]
         for f, params in cases:
             h = sup_convolution(f, f, params)
             delta = integral(h) / integral(f) - 1.0
@@ -402,6 +432,75 @@ class TestShave:
         f = indicator(0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             shave(f, HALF0, c=1.5)
+
+
+def _two_bump_2d():
+    """A 3 x 3 unit block and, far from it, a 1 x 2 bump of height 1e-6."""
+    vals = np.zeros((3, 12))
+    vals[:, :3] = 1.0
+    vals[1, 10:] = 1e-6
+    return GridFunction(2, (0.0, 0.0), 0.1, vals)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestShave2D:
+    def test_quality_against_oracle(self, rng):
+        """The near-linear dictionary against the exhaustive one on inputs
+        of at most 48 support cells: the same states on Gaussians and the
+        two-bump, and at least 0.98 of the oracle's objective elsewhere."""
+        same = [_gaussian_2d(n, 0.2, sigma=0.5) for n in (4, 5, 6)] + [_two_bump_2d()]
+        other = [_gaussian_2d(4, 0.2, sigma=0.6)]
+        other += [random_blob_2d(rng, n=n) for n in (5, 6)]
+        other += [GridFunction(2, (0.0, 0.0), 0.1, rng.choice([0.0, 0.5, 1.0, 1.5], size=(5, 6)))
+                  for _ in range(2)]
+        for p in (-0.25, 0.0, 1.0):
+            params = MeanParams(Fraction(1, 2), p, n=2)
+            for k, f in enumerate(same + other):
+                assert 0 < (f.values > 0).sum() <= 48
+                fp, _, obj = shave(f, params)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(stability, "_shave_candidates_2d", shave_candidates_2d_oracle)
+                    ref_fp, _, ref_obj = shave(f, params)
+                if k < len(same):
+                    assert np.array_equal(fp.values, ref_fp.values), (p, k)
+                else:
+                    assert obj >= 0.98 * ref_obj, (p, k, obj, ref_obj)
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_certify_main_above_48_cells(self, n):
+        """The bench's 49-cell pair and a 144-cell pair, against h = M*."""
+        params = MeanParams(Fraction(1, 2), 0.0, n=2)
+        if n == 7:
+            f, g = _gaussian_2d(7, 0.2, sigma=0.4), _gaussian_2d(7, 0.2, sigma=0.5)
+        else:
+            f, g = _gaussian_2d(12, 0.2, sigma=0.5), _gaussian_2d(12, 0.2, 0.7, (0.1, -0.2))
+        rep = certify_main(f, g, sup_convolution(f, g, params), params)
+        assert math.isfinite(rep.ratio_main)
+        # the shave ran on k = min(f, shifted g) with the default c = lam / 10
+        vf, vg, origin, spacing = common_grid(f, translate(g, rep.best_shift))
+        k = GridFunction(2, origin, spacing, np.minimum(vf, vg))
+        delta_k = integral(sup_convolution(k, k, params)) / integral(k) - 1.0
+        assert rep.shave_removed <= delta_k * integral(k) / 0.05 + 1e-12
+        assert bool(is_p_concave(rep.witness, 0.0, 1e-9))
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    def test_two_bump_loses_far_bump(self, p):
+        f = _two_bump_2d()
+        fp, removed, _ = shave(f, MeanParams(Fraction(1, 2), p, n=2))
+        kept = f.values.copy()
+        kept[1, 10:] = 0.0
+        assert np.array_equal(fp.values, kept)
+        assert removed == pytest.approx(2e-6 * 0.01, abs=1e-15)
+
+    def test_dictionary_grows_near_linearly(self):
+        """On a 20 x 20 Gaussian: two half-planes per line through a cell
+        along (1, 0), (0, 1), (1, 1) and (1, -1) (the square's hull edges
+        add no direction), and at most two p-planes per unit square, against
+        2 C(400, 2) = 159600 half-planes in the pair dictionary."""
+        kinds = [c[0] for c in stability._shave_candidates_2d(_gaussian_2d(20, 0.1), 0.0)]
+        assert set(kinds) == {"cap", "halfplane", "plane"}
+        assert kinds.count("halfplane") == 2 * (20 + 20 + 39 + 39)
+        assert kinds.count("plane") <= 2 * 19 * 19
 
 
 def _pconcave_profile(p, m):
