@@ -209,9 +209,11 @@ _TINY = math.ulp(0.0)
 def _orient_filter(X, Y, W, P, Q, C, cross):
     """Float orient(P, Q, C, D) for every point D, with a bound on its error.
 
-    cross[D] must be cross(P, Q, D).  Returns (o, e) such that, wherever e is
-    finite, |o - orient| < e; so o < -e proves orient < 0.  (e is inf or nan
-    where the evaluation overflowed.)
+    cross[D] must be cross(P, Q, D).  Returns (o, e, flat) such that,
+    wherever e is finite, |o - orient| < e; so o < -e proves orient < 0.
+    (e is inf or nan where the evaluation overflowed.)  flat marks the
+    points where m = 0 below, at which orient = o = 0 exactly: D lies on
+    plane(P, Q, C).
 
     Proof.  Expanding the determinant along the lift column gives
         orient = k_ab*(w_D - w_P) - k_ac*(w_C - w_P) + k_bc*(w_Q - w_P),
@@ -235,8 +237,8 @@ def _orient_filter(X, Y, W, P, Q, C, cross):
     k_bc = bx * (Y - Y[P]) - by * (X - X[P])
     t1, t2, t3 = k_ab * (W - W[P]), cross * b3, k_bc * a3
     o = t1 - t2 + t3
-    e = (np.abs(t1) + np.abs(t2) + np.abs(t3)) * 2.0 ** -50 + _TINY
-    return o, e
+    m = np.abs(t1) + np.abs(t2) + np.abs(t3)
+    return o, m * 2.0 ** -50 + _TINY, m == 0.0
 
 
 def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
@@ -266,11 +268,14 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
       underflows (when it does not, 2.99u*m/k alone exceeds _TINY).  So
       s - e_s <= s_exact <= s + e_s, and monotone rounding keeps
       s + e_s >= max(s - e_s) true in float for every exact maximizer.  The
-      candidates that pass this test are scanned in order with the exact
-      predicate; usually there is one.
+      candidates that pass this test are scanned in order: D replaces C
+      when it lies above plane(P, Q, C), by the filter of that plane where
+      it decides (o > e, or o < -e, or a flat point, which lies on the
+      plane: a capped plateau makes many) and by the exact predicate
+      elsewhere.  Usually one candidate passes.
     - Checking the facet: the exact predicate runs on every point with
-      o >= -e (or an overflowed o) except P, Q and C, and any point above
-      the plane raises.
+      o >= -e (or an overflowed o) except P, Q, C and the flat points, which
+      lie on the plane, and any point above the plane raises.
     """
     X = idx[:, 0].astype(np.int64)
     Y = idx[:, 1].astype(np.int64)
@@ -311,7 +316,7 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
         cand = np.flatnonzero(cross > 0)
         if len(cand) == 0:
             continue
-        o, e = _orient_filter(X, Y, W, P, Q, cand[0], cross)
+        o, e, _ = _orient_filter(X, Y, W, P, Q, cand[0], cross)
         k = cross[cand]
         s, e_s = o[cand] / k, e[cand] / k + _TINY
         unsure = ~np.isfinite(e_s)
@@ -319,11 +324,13 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
         lo = np.where(unsure, -np.inf, s - e_s)
         top = cand[hi >= lo.max()]
         C = int(top[0])
+        o, e, flat = _orient_filter(X, Y, W, P, Q, C, cross)
         for D in top[1:]:
-            if _orient_above(pts[P], pts[Q], pts[C], pts[D]) > 0:
+            if o[D] > e[D] or not (o[D] < -e[D] or flat[D]) and (
+                    _orient_above(pts[P], pts[Q], pts[C], pts[D]) > 0):
                 C = int(D)
-        o, e = _orient_filter(X, Y, W, P, Q, C, cross)
-        doubt = ~(o < -e)
+                o, e, flat = _orient_filter(X, Y, W, P, Q, C, cross)
+        doubt = ~((o < -e) | flat)
         doubt[[P, Q, C]] = False
         for D in np.flatnonzero(doubt):
             if _orient_above(pts[P], pts[Q], pts[C], pts[D]) > 0:

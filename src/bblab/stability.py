@@ -9,22 +9,19 @@ combined certificate chains the two through k = min(f, translated g).
 Shaving maximizes
     integral(M*(f,f) - M*(f',f')) - (1 + c) * integral(f - f')
 over f' = min(f, ell) by greedy ascent on a finite dictionary of p-concave
-caps: level caps, half-space cutoffs, and p-planes through pairs of lifted
-support points (1-D) or unit lattice triangles of them (2-D, O(N) caps for
-N support cells).  A move is accepted only on strict gain, so the invariant
+caps, held as three blocks of arrays: levels, integer half-space forms,
+and lifted p-plane forms through pairs of support points (1-D) or unit
+lattice triangles of them (2-D, O(N) caps for N support cells).  A move is
+accepted only on strict gain, so the invariant
     removed <= delta * mass / c
-is inherited from objective(f) = 0.  In 1-D at lam = 1/2 the integral of
-M*(f', f') comes from f''s concave pieces: O(n) for one piece and a slope
-merge for each pair of pieces, so a state with a hole costs O(r n) for r
-pieces; the max-plus kernel supconv._sup_cells takes the rest.
+is inherited from objective(f) = 0.  integral(M*(f', f')) is
+supconv._self_sup_integrals times the cell volume.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,9 +36,9 @@ from .gridfn import (
     translate,
 )
 from .hull import _convex_hull_2d, p_concave_hull
-from .means import MeanParams, _lift, _unlift, exponent_map, p_mean_arr
-from .supconv import (_crop, _fft_ns, _lam_ab, _overlap_counts, _scaled_lifts, _sup_cells,
-                      _unlift_cells, deficit, sup_convolution, verify_bbl_hypothesis)
+from .means import MeanParams, _lift, _scale_exp, _unlift, exponent_map
+from .supconv import (_crop, _fft_ns, _overlap_counts, _self_sup_integrals, deficit,
+                      sup_convolution, verify_bbl_hypothesis)
 
 __all__ = [
     "StabilityReport",
@@ -204,177 +201,59 @@ def certify_symmetric_difference(
 # shaving
 
 
-def _pieces_cheaper(r: np.ndarray, live: np.ndarray, box: np.ndarray, n: int) -> np.ndarray:
-    """The cost rule between the piece path and _sup_cells, per row of n
-    cells with r concave pieces, this many positive cells and a support box
-    of this many cells.  The piece path costs about 60 ns per merged slope,
-    (r - 1) * live in all over the r(r - 1)/2 cross pairs, plus 60 ns per
-    cell of the row; _sup_cells costs about 4 ns per pair, about
-    live * box / 2 pairs (fitted on a 2-vCPU VM, numpy 2.4, rows of 50 to
-    800 cells, 2 to 16 pieces).  Either path gives M*(g, g) up to rounding,
-    so the rule moves time only."""
-    return 60.0 * ((r - 1) * live + n) < 2.0 * live * box
+def _first_rows(forms: np.ndarray) -> np.ndarray:
+    """The distinct rows of forms, each at its first occurrence, in order."""
+    return forms[np.sort(np.unique(forms, axis=0, return_index=True)[1])]
 
 
-def _self_sup_integrals_1d(rows: np.ndarray, params: MeanParams, cv: float):
-    """integral(M*(g, g)) for 1-D rows g at lam = 1/2, by concave pieces.
-
-    Each row's positive cells split into maximal runs on which the lift is
-    concave (second differences at most 1e-9 max|L|).  A run breaks at a
-    zero cell and at a kink, and the kink cell belongs to both runs, so
-    every pair of positive cells lies in some pair of pieces P <= Q.  The
-    pair maximizing the mean at a lattice sum within P + P is the balanced
-    one: the cell itself, or the adjacent pair.  On one piece this gives
-    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)), summed by one O(n) formula.
-    Within P + Q (P < Q), the max-plus convolution of two concave sequences
-    is a slope merge (Bussieck, Hassler, Woeginger and Zimmermann 1994):
-    the pair at sum p0 + q0 + t takes, of the t largest slopes of P and Q
-    together, those of P as steps in P and the rest in Q.  One stable
-    argsort per piece-pair slot, over the rows with that many pieces in
-    blocks, gives the pairs; each is then evaluated with _sup_cells'
-    arithmetic, so pieces whose lifts are exactly concave give _sup_cells'
-    cells.  This costs O(r n) per row of r pieces against about n^2 / 2
-    pairs in the kernel.  Returns (integrals, done); the rows that the cost
-    rule _pieces_cheaper leaves (many pieces) are for _sup_cells.
-    """
-    B, n = rows.shape
-    starts, ends = _concave_pieces(rows, params.p)
-    r = starts.sum(axis=1)
-    ints = np.zeros(B)
-    one = r <= 1
-    if one.any():
-        g = rows[one]
-        madj = p_mean_arr(params.lam_float, params.p, g[:, :-1], g[:, 1:])
-        extra = np.clip(madj - g[:, 1:], 0.0, None).sum(axis=1)
-        ints[one] = (g.sum(axis=1) + extra) * cv
-        del g, madj  # before the piece path allocates its own
-    pos = rows > 0
-    first = np.argmax(pos, axis=1)
-    last = n - 1 - np.argmax(pos[:, ::-1], axis=1)
-    many = (r > 1) & _pieces_cheaper(r, pos.sum(axis=1), last - first + 1, n)
-    if many.any():
-        ints[many] = _piece_cells(rows[many], starts[many], ends[many], params).sum(axis=1) * cv
-    return ints, one | many
-
-
-def _concave_pieces(rows: np.ndarray, p: float):
-    """(starts, ends): boolean masks of the first and the last cell of each
-    concave piece of each row; a kink cell is both."""
-    pos = rows > 0
-    L = _lift(rows, p)
-    with np.errstate(invalid="ignore"):
-        d2 = L[:, :-2] - 2.0 * L[:, 1:-1] + L[:, 2:]
-    slack = 1e-9 * np.maximum(np.where(np.isfinite(L), np.abs(L), 0.0).max(axis=1), 1.0)
-    kink = np.zeros_like(pos)
-    kink[:, 1:-1] = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:] & (d2 > slack[:, None])
-    edge = np.zeros((len(rows), 1), dtype=bool)
-    starts = pos & ~np.hstack([edge, pos[:, :-1]]) | kink
-    ends = pos & ~np.hstack([pos[:, 1:], edge]) | kink
-    return starts, ends
-
-
-def _piece_cells(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                 params: MeanParams) -> np.ndarray:
-    """M*(g, g) on the cells of 1-D rows g (lam = 1/2) whose concave pieces
-    run from each set cell of starts to the matching set cell of ends."""
-    B, n = rows.shape
-    lf, _, e = _scaled_lifts(rows, rows, params, sym=True)
-    # pair (i, j) lands on the lattice sum s = i + j + 1, and cell k
-    # collects s in {2k, 2k + 1}; within a piece the balanced pairs
-    # (k, k) and (k, k + 1) are the best, and adjacent positive cells
-    # always share a piece
-    W = np.empty((B, 2 * n))
-    W[:, 0] = -np.inf
-    W[:, 1::2] = lf + lf
-    W[:, 2::2] = lf[:, :-1] + lf[:, 1:]
-    prow, ps = np.nonzero(starts)
-    pe = np.nonzero(ends)[1]
-    r = np.bincount(prow, minlength=B)
-    off = np.cumsum(r) - r
-    flat_lf, flat_W = lf.reshape(-1), W.reshape(-1)
-    for a, b in itertools.combinations(range(r.max()), 2):
-        rows_ab = np.flatnonzero(r > b)
-        span = (pe - ps)[off[rows_ab] + a] + (pe - ps)[off[rows_ab] + b] + 1
-        # rows per block, so that each temporary holds about 2^18 entries
-        step = max(1, (1 << 18) // int(span.max()))
-        for R in np.split(rows_ab, np.arange(step, len(rows_ab), step)):
-            (p0, p1), (q0, q1) = ((ps[off[R] + k], pe[off[R] + k]) for k in (a, b))
-            keys = []
-            for lo, m in ((p0, p1 - p0), (q0, q1 - q0)):
-                k = np.arange(m.max())
-                at = R[:, None] * n + np.minimum(lo[:, None] + k, n - 2)
-                with np.errstate(invalid="ignore"):  # -inf - -inf off the piece
-                    step_down = flat_lf[at] - flat_lf[at + 1]
-                keys.append(np.where(k < m[:, None], step_down, np.inf))
-            # stable: ties take P first; the +inf padding sorts last
-            order = np.argsort(np.hstack(keys), axis=1, kind="stable")
-            in_p = np.zeros((len(R), order.shape[1] + 1), dtype=np.intp)
-            np.cumsum(order < keys[0].shape[1], axis=1, out=in_p[:, 1:])
-            t = np.arange(in_p.shape[1])
-            # past the last real slope the clipped pair is still in P x Q
-            i = np.minimum(p0[:, None] + in_p, p1[:, None])
-            j = np.minimum(q0[:, None] + t - in_p, q1[:, None])
-            v = flat_lf[R[:, None] * n + i] + flat_lf[R[:, None] * n + j]
-            at = R[:, None] * (2 * n) + i + j + 1
-            flat_W[at] = np.maximum(flat_W[at], v)
-    return _unlift_cells(W, 2, params.p, e)
-
-
-def _shave_candidates_1d(f: GridFunction, p: float) -> list:
-    """Dictionary descriptors in a fixed order: level caps (descending),
-    half-line cutoffs (keep-left then keep-right, by position), p-planes
-    through pairs of lifted support points (deduplicated by slope/offset)."""
+def _shave_candidates_1d(f: GridFunction, p: float):
+    """The dictionary (caps, halfspaces, planes), each block in a fixed
+    order: level caps (descending); the half-lines (-1, k), keeping the
+    cells i <= k, then (1, -k), keeping i >= k, for each support cell k by
+    position; the p-planes (m, q), w = m i + q, through pairs of lifted
+    support points w, in pair order, the first of equal forms."""
     vals = f.values
     sup = np.flatnonzero(vals > 0)
-    cands: list[tuple] = []
-    for t in np.unique(vals[sup])[:-1][::-1]:
-        cands.append(("cap", float(t)))
-    for k in sup:
-        cands.append(("cutL", int(k)))
-    for k in sup:
-        cands.append(("cutR", int(k)))
+    ones = np.ones_like(sup)
+    halfspaces = np.vstack([np.column_stack([-ones, sup]), np.column_stack([ones, -sup])])
     w = _lift(vals, p)
-    seen = set()
+    rows = [np.empty((0, 2))]
     for ai, i in enumerate(sup[:-1].tolist()):
         # row ai: the planes through (i, w[i]) and each later support point,
         # in order.  Within a row q is a function of m, so the first
-        # occurrence of each m gives the row's distinct keys; "+ 0.0" keeps
-        # -0.0 and 0.0 one key, as they are in the set
+        # occurrence of each m gives the row's distinct forms; "+ 0.0" keeps
+        # -0.0 and 0.0 one form
         j = sup[ai + 1 :]
         m = (w[j] - w[i]) / (j - i) + 0.0
-        first = np.sort(np.unique(m, return_index=True)[1])
-        m = m[first]
-        q = w[i] - m * i + 0.0
-        for key in zip(m.tolist(), q.tolist()):
-            if key not in seen:
-                seen.add(key)
-                cands.append(("plane",) + key)
-    return cands
+        m = m[np.sort(np.unique(m, return_index=True)[1])]
+        rows.append(np.column_stack([m, w[i] - m * i + 0.0]))
+    return np.unique(vals[sup])[:-1][::-1], halfspaces, _first_rows(np.vstack(rows))
 
 
-def _shave_candidates_2d(f: GridFunction, p: float) -> list:
-    """Dictionary descriptors in a fixed order, O(N) of them for N support
-    cells: level caps (descending); half-planes ("halfplane", n0, n1, c),
-    keeping n0*i + n1*j + c >= 0, on both sides of each distinct line
-    through a support cell along (1, 0), (0, 1), (1, 1), (1, -1) and the
-    edges of the support's convex hull, by direction, then offset; and
-    ("plane", alpha, beta, gamma) through the lifts w of each unit lattice
-    triangle of positive cells, two per unit square, the first of equal
-    keys.  No hull facet is a candidate: its plane dominates every lifted
-    point, so min(cur, ell) = cur."""
+def _shave_candidates_2d(f: GridFunction, p: float):
+    """The dictionary (caps, halfspaces, planes), O(N) candidates for N
+    support cells, each block in a fixed order: level caps (descending);
+    half-planes (n0, n1, c), keeping n0*i + n1*j + c >= 0, on both sides of
+    each distinct line through a support cell along (1, 0), (0, 1), (1, 1),
+    (1, -1) and the edges of the support's convex hull, by direction, then
+    offset; and p-planes (alpha, beta, gamma) through the lifts w of each
+    unit lattice triangle of positive cells, two per unit square, the first
+    of equal forms.  No hull facet is a candidate: its plane dominates every
+    lifted point, so min(cur, ell) = cur."""
     vals = f.values
     pos = vals > 0
     sup = np.argwhere(pos)
-    cands: list[tuple] = [("cap", float(t)) for t in np.unique(vals[pos])[:-1][::-1]]
     dirs = {(1, 0): None, (0, 1): None, (1, 1): None, (1, -1): None}
     hull_xy = _convex_hull_2d(sup)
     for (a0, a1), (b0, b1) in zip(hull_xy, hull_xy[1:] + hull_xy[:1]):
         g = math.gcd(b0 - a0, b1 - a1) * (1 if (b0, b1) > (a0, a1) else -1)
         if g:  # primitive, first nonzero component positive
             dirs[(b0 - a0) // g, (b1 - a1) // g] = None
+    halfspaces = []
     for d0, d1 in dirs:
-        for c in np.unique(sup @ (d1, -d0)).tolist():
-            cands += [("halfplane", d1, -d0, -c), ("halfplane", -d1, d0, c)]
+        c = np.unique(sup @ (d1, -d0))
+        side = np.column_stack([np.full_like(c, d1), np.full_like(c, -d0), -c])
+        halfspaces.append(np.stack([side, -side], axis=1).reshape(-1, 3))
     # the triangle with corner (i + t, j + t) and legs s = 1 - 2t along
     # each axis, t = 0 and 1, so that its plane has slopes
     # alpha = s (w(i + t + s, j + t) - w(i + t, j + t)), beta likewise
@@ -383,39 +262,38 @@ def _shave_candidates_2d(f: GridFunction, p: float) -> list:
                     pos[1:, 1:] & pos[:-1, 1:] & pos[1:, :-1]], axis=-1)
     i, j, t = np.nonzero(tri)
     i, j, s = i + t, j + t, 1 - 2 * t
-    alpha = s * (w[i + s, j] - w[i, j]) + 0.0  # + 0.0: -0.0 and 0.0 are one key
+    alpha = s * (w[i + s, j] - w[i, j]) + 0.0  # + 0.0: -0.0 and 0.0 are one form
     beta = s * (w[i, j + s] - w[i, j]) + 0.0
     gamma = w[i, j] - alpha * i - beta * j + 0.0
-    cands += [("plane",) + key for key in dict.fromkeys(zip(alpha.tolist(), beta.tolist(),
-                                                           gamma.tolist()))]
-    return cands
+    return (np.unique(vals[pos])[:-1][::-1], np.vstack(halfspaces),
+            _first_rows(np.column_stack([alpha, beta, gamma])))
 
 
-def _materialize(cands: list, shape: tuple, p: float) -> np.ndarray:
-    """The caps ell of dictionary descriptors on f's grid (f' = min(f, ell)),
-    one row per descriptor.  p-planes and half-planes are linear forms
-    (kind, coefficient per axis..., constant) in the cell index, each kind
-    evaluated in one pass: a p-plane is unlifted, a half-plane keeps the
-    cells where its form is >= 0."""
+def _materialize(cands: tuple, lo: int, hi: int, shape: tuple, p: float) -> np.ndarray:
+    """The caps ell (f' = min(f, ell)) of candidates lo .. hi - 1 of the
+    dictionary cands = (caps, halfspaces, planes), numbered through the
+    three blocks in order, on f's grid, one row per candidate: a cap is its
+    level, a half-space inf where its integer form is >= 0 and 0 elsewhere,
+    a p-plane its unlifted form.  Each block's slice is evaluated in one
+    pass."""
     idx = np.indices(shape)
-    out = np.empty((len(cands),) + shape)
-    for kind in ("plane", "halfplane"):
-        ks = [k for k, cand in enumerate(cands) if cand[0] == kind]
-        if ks:
-            coef = np.array([cands[k][1:] for k in ks], dtype=float)[(...,) + (None,) * len(shape)]
-            form = coef[:, 0] * idx[0]
-            for d in range(1, len(shape)):
-                form = form + coef[:, d] * idx[d]
-            form = form + coef[:, -1]
-            out[ks] = _unlift(form, p) if kind == "plane" else np.where(form >= 0, np.inf, 0.0)
-    for k, cand in enumerate(cands):
-        kind = cand[0]
-        if kind == "cap":
-            out[k] = cand[1]
-        elif kind == "cutL":  # keep the cells left of cand[1], inclusive
-            out[k] = np.where(idx[0] <= cand[1], np.inf, 0.0)
-        elif kind == "cutR":
-            out[k] = np.where(idx[0] >= cand[1], np.inf, 0.0)
+    out = np.empty((hi - lo,) + shape)
+    at = 0  # the block's first index in the dictionary
+    for kind, block in enumerate(cands):
+        part = block[max(lo - at, 0) : max(hi - at, 0)]
+        rows = out[max(at - lo, 0) :][: len(part)]
+        at += len(block)
+        if len(part) == 0:
+            continue
+        coef = part[(...,) + (None,) * len(shape)]
+        if kind == 0:
+            rows[...] = coef
+            continue
+        form = coef[:, 0] * idx[0]
+        for d in range(1, len(shape)):
+            form = form + coef[:, d] * idx[d]
+        form = form + coef[:, -1]
+        rows[...] = np.where(form >= 0, np.inf, 0.0) if kind == 1 else _unlift(form, p)
     return out
 
 
@@ -424,15 +302,15 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
 
     Returns (f', removed, objective) where objective is the final value of
     integral(M*(f,f) - M*(f',f')) - (1+c) integral(f - f').  Moves are
-    accepted only on strict improvement; after a full sweep the best move is
-    applied and the search rides the candidate order locally while gains
-    continue, so monotone families (cap cascades, end cuts) cost one sweep.
-    The candidates' objectives are evaluated in batches.  In 1-D at
-    lam = 1/2, integral(M*(f', f')) comes from f''s concave pieces
-    (_self_sup_integrals_1d): one piece by the balanced-pair formula,
-    several by a slope merge per pair of pieces, while the cost rule finds
-    that cheaper than the max-plus kernel; every other state (many pieces,
-    2-D, lam != 1/2) takes supconv._sup_cells.  The dictionary
+    accepted only on strict improvement, above 1e-10 of integral(M*(f,f)).
+    Each step takes the first candidate of greatest gain in a range of the
+    dictionary, evaluated in chunks: a full sweep, then, after an accept,
+    the 17 candidates around it, so that monotone families (cap cascades,
+    end cuts) ride the candidate order, and a full sweep again when the
+    ride ends.  integral(M*(s, s)) is supconv._self_sup_integrals times the
+    cell volume.  f is shaved as f / 2^e, e from means._scale_exp as in the
+    hull and the kernel, and the results are scaled back, so that f' and
+    the ratios do not depend on units.  The dictionary
     (_shave_candidates_1d, _shave_candidates_2d) decides the quality of f'
     only: any dictionary keeps removed <= delta * mass / c.
     """
@@ -440,100 +318,62 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
         c = 0.1 * params.lam_float
     if not 0.0 < c < 1.0:
         raise ValueError("c must be in (0, 1)")
-    m0 = integral(f)
-    if m0 <= 0:
+    if integral(f) <= 0:
         raise ZeroMassError("shave needs positive mass")
     if f.dim not in (1, 2):
         raise ValueError("shave supports dim 1 and 2")
 
     cv = f.cell_volume
     p = params.p
-    lam_is_half = params.lam_fraction == Fraction(1, 2)
-    n = f.values.size
-    # on a common box, with s = a*i + (b-a)*j, cell k collects s in
-    # [b*k - b//2, b*k - b//2 + b)
-    denom = _lam_ab(params)[1]  # b in lam = a/b
-    base = (denom // 2,) * f.dim
-
-    def sup_integrals(states: np.ndarray) -> np.ndarray:
-        """integral(M*(s, s)) for each state s in the batch."""
-        out = np.empty(len(states))
-        rest = np.arange(len(states))
-        if f.dim == 1 and lam_is_half:
-            # rows of few concave pieces cost O(n) per piece
-            ints, valid = _self_sup_integrals_1d(states, params, cv)
-            out[valid] = ints[valid]
-            rest = np.flatnonzero(~valid)
-        if len(rest) == 0:
-            return out
-        sub = states[rest]
-        cropped = _crop(sub, sub.max(axis=0))
-        if cropped is None:
-            out[rest] = 0.0
-            return out
-        sub = cropped[0]
-        cells = _sup_cells(sub, sub, params, base, sub.shape[1:], sym=lam_is_half)
-        out[rest] = cells.reshape(len(rest), -1).sum(axis=1) * cv
-        return out
-
-    cands = _shave_candidates_1d(f, p) if f.dim == 1 else _shave_candidates_2d(f, p)
-
-    cur = f.values.copy()
-    cur_int = float(cur.sum()) * cv
-    cur_sup = float(sup_integrals(cur[None])[0])
-    base_sup = cur_sup
-    tol_gain = 1e-10 * max(1.0, base_sup)
-
-    def eval_indices(indices):
-        """(states, gains) of applying each listed candidate to cur."""
-        states = np.minimum(cur, _materialize([cands[i] for i in indices], f.shape, p))
-        removed = cur_int - states.reshape(len(indices), -1).sum(axis=1) * cv
-        gains = np.full(len(indices), -np.inf)
-        changed = removed > 1e-300
-        if changed.any():
-            sups = sup_integrals(states[changed])
-            gains[changed] = (cur_sup - sups) - (1.0 + c) * removed[changed]
-        return states, gains
-
-    def apply_state(state):
-        nonlocal cur, cur_int, cur_sup
-        cur = state
-        cur_int = float(cur.sum()) * cv
-        cur_sup = float(sup_integrals(cur[None])[0])
-
-    n_cand = len(cands)
+    pos = f.values[f.values > 0]
+    e = int(_scale_exp(pos.max(), pos.min(), p))
+    fs = f.with_values(np.ldexp(f.values, -e))
+    cands = _shave_candidates_1d(fs, p) if f.dim == 1 else _shave_candidates_2d(fs, p)
+    n_cand = sum(len(block) for block in cands)
     # the kernel's work array holds b^dim lattice sums per cell of a state
-    chunk = max(16, 4 * 10 ** 6 // (n * denom ** f.dim))
-    accepts = 0
-    while True:
-        best_gain, best_idx, best_state = tol_gain, None, None
-        for lo in range(0, n_cand, chunk):
-            idxs = range(lo, min(lo + chunk, n_cand))
-            states, gains = eval_indices(list(idxs))
-            b = int(np.argmax(gains)) if len(gains) else 0
-            if len(gains) and gains[b] > best_gain:
-                best_gain, best_idx, best_state = float(gains[b]), lo + b, states[b]
-        if best_idx is None:
-            break
-        apply_state(best_state)
-        accepts += 1
-        pos = best_idx
-        while True:  # ride the candidate order near the last accept
-            window = [i for i in range(pos - 8, pos + 9) if 0 <= i < n_cand]
-            states, gains = eval_indices(window)
-            b = int(np.argmax(gains))
-            if gains[b] <= tol_gain:
-                break
-            apply_state(states[b])
-            accepts += 1
-            pos = window[b]
-        if accepts > 10000:
-            raise RuntimeError("shave failed to reach a fixpoint")
+    chunk = max(16, 4 * 10 ** 6 // (f.values.size * params.lam_fraction.denominator ** f.dim))
 
-    removed_total = m0 - cur_int
-    objective = (base_sup - cur_sup) - (1.0 + c) * removed_total
-    f_prime = f.with_values(cur.reshape(f.shape))
-    return f_prime, float(removed_total), float(objective)
+    def best(lo: int, hi: int):
+        """(state, index) of the first candidate in [lo, hi) whose gain is
+        the greatest and above tol_gain, or (None, None)."""
+        best_gain, best_idx, best_state = tol_gain, None, None
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            states = np.minimum(cur, _materialize(cands, a, b, f.shape, p))
+            removed = cur_int - states.reshape(b - a, -1).sum(axis=1) * cv
+            gains = np.full(b - a, -np.inf)
+            changed = removed > 0
+            if changed.any():
+                sups = _self_sup_integrals(states[changed], params) * cv
+                gains[changed] = (cur_sup - sups) - (1.0 + c) * removed[changed]
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_gain, best_idx, best_state = float(gains[k]), a + k, states[k]
+        return best_state, best_idx
+
+    cur = fs.values.copy()
+    m0 = cur_int = float(cur.sum()) * cv
+    base_sup = cur_sup = float(_self_sup_integrals(cur[None], params)[0]) * cv
+    tol_gain = 1e-10 * base_sup
+    accepts, full, lo, hi = 0, True, 0, n_cand
+    while True:
+        state, at = best(lo, hi)
+        if state is not None:
+            cur = state
+            cur_int = float(cur.sum()) * cv
+            cur_sup = float(_self_sup_integrals(cur[None], params)[0]) * cv
+            accepts += 1
+            full, lo, hi = False, max(at - 8, 0), min(at + 9, n_cand)
+        elif full:
+            break
+        elif accepts > 10000:
+            raise RuntimeError("shave failed to reach a fixpoint")
+        else:
+            full, lo, hi = True, 0, n_cand
+
+    objective = (base_sup - cur_sup) - (1.0 + c) * (m0 - cur_int)
+    return (f.with_values(np.ldexp(cur, e)), math.ldexp(m0 - cur_int, e),
+            math.ldexp(objective, e))
 
 
 def certify_linear(

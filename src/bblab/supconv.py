@@ -14,10 +14,14 @@ Lifted kernel.  M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)) for the
 increasing lift L of means._lift, so M* is a max-plus convolution of
 lam L(f) and (1-lam) L(g) on the lattice sums s, a block max onto cells and
 one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
-2; sup_convolution and the shaving objective both call it, and
-hull.is_p_concave calls its max-plus half, _lattice_sums.  p_mean_arr
-evaluates the same formula per pair, at the pair's own scale, so the two
-differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
+2; sup_convolution and the shaving objective (_self_sup_integrals) both
+call it, and hull.is_p_concave calls its max-plus half, _lattice_sums.  In
+1-D at lam = 1/2 the shaving objective takes a state's concave pieces
+instead where that is cheaper: O(n) for one piece and a slope merge for
+each pair of pieces.
+
+p_mean_arr evaluates the same formula per pair, at the pair's own scale, so
+the two differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
 hypothesis check uses the kernel's values as a filter: a cell is cleared
 when M*(1 + 2^-32) <= h + tol, and the pairs of every other cell are
 compared one by one with p_mean_arr (_progression_pairs enumerates them).
@@ -295,6 +299,151 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
                      tuple(int(n) for n in k_hi - k_lo + 1), sym=f is g and 2 * a == b)[0]
     origin = tuple(o + int(k) * f.spacing for o, k in zip(f.origin, k_lo))
     return GridFunction(f.dim, origin, f.spacing, out)
+
+
+def _self_sup_integrals(states: np.ndarray, params: MeanParams) -> np.ndarray:
+    """sum M*(s, s) over the cells of each state s of the batch (B, *shape),
+    dims 1 and 2: in 1-D at lam = 1/2 by concave pieces where the cost rule
+    of _self_sup_integrals_1d finds that cheaper, else by _sup_cells on the
+    batch's common support box."""
+    out = np.empty(len(states))
+    rest = np.arange(len(states))
+    a, b = _lam_ab(params)
+    if states.ndim == 2 and 2 * a == b:
+        sums, done = _self_sup_integrals_1d(states, params)
+        out[done] = sums[done]
+        rest = np.flatnonzero(~done)
+    if len(rest) == 0:
+        return out
+    sub = states[rest]
+    cropped = _crop(sub, sub.max(axis=0))
+    if cropped is None:
+        out[rest] = 0.0
+        return out
+    sub = cropped[0]
+    # on a common box, with s = a*i + (b-a)*j, cell k collects s in
+    # [b*k - b//2, b*k - b//2 + b)
+    cells = _sup_cells(sub, sub, params, (b // 2,) * (sub.ndim - 1), sub.shape[1:],
+                       sym=2 * a == b)
+    out[rest] = cells.reshape(len(rest), -1).sum(axis=1)
+    return out
+
+
+def _pieces_cheaper(r: np.ndarray, live: np.ndarray, box: np.ndarray, n: int) -> np.ndarray:
+    """The cost rule between the piece path and _sup_cells, per row of n
+    cells with r concave pieces, this many positive cells and a support box
+    of this many cells.  The piece path costs about 60 ns per merged slope,
+    (r - 1) * live in all over the r(r - 1)/2 cross pairs, plus 60 ns per
+    cell of the row; _sup_cells costs about 4 ns per pair, about
+    live * box / 2 pairs (fitted on a 2-vCPU VM, numpy 2.4, rows of 50 to
+    800 cells, 2 to 16 pieces).  Either path gives M*(g, g) up to rounding,
+    so the rule moves time only."""
+    return 60.0 * ((r - 1) * live + n) < 2.0 * live * box
+
+
+def _self_sup_integrals_1d(rows: np.ndarray, params: MeanParams):
+    """sum M*(g, g) over the cells of 1-D rows g at lam = 1/2, by concave
+    pieces.
+
+    Each row's positive cells split into maximal runs on which the lift is
+    concave (second differences at most 1e-9 max|L|).  A run breaks at a
+    zero cell and at a kink, and the kink cell belongs to both runs, so
+    every pair of positive cells lies in some pair of pieces P <= Q.  The
+    pair maximizing the mean at a lattice sum within P + P is the balanced
+    one: the cell itself, or the adjacent pair.  On one piece this gives
+    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)), summed by one O(n) formula.
+    Within P + Q (P < Q), the max-plus convolution of two concave sequences
+    is a slope merge (Bussieck, Hassler, Woeginger and Zimmermann 1994):
+    the pair at sum p0 + q0 + t takes, of the t largest slopes of P and Q
+    together, those of P as steps in P and the rest in Q.  One stable
+    argsort per piece-pair slot, over the rows with that many pieces in
+    blocks, gives the pairs; each is then evaluated with _sup_cells'
+    arithmetic, so pieces whose lifts are exactly concave give _sup_cells'
+    cells.  This costs O(r n) per row of r pieces against about n^2 / 2
+    pairs in the kernel.  Returns (sums, done); the rows that the cost
+    rule _pieces_cheaper leaves (many pieces) are for _sup_cells.
+    """
+    B, n = rows.shape
+    starts, ends = _concave_pieces(rows, params.p)
+    r = starts.sum(axis=1)
+    sums = np.zeros(B)
+    one = r <= 1
+    if one.any():
+        g = rows[one]
+        madj = p_mean_arr(params.lam_float, params.p, g[:, :-1], g[:, 1:])
+        extra = np.clip(madj - g[:, 1:], 0.0, None).sum(axis=1)
+        sums[one] = g.sum(axis=1) + extra
+        del g, madj  # before the piece path allocates its own
+    pos = rows > 0
+    first = np.argmax(pos, axis=1)
+    last = n - 1 - np.argmax(pos[:, ::-1], axis=1)
+    many = (r > 1) & _pieces_cheaper(r, pos.sum(axis=1), last - first + 1, n)
+    if many.any():
+        sums[many] = _piece_cells(rows[many], starts[many], ends[many], params).sum(axis=1)
+    return sums, one | many
+
+
+def _concave_pieces(rows: np.ndarray, p: float):
+    """(starts, ends): boolean masks of the first and the last cell of each
+    concave piece of each row; a kink cell is both."""
+    pos = rows > 0
+    L = _lift(rows, p)
+    with np.errstate(invalid="ignore"):
+        d2 = L[:, :-2] - 2.0 * L[:, 1:-1] + L[:, 2:]
+    slack = 1e-9 * np.maximum(np.where(np.isfinite(L), np.abs(L), 0.0).max(axis=1), 1.0)
+    kink = np.zeros_like(pos)
+    kink[:, 1:-1] = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:] & (d2 > slack[:, None])
+    edge = np.zeros((len(rows), 1), dtype=bool)
+    starts = pos & ~np.hstack([edge, pos[:, :-1]]) | kink
+    ends = pos & ~np.hstack([pos[:, 1:], edge]) | kink
+    return starts, ends
+
+
+def _piece_cells(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 params: MeanParams) -> np.ndarray:
+    """M*(g, g) on the cells of 1-D rows g (lam = 1/2) whose concave pieces
+    run from each set cell of starts to the matching set cell of ends."""
+    B, n = rows.shape
+    lf, _, e = _scaled_lifts(rows, rows, params, sym=True)
+    # pair (i, j) lands on the lattice sum s = i + j + 1, and cell k
+    # collects s in {2k, 2k + 1}; within a piece the balanced pairs
+    # (k, k) and (k, k + 1) are the best, and adjacent positive cells
+    # always share a piece
+    W = np.empty((B, 2 * n))
+    W[:, 0] = -np.inf
+    W[:, 1::2] = lf + lf
+    W[:, 2::2] = lf[:, :-1] + lf[:, 1:]
+    prow, ps = np.nonzero(starts)
+    pe = np.nonzero(ends)[1]
+    r = np.bincount(prow, minlength=B)
+    off = np.cumsum(r) - r
+    flat_lf, flat_W = lf.reshape(-1), W.reshape(-1)
+    for a, b in itertools.combinations(range(r.max()), 2):
+        rows_ab = np.flatnonzero(r > b)
+        span = (pe - ps)[off[rows_ab] + a] + (pe - ps)[off[rows_ab] + b] + 1
+        # rows per block, so that each temporary holds about 2^18 entries
+        step = max(1, (1 << 18) // int(span.max()))
+        for R in np.split(rows_ab, np.arange(step, len(rows_ab), step)):
+            (p0, p1), (q0, q1) = ((ps[off[R] + k], pe[off[R] + k]) for k in (a, b))
+            keys = []
+            for lo, m in ((p0, p1 - p0), (q0, q1 - q0)):
+                k = np.arange(m.max())
+                at = R[:, None] * n + np.minimum(lo[:, None] + k, n - 2)
+                with np.errstate(invalid="ignore"):  # -inf - -inf off the piece
+                    step_down = flat_lf[at] - flat_lf[at + 1]
+                keys.append(np.where(k < m[:, None], step_down, np.inf))
+            # stable: ties take P first; the +inf padding sorts last
+            order = np.argsort(np.hstack(keys), axis=1, kind="stable")
+            in_p = np.zeros((len(R), order.shape[1] + 1), dtype=np.intp)
+            np.cumsum(order < keys[0].shape[1], axis=1, out=in_p[:, 1:])
+            t = np.arange(in_p.shape[1])
+            # past the last real slope the clipped pair is still in P x Q
+            i = np.minimum(p0[:, None] + in_p, p1[:, None])
+            j = np.minimum(q0[:, None] + t - in_p, q1[:, None])
+            v = flat_lf[R[:, None] * n + i] + flat_lf[R[:, None] * n + j]
+            at = R[:, None] * (2 * n) + i + j + 1
+            flat_W[at] = np.maximum(flat_W[at], v)
+    return _unlift_cells(W, 2, params.p, e)
 
 
 def _dilate(mask: np.ndarray, factor: int) -> np.ndarray:

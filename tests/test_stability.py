@@ -26,35 +26,45 @@ from bblab import (
     sup_convolution,
     translate,
 )
-from bblab import stability
+from bblab import stability, supconv
 from bblab.gridfn import common_grid, normalize
 from bblab.means import _lift, p_mean_arr
-from bblab.stability import (_best_shift, _concave_pieces, _self_sup_integrals_1d,
-                             _shave_candidates_1d)
-from bblab.supconv import _bounding_box, _sup_cells
+from bblab.stability import _best_shift, _shave_candidates_1d
+from bblab.supconv import _bounding_box, _concave_pieces, _self_sup_integrals_1d, _sup_cells
 from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
 HALF1 = MeanParams(Fraction(1, 2), 1.0)
 
 
-def shave_candidates_1d_oracle(f: GridFunction, p: float) -> list:
+def _dictionary(caps, halfspaces, planes, dim):
+    """The shaving dictionary's form (caps, halfspaces, planes) of lists:
+    a float array of levels, an (H, dim + 1) integer array and a
+    (P, dim + 1) float array of linear forms."""
+    return (np.array(caps, dtype=float), np.array(halfspaces, dtype=np.int64).reshape(-1, dim + 1),
+            np.array(planes, dtype=float).reshape(-1, dim + 1))
+
+
+def assert_same_dictionary(got, ref):
+    assert len(got) == 3
+    for block, ref_block in zip(got, ref):
+        assert block.dtype.kind == ref_block.dtype.kind
+        assert np.array_equal(block, ref_block)
+
+
+def shave_candidates_1d_oracle(f: GridFunction, p: float):
     """Reference 1-D shaving dictionary: the pair loop over support cells.
 
-    Level caps (descending), half-line cutoffs (keep-left then keep-right,
-    by position), then the p-planes through each pair of lifted support
+    Level caps (descending), half-lines keeping i <= k, then i >= k (by
+    position k), then the p-planes through each pair of lifted support
     points, in pair order, keeping the first of equal (slope, offset) keys.
     """
     vals = f.values
     sup = np.flatnonzero(vals > 0)
-    cands: list[tuple] = []
-    for t in np.unique(vals[sup])[:-1][::-1]:
-        cands.append(("cap", float(t)))
-    for k in sup:
-        cands.append(("cutL", int(k)))
-    for k in sup:
-        cands.append(("cutR", int(k)))
+    caps = [float(t) for t in np.unique(vals[sup])[:-1][::-1]]
+    halfspaces = [(-1, int(k)) for k in sup] + [(1, -int(k)) for k in sup]
     w = _lift(vals, p)
+    planes = []
     seen = set()
     for ai in range(len(sup)):
         for bi in range(ai + 1, len(sup)):
@@ -64,11 +74,11 @@ def shave_candidates_1d_oracle(f: GridFunction, p: float) -> list:
             key = (m, q)
             if key not in seen:
                 seen.add(key)
-                cands.append(("plane", m, q))
-    return cands
+                planes.append(key)
+    return _dictionary(caps, halfspaces, planes, 1)
 
 
-def shave_candidates_2d_oracle(f: GridFunction, p: float) -> list:
+def shave_candidates_2d_oracle(f: GridFunction, p: float):
     """Reference 2-D shaving dictionary, exhaustive and meant for at most
     48 support cells: level caps (descending), both half-planes of the line
     through each pair of support cells, then the p-plane through each
@@ -76,14 +86,16 @@ def shave_candidates_2d_oracle(f: GridFunction, p: float) -> list:
     order, keeping the first of equal coefficients."""
     vals = f.values
     sup = np.argwhere(vals > 0)
-    cands: list[tuple] = [("cap", float(t)) for t in np.unique(vals[vals > 0])[:-1][::-1]]
+    caps = [float(t) for t in np.unique(vals[vals > 0])[:-1][::-1]]
+    halfspaces = []
     for a in range(len(sup)):
         for b in range(a + 1, len(sup)):
             (a0, a1), (b0, b1) = sup[a].tolist(), sup[b].tolist()
             n0, n1 = b1 - a1, a0 - b0
             for s in (1, -1):
-                cands.append(("halfplane", s * n0, s * n1, -s * (n0 * a0 + n1 * a1)))
+                halfspaces.append((s * n0, s * n1, -s * (n0 * a0 + n1 * a1)))
     w = _lift(vals, p)[tuple(sup.T)]
+    planes = []
     seen = set()
     for a, b, c in itertools.combinations(range(len(sup)), 3):
         A, B, C = sup[a], sup[b], sup[c]
@@ -94,18 +106,18 @@ def shave_candidates_2d_oracle(f: GridFunction, p: float) -> list:
         key = (float(coef[0]), float(coef[1]), float(w[a] - coef[0] * A[0] - coef[1] * A[1]))
         if key not in seen:
             seen.add(key)
-            cands.append(("plane",) + key)
-    return cands
+            planes.append(key)
+    return _dictionary(caps, halfspaces, planes, 2)
 
 
-def self_sup_integral_rows_oracle(rows: np.ndarray, params: MeanParams, cv: float):
-    """Reference one-piece shave objective: exact integral of M*(g,g) for
-    rows that are grid-p-concave, lam = 1/2.
+def self_sup_integral_rows_oracle(rows: np.ndarray, params: MeanParams):
+    """Reference one-piece shave objective: the exact sum of M*(g,g) over
+    the cells of rows that are grid-p-concave, lam = 1/2.
 
     For a concave lift with contiguous support, the pair maximizing the mean
     at every output cell is the balanced one: the cell itself for exact
     combinations and the adjacent pair for boundary combinations, so
-    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)).  Returns (integrals, valid).
+    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)).  Returns (sums, valid).
     """
     lam, p = params.lam_float, params.p
     B, n = rows.shape
@@ -129,8 +141,7 @@ def self_sup_integral_rows_oracle(rows: np.ndarray, params: MeanParams, cv: floa
 
     madj = p_mean_arr(lam, p, rows[:, :-1], rows[:, 1:])
     extra = np.clip(madj - rows[:, 1:], 0.0, None).sum(axis=1)
-    ints = (rows.sum(axis=1) + extra) * cv
-    return ints, valid
+    return rows.sum(axis=1) + extra, valid
 
 
 def best_shift_oracle(f: GridFunction, g: GridFunction):
@@ -401,7 +412,7 @@ class TestShave:
                 f = f.with_values(np.where(f.values > 0, levels, 0.0))
             inputs.append(f)
         for f in inputs:
-            assert _shave_candidates_1d(f, p) == shave_candidates_1d_oracle(f, p)
+            assert_same_dictionary(_shave_candidates_1d(f, p), shave_candidates_1d_oracle(f, p))
 
     def test_piece_path_changes_nothing(self, rng, monkeypatch):
         """shave with the piece path equals shave with the one-piece oracle
@@ -422,7 +433,7 @@ class TestShave:
         for f, c in cases:
             fp, removed, obj = shave(f, HALF0, c)
             with monkeypatch.context() as m:
-                m.setattr(stability, "_self_sup_integrals_1d", self_sup_integral_rows_oracle)
+                m.setattr(supconv, "_self_sup_integrals_1d", self_sup_integral_rows_oracle)
                 ref_fp, ref_removed, ref_obj = shave(f, HALF0, c)
             assert np.array_equal(fp.values, ref_fp.values)
             assert removed == pytest.approx(ref_removed, rel=1e-14, abs=0.0)
@@ -442,7 +453,6 @@ def _two_bump_2d():
     return GridFunction(2, (0.0, 0.0), 0.1, vals)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestShave2D:
     def test_quality_against_oracle(self, rng):
         """The near-linear dictionary against the exhaustive one on inputs
@@ -492,15 +502,33 @@ class TestShave2D:
         assert np.array_equal(fp.values, kept)
         assert removed == pytest.approx(2e-6 * 0.01, abs=1e-15)
 
+    @pytest.mark.parametrize("shape, p", [("gauss", -0.25), ("gauss", 0.0), ("bump", 0.5)])
+    def test_equality_collapse(self, shape, p):
+        """Criterion 4's bounds on 20 x 20 p-concave inputs at h = 0.15,
+        against their own M*: delta <= 4h, main_distance <= 8h * mass.  c is
+        0.75: at the default lam / 10 the shave strips most of the mass
+        (delta is about 0.6 h, above c)."""
+        n, h = 20, 0.15
+        if shape == "gauss":
+            f = _gaussian_2d(n, h)
+        else:  # (1 - r^2)^2 on the inscribed disc, 1/2-concave
+            x = (np.arange(n) + 0.5) * h - n * h / 2.0
+            r2 = (x[:, None] ** 2 + x[None, :] ** 2) / (n * h / 2.0) ** 2
+            f = GridFunction(2, (-n * h / 2.0,) * 2, h, np.maximum(1.0 - r2, 0.0) ** 2)
+        params = MeanParams(Fraction(1, 2), p, n=2)
+        rep = certify_main(f, f, sup_convolution(f, f, params), params, c=0.75)
+        assert rep.delta <= 4 * h
+        assert rep.main_distance <= 8 * h * integral(f)
+
     def test_dictionary_grows_near_linearly(self):
         """On a 20 x 20 Gaussian: two half-planes per line through a cell
         along (1, 0), (0, 1), (1, 1) and (1, -1) (the square's hull edges
         add no direction), and at most two p-planes per unit square, against
         2 C(400, 2) = 159600 half-planes in the pair dictionary."""
-        kinds = [c[0] for c in stability._shave_candidates_2d(_gaussian_2d(20, 0.1), 0.0)]
-        assert set(kinds) == {"cap", "halfplane", "plane"}
-        assert kinds.count("halfplane") == 2 * (20 + 20 + 39 + 39)
-        assert kinds.count("plane") <= 2 * 19 * 19
+        caps, halfspaces, planes = stability._shave_candidates_2d(_gaussian_2d(20, 0.1), 0.0)
+        assert len(caps) > 0 and len(planes) > 0
+        assert halfspaces.shape == (2 * (20 + 20 + 39 + 39), 3)
+        assert len(planes) <= 2 * 19 * 19
 
 
 def _pconcave_profile(p, m):
@@ -565,22 +593,22 @@ class TestShaveObjective:
         """Rows of several pieces, on the piece path, against _sup_cells;
         rows of one piece, on the O(n) formula, against the old formula."""
         params = MeanParams(Fraction(1, 2), p)
-        monkeypatch.setattr(stability, "_pieces_cheaper", lambda r, *_: np.ones(len(r), bool))
+        monkeypatch.setattr(supconv, "_pieces_cheaper", lambda r, *_: np.ones(len(r), bool))
         rows = piece_rows(kind, p, rng)
         r = _piece_counts(rows, p)
         assert r.min() >= 1 and (r >= 2).sum() >= 5
         multi = rows[r >= 2]
-        ints, done = _self_sup_integrals_1d(multi, params, 0.25)
+        ints, done = _self_sup_integrals_1d(multi, params)
         assert done.all()
-        ref = _sup_cells(multi, multi, params, (1,), (rows.shape[1],), sym=True).sum(axis=1) * 0.25
+        ref = _sup_cells(multi, multi, params, (1,), (rows.shape[1],), sym=True).sum(axis=1)
         # constant lifts (indicators) and dyadic tents at p = 1 sum exactly
         if kind == "dented" or (kind == "kinked" and p == 1.0):
             assert np.array_equal(ints, ref)
         else:
             np.testing.assert_allclose(ints, ref, rtol=1e-13, atol=0.0)
         single = rows[r == 1]
-        ints, done = _self_sup_integrals_1d(single, params, 0.25)
-        ref_ints, ref_valid = self_sup_integral_rows_oracle(single, params, 0.25)
+        ints, done = _self_sup_integrals_1d(single, params)
+        ref_ints, ref_valid = self_sup_integral_rows_oracle(single, params)
         assert done.all() and ref_valid.all()
         assert np.array_equal(ints, ref_ints)
 
@@ -592,7 +620,47 @@ class TestShaveObjective:
         ragged = rng.uniform(0.1, 2.0, size=(1, 24))
         for rows, piece_path in ((dented, True), (ragged, False)):
             assert _piece_counts(rows, 0.0)[0] >= 2
-            assert _self_sup_integrals_1d(rows, HALF0, 1.0)[1][0] == piece_path
+            assert _self_sup_integrals_1d(rows, HALF0)[1][0] == piece_path
+
+
+class TestUnits:
+    """shave works on f / 2^e, so scaling the values or the spacing by a
+    power of two scales its outputs exactly, and any other scale moves them
+    by rounding only."""
+
+    VALS = np.array([0.2, 0.5, 1.0, 0.3, 0.9, 1.0, 0.7, 0.1])
+
+    @pytest.mark.parametrize("p", [2.0, 0.0, -0.25])
+    def test_certify_linear(self, p):
+        params = MeanParams(Fraction(1, 2), p)
+        ref = certify_linear(GridFunction(1, (0.0,), 0.1, self.VALS), params)
+        assert ref.shave_removed > 0 and ref.ratio_linear > 2.5
+        for s, h in ((2.0 ** 40, 0.1), (2.0 ** -40, 0.1), (1.0, 0.1 * 2.0 ** -40)):
+            rep = certify_linear(GridFunction(1, (0.0,), h, self.VALS * s), params)
+            assert rep.ratio_linear == ref.ratio_linear
+            assert rep.shave_removed == ref.shave_removed * s * (h / 0.1)
+            assert np.array_equal(rep.witness.values, ref.witness.values * s)
+        for s in (1e200, 1e-200, 1e-12):
+            rep = certify_linear(GridFunction(1, (0.0,), 0.1, self.VALS * s), params)
+            assert rep.ratio_linear == pytest.approx(ref.ratio_linear, rel=1e-9)
+            assert rep.shave_removed == pytest.approx(ref.shave_removed * s, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [2.0, 0.0, -0.25])
+    def test_shave_2d(self, p, rng):
+        params = MeanParams(Fraction(1, 2), p, n=2)
+        f = random_blob_2d(rng, n=6)
+        ref_fp, ref_removed, ref_obj = shave(f, params)
+        assert ref_removed > 0.5 * integral(f)
+        for s, h in ((2.0 ** 40, 0.1), (2.0 ** -40, 0.1), (1.0, 0.1 * 2.0 ** -40)):
+            fp, removed, obj = shave(GridFunction(2, (0.0, 0.0), h, f.values * s), params)
+            unit = s * (h / 0.1) ** 2
+            assert np.array_equal(fp.values, ref_fp.values * s)
+            assert (removed, obj) == (ref_removed * unit, ref_obj * unit)
+        for s in (1e200, 1e-200, 1e-12):
+            fp, removed, obj = shave(f.with_values(f.values * s), params)
+            np.testing.assert_allclose(fp.values / s, ref_fp.values, rtol=1e-9, atol=0.0)
+            assert removed == pytest.approx(ref_removed * s, rel=1e-9)
+            assert obj == pytest.approx(ref_obj * s, rel=1e-9)
 
 
 class TestCertifyLinear:
