@@ -18,7 +18,8 @@ from .gridfn import (GridFunction, ZeroMassError, _offset_cells, integral, level
                      normalize)
 from .hull import convex_hull_set, hull_deficit
 from .means import MeanParams, p_mean_arr
-from .supconv import _crop, _overlap_counts, minkowski_combination, sup_convolution
+from .supconv import (_crop, _fft_ns, _minkowski_run_count, _overlap_counts, _snap,
+                      minkowski_combination, sup_convolution)
 
 __all__ = [
     "MassMismatchError",
@@ -208,6 +209,131 @@ def _mean_knots(lam: float, p: float, T: TransportMap1D, t_max: float, u: np.nda
     return 0.5 * (lo + hi)
 
 
+def _count_above(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """#{values > t} for each threshold in t: one sort, one searchsorted."""
+    v = np.sort(values, axis=None)
+    return v.size - np.searchsorted(v, t, side="right")
+
+
+def _run_bounds(v: np.ndarray, t: np.ndarray, count: np.ndarray):
+    """Run count, first and last cell of {v > t} for each threshold in t, on
+    a 1-D array v, given count = #{v > t}, with no mask per threshold.
+
+    Each pair of adjacent cells both in the set joins them into one run, so
+    #runs = #{v > t} - #{min(v_i, v_i+1) > t}.  The first (last)
+    cell is the first cell where the prefix (suffix) maximum exceeds t.
+    """
+    runs = count - _count_above(np.minimum(v[:-1], v[1:]), t)
+    first = np.searchsorted(np.maximum.accumulate(v), t, side="right")
+    last = v.size - 1 - np.searchsorted(np.maximum.accumulate(v[::-1]), t, side="right")
+    return runs, first, last
+
+
+def _runs(mask: np.ndarray, shift: int = 0):
+    """Runs of a 1-D mask as (first cells, last cells), inclusive, plus shift."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[0::2] + shift, edges[1::2] - 1 + shift
+
+
+def _best_run_overlap(A, B) -> int:
+    """max over integer shifts v of |(v + A) & B| in cells, for nonempty
+    1-D cell sets given as runs (first cells, last cells), inclusive.
+
+    Runs [l1, r1] + v and [l2, r2] share max(0, min(r1 + v, r2) -
+    max(l1 + v, l2) + 1) cells: a trapezoid in v whose slope steps by +1 at
+    l2 - r1 - 1, by -1 at l2 - l1 and at r2 - r1, and by +1 at r2 - l1 + 1.
+    The steps of all r_A r_B pairs, counted per shift, summed once give the
+    slope and twice the overlap at every shift, in integers.
+    """
+    l1, r1 = (x[:, None] for x in A)
+    l2, r2 = B
+    up = np.concatenate([(l2 - r1 - 1).ravel(), (r2 - l1 + 1).ravel()])
+    down = np.concatenate([(l2 - l1).ravel(), (r2 - r1).ravel()])
+    # each pair's -1 steps lie between its +1 steps
+    lo, size = up.min(), up.max() - up.min() + 1
+    steps = np.bincount(up - lo, minlength=size) - np.bincount(down - lo, minlength=size)
+    return int(np.cumsum(np.cumsum(steps)).max())
+
+
+def _runs_cheaper(pairs: int, cells: int) -> bool:
+    """Whether a run helper on this many run pairs is estimated to beat the
+    mask kernels on masks of this many cells: about 30 ns a run pair
+    against 100 us of calls plus _fft_ns (same VM as _fft_ns).  Both paths
+    count exactly, so the choice moves time only, never a value."""
+    return 30.0 * pairs <= 1e5 + _fft_ns((cells,))
+
+
+def _mask_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
+    """Per interval, from one LevelSet mask of each of f, g and h: the hull
+    deficits of F_t and G_s, |lam F_t + (1-lam) G_s|, the least symmetric
+    difference of translates of F_t and H_u, and that of co(F_t) and
+    co(G_s).  Rows of a (5, K) array; 0 where F_t, or the other set a
+    measure needs, is empty.  Any dimension; level_diagnostics uses it in
+    2-D.
+    """
+    (t, s, u), (nF, nG, nH) = levels, counts
+    out = np.zeros((5, len(t)))
+    for i in np.flatnonzero(nF > 0):
+        F = level_set(fn, t[i])
+        out[0, i] = hull_deficit(F)
+        if nG[i]:
+            G = level_set(gn, s[i])
+            out[1, i] = hull_deficit(G)
+            out[2, i] = minkowski_combination(F, G, lam).measure
+            out[4, i] = _min_shift_symdiff(convex_hull_set(F), convex_hull_set(G))
+        if nH[i]:
+            out[3, i] = _min_shift_symdiff(F, level_set(hn, u[i]))
+    return out
+
+
+def _run_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
+    """The rows of _mask_measures in 1-D, in the same floating-point
+    operations, from run lists on f's lattice.
+
+    co(A) is [first cell, last cell] and two intervals overlap best in the
+    shorter length, so the hull deficits and criterion 5 everywhere, and
+    criteria 3 and 4 where each set is one run, are closed forms over all
+    intervals at once.  Intervals where a set has several runs list them
+    for _minkowski_run_count and _best_run_overlap.
+    """
+    (t, s, u), (nF, nG, nH) = levels, counts
+    a, b = lam.numerator, lam.denominator
+    fv, gv, hv = fn.values, gn.values, hn.values
+    rF, loF, hiF = _run_bounds(fv, t, nF)
+    rG, loG, hiG = _run_bounds(gv, s, nG)
+    rH = _run_bounds(hv, u, nH)[0]
+    off = _offset_cells(fn, gn)[0]  # g's cells on f's lattice
+    loG, hiG = loG + off, hiG + off
+    coF, coG = hiF - loF + 1, hiG - loG + 1
+    live, hasG, hasH = nF > 0, (nF > 0) & (nG > 0), (nF > 0) & (nH > 0)
+    hf, hg = fn.spacing, gn.spacing
+    out = np.zeros((5, len(t)))
+    # measures as LevelSet.measure gives them: cells * spacing ** 1
+    np.divide(coF * hf - nF * hf, nF * hf, out=out[0], where=live)
+    np.divide(coG * hg - nG * hg, nG * hg, out=out[1], where=hasG)
+    out[2] = (_snap(a * hiF + (b - a) * hiG, b) - _snap(a * loF + (b - a) * loG, b) + 1) * hf
+    out[3] = (nF + nH - 2.0 * np.minimum(nF, nH)) * hf
+    out[4] = (coF + coG - 2.0 * np.minimum(coF, coG)) * hf
+    several3 = hasG & ((rF > 1) | (rG > 1))
+    several4 = hasH & ((rF > 1) | (rH > 1))
+    for i in np.flatnonzero(several3 | several4):
+        F = _runs(fv > t[i])
+        if several3[i]:
+            G = _runs(gv > s[i], off)
+            if _runs_cheaper(F[0].size * G[0].size, fv.size + gv.size):
+                out[2, i] = _minkowski_run_count(F, G, a, b) * hf
+            else:
+                out[2, i] = minkowski_combination(level_set(fn, t[i]), level_set(gn, s[i]),
+                                                  lam).measure
+        if several4[i]:
+            H = _runs(hv > u[i])
+            if _runs_cheaper(F[0].size * H[0].size, fv.size + hv.size):
+                out[3, i] = (nF[i] + nH[i] - 2.0 * _best_run_overlap(F, H)) * hf
+            else:
+                out[3, i] = _min_shift_symdiff(level_set(fn, t[i]), level_set(hn, u[i]))
+    return out
+
+
 def level_diagnostics(
     f: GridFunction,
     g: GridFunction,
@@ -225,11 +351,19 @@ def level_diagnostics(
       5. no translate of co(F_t) within alpha |F_t| of co(G_s).
     Heights are sampled at the midpoints of a knot set on which every
     level-set measure is constant, so the integrals are exact for staircase
-    inputs.  h=None uses the canonical h = M*(f, g).
+    inputs.  h=None uses the canonical h = M*(f, g).  g and h must lie on
+    f's lattice.
+
+    In 1-D a level set is its runs of cells (_run_measures): integer closed
+    forms, evaluated for all heights at once where F_t, G_s and H_u are each
+    one run.  In 2-D level sets stay cell masks (_mask_measures).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     _check_masses(f, g)
+    _offset_cells(f, g)  # one lattice and dimension, or raise
+    if h is not None:
+        _offset_cells(f, h)
     fn = normalize(f)
     gn = normalize(g)
     if h is None:
@@ -253,38 +387,36 @@ def level_diagnostics(
     knots.update(_mean_knots(lam, p, T, maxf, hvals[hvals < top]).tolist())
     knots = np.array(sorted(k for k in knots if 0.0 <= k <= maxf))  # kf[0] = 0
 
-    # per interval: midpoint t, s = T(t), M(t, s), |F_t|, |G_s| and criterion 3's mean
+    # per interval: midpoint t, s = T(t), M(t, s), the cell counts of F_t,
+    # G_s and H_M(t, s), and criterion 3's mean
     tms = 0.5 * (knots[:-1] + knots[1:])
     ss = T(tms)
     us = p_mean_arr(lam, p, tms, ss)
-    sf, sg = np.sort(fn.values, axis=None), np.sort(gn.values, axis=None)
-    mFs = (sf.size - np.searchsorted(sf, tms, side="right")) * fn.cell_volume
-    mGs = (sg.size - np.searchsorted(sg, ss, side="right")) * gn.cell_volume
+    counts = nF, nG, nH = [_count_above(x.values, y) for x, y in ((fn, tms), (gn, ss), (hn, us))]
+    mFs, mGs = nF * fn.cell_volume, nG * gn.cell_volume
     means3 = p_mean_arr(lam, 1.0 / n, mFs, mGs)
+    measures = _run_measures if n == 1 else _mask_measures
+    hdF, hdG, mink, symH, symCo = measures(fn, gn, hn, params.lam_fraction, (tms, ss, us),
+                                           counts)
 
-    masses = np.zeros(5)
+    live = nF > 0  # knots are distinct, but a midpoint can round onto max(fn)
+    hasG, hasH = nG > 0, nH > 0
+    ratio = np.divide(mFs, mGs, out=np.zeros_like(mFs), where=hasG)
+    # an empty G or H fails the criteria that need it
+    bad = live[:, None] & np.stack([
+        ~(hasG & (1.0 - alpha <= ratio) & (ratio <= 1.0 + alpha)),
+        (hdF >= alpha) | (hdG >= alpha),
+        ~hasG | (mink >= (1.0 + alpha) * means3),
+        ~hasH | (symH >= alpha * mFs),
+        ~hasG | (symCo >= alpha * mFs),
+    ], axis=1)
+    good = live & ~bad.any(axis=1)
+
+    # sums in knot order, from 0.0 (add.accumulate adds left to right)
+    dt = np.diff(knots)
+    masses = tuple(float(np.add.accumulate(np.where(b, mFs * dt, 0.0))[-1]) for b in bad.T)
     gap_integral = 0.0
-    for dt, tm, s, u, mF, mG, m3 in zip(np.diff(knots), tms, ss, us, mFs, mGs, means3):
-        if mF == 0:  # knots are distinct, but a midpoint can round onto max(fn)
-            continue
-        F = level_set(fn, tm)
-        G = level_set(gn, s)
-        H = level_set(hn, u)
-        hdF = hull_deficit(F)
-        hdG = hull_deficit(G) if G.cell_count else 0.0
-        # an empty G or H fails the criteria that need it
-        bad = [
-            not (mG > 0 and 1.0 - alpha <= mF / mG <= 1.0 + alpha),
-            hdF >= alpha or hdG >= alpha,
-            not G.cell_count
-            or minkowski_combination(F, G, params.lam_fraction).measure >= (1.0 + alpha) * m3,
-            not H.cell_count or _min_shift_symdiff(F, H) >= alpha * mF,
-            not G.cell_count
-            or _min_shift_symdiff(convex_hull_set(F), convex_hull_set(G)) >= alpha * mF,
-        ]
-        for k in np.flatnonzero(bad):
-            masses[k] += mF * dt
-        if not any(bad):
-            gap_integral += (hdF * mF + hdG * mG) * dt
-
-    return DiagnosticsReport(alpha, tuple(masses.tolist()), gap_integral, h_convention)
+    if good.any():
+        gaps = (hdF * mFs + hdG * mGs) * dt
+        gap_integral = np.add.accumulate(np.where(good, gaps, 0.0))[-1]
+    return DiagnosticsReport(alpha, masses, gap_integral, h_convention)

@@ -2,18 +2,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bblab import (
+    DiagnosticsReport,
     GeometryMismatchError,
     GridFunction,
+    LevelSet,
     MassMismatchError,
     MeanParams,
+    convex_hull_set,
     deficit,
     gen_dented,
+    gen_two_bump,
     height_transport,
+    hull_deficit,
     integral,
     level_diagnostics,
+    level_set,
+    minkowski_combination,
     normalize,
+    p_mean_arr,
     pushforward_check,
     spatial_transport,
     sup_convolution,
@@ -21,7 +31,9 @@ from bblab import (
 )
 from bblab import transport
 from bblab.means import _mean
-from bblab.transport import _height_cdf, _mean_knots
+from bblab.supconv import _minkowski_run_count
+from bblab.transport import (_best_run_overlap, _check_masses, _height_cdf, _mean_knots,
+                             _min_shift_symdiff, _pl_inverse, _runs)
 from conftest import hat, indicator, logconcave_bump, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
@@ -55,6 +67,67 @@ def mean_knots_oracle(lam, p, T, t_max, u):
                 hi = mid
         out.append(0.5 * (lo + hi))
     return np.array(out)
+
+
+def level_diagnostics_oracle(f, g, h, params, alpha):
+    """Reference diagnostics: per height interval, one LevelSet mask of each
+    of f, g and h and one call of each mask kernel, the bad masses and the
+    hull gap added in knot order from 0.0."""
+    _check_masses(f, g)
+    fn, gn = normalize(f), normalize(g)
+    if h is None:
+        hn, h_convention = sup_convolution(fn, gn, params), "canonical"
+    else:
+        hn, h_convention = h.with_values(h.values / integral(f)), "user"
+    T = height_transport(fn, gn)
+    kf, cf = _height_cdf(fn)
+    kg, cg = _height_cdf(gn)
+    lam, p, n = params.lam_float, params.p, fn.dim
+    knots = set(kf.tolist())
+    knots.update(np.asarray(_pl_inverse(kf, cf, cg)).tolist())
+    maxf = fn.max()
+    hvals = np.unique(hn.values[hn.values > 0])
+    top = p_mean_arr(lam, p, maxf, T(maxf))
+    knots.update(_mean_knots(lam, p, T, maxf, hvals[hvals < top]).tolist())
+    knots = np.array(sorted(k for k in knots if 0.0 <= k <= maxf))
+    tms = 0.5 * (knots[:-1] + knots[1:])
+    ss = T(tms)
+    us = p_mean_arr(lam, p, tms, ss)
+    sf, sg = np.sort(fn.values, axis=None), np.sort(gn.values, axis=None)
+    mFs = (sf.size - np.searchsorted(sf, tms, side="right")) * fn.cell_volume
+    mGs = (sg.size - np.searchsorted(sg, ss, side="right")) * gn.cell_volume
+    means3 = p_mean_arr(lam, 1.0 / n, mFs, mGs)
+    masses = np.zeros(5)
+    gap_integral = 0.0
+    for dt, tm, s, u, mF, mG, m3 in zip(np.diff(knots), tms, ss, us, mFs, mGs, means3):
+        if mF == 0:
+            continue
+        F, G, H = level_set(fn, tm), level_set(gn, s), level_set(hn, u)
+        hdF = hull_deficit(F)
+        hdG = hull_deficit(G) if G.cell_count else 0.0
+        bad = [
+            not (mG > 0 and 1.0 - alpha <= mF / mG <= 1.0 + alpha),
+            hdF >= alpha or hdG >= alpha,
+            not G.cell_count
+            or minkowski_combination(F, G, params.lam_fraction).measure >= (1.0 + alpha) * m3,
+            not H.cell_count or _min_shift_symdiff(F, H) >= alpha * mF,
+            not G.cell_count
+            or _min_shift_symdiff(convex_hull_set(F), convex_hull_set(G)) >= alpha * mF,
+        ]
+        for k in np.flatnonzero(bad):
+            masses[k] += mF * dt
+        if not any(bad):
+            gap_integral += (hdF * mF + hdG * mG) * dt
+    return DiagnosticsReport(alpha, tuple(masses.tolist()), gap_integral, h_convention)
+
+
+def assert_same_report(got, ref):
+    assert got == ref
+    assert repr(got) == repr(ref)
+
+
+def with_mass_of(g, f):
+    return g.with_values(g.values * (integral(f) / integral(g)))
 
 
 def bump_pair(cells):
@@ -271,3 +344,130 @@ class TestDiagnostics:
             ratios.append(rep.masses[1] / (delta * integral(f)))
         C = max(ratios)
         assert C <= 2.0 / alpha
+
+    def test_g_off_lattice_rejected(self):
+        # with h given, no sup-convolution of f and g meets the two grids
+        f = hat(width=1.0, height=1.0, spacing=0.02)
+        g_off = GridFunction(1, (f.origin[0] + 0.5 * f.spacing,), f.spacing, f.values)
+        for h in (None, sup_convolution(f, f, HALF0)):
+            with pytest.raises(GeometryMismatchError):
+                level_diagnostics(f, g_off, h, HALF0, alpha=0.1)
+
+    def test_g_of_other_dimension_rejected(self):
+        f = hat(width=1.0, height=1.0, spacing=0.1)
+        g = with_mass_of(GridFunction(2, (0.0, 0.0), 0.1, np.ones((3, 4))), f)
+        assert integral(g) == pytest.approx(integral(f), rel=1e-12)
+        for h in (None, sup_convolution(f, f, HALF0)):
+            with pytest.raises(GeometryMismatchError):
+                level_diagnostics(f, g, h, HALF0, alpha=0.1)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_translated_g_same_report(self, dim, p):
+        """Moving g by the cell vector (2, -4) (2 and -4 in 1-D) moves its
+        level sets and canonical h, never a measure: equal reports."""
+        x = (np.arange(12) + 0.5) * 0.2 - 1.2
+        r2 = x[:, None] ** 2 + x[None, :] ** 2 if dim == 2 else x ** 2
+        f = GridFunction(dim, (-1.2,) * dim, 0.2, np.exp(-r2 / (2 * 0.4 ** 2)))
+        g = with_mass_of(f.with_values(np.exp(-r2 / (2 * 0.5 ** 2))), f)
+        params = MeanParams(Fraction(1, 2), p)
+        ref = level_diagnostics(f, g, None, params, alpha=0.1)
+        for v in ([(2, -4)] if dim == 2 else [(2,), (-4,)]):
+            assert_same_report(level_diagnostics(f, translate(g, v), None, params, alpha=0.1), ref)
+
+
+LAMS = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+masks_1d = st.lists(st.booleans(), min_size=1, max_size=40).filter(any)
+
+
+class TestRunLists:
+    """The 1-D run helpers against the mask kernels, and level_diagnostics
+    against the mask loop (level_diagnostics_oracle)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ma=masks_1d, mb=masks_1d, off=st.integers(-30, 30), lam=st.sampled_from(LAMS))
+    def test_minkowski_run_count_matches_masks(self, ma, mb, off, lam):
+        A = LevelSet(1, 0.0, ma, (0.3,), 0.1)
+        B = LevelSet(1, 0.0, mb, (0.3 + off * 0.1,), 0.1)
+        ref = int(minkowski_combination(A, B, lam).mask.sum())
+        runs_a, runs_b = _runs(A.mask), _runs(B.mask, off)
+        assert _minkowski_run_count(runs_a, runs_b, lam.numerator, lam.denominator) == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(ma=masks_1d, mb=masks_1d, off=st.integers(-30, 30))
+    def test_best_run_overlap_matches_masks(self, ma, mb, off):
+        A = LevelSet(1, 0.0, ma, (0.3,), 0.1)
+        B = LevelSet(1, 0.0, mb, (0.3 + off * 0.1,), 0.1)
+        best = _best_run_overlap(_runs(A.mask), _runs(B.mask, off))
+        assert (A.cell_count + B.cell_count - 2.0 * best) * A.spacing == _min_shift_symdiff(A, B)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["staircase", "dented", "dented_bump", "two_bump"]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           lam=st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
+           p=st.sampled_from([-0.25, 0.0, 1.0]),
+           h_given=st.booleans())
+    def test_reports_match_mask_loop(self, kind, seed, lam, p, h_given):
+        f, g, h, params = diagnostics_case(kind, seed, lam, p, h_given)
+        got = level_diagnostics(f, g, h, params, alpha=0.1)
+        assert_same_report(got, level_diagnostics_oracle(f, g, h, params, alpha=0.1))
+
+    def test_bench_pair_matches_mask_loop(self):
+        f, g = bump_pair(500)
+        for h in (None, sup_convolution(f, g, HALF0)):
+            got = level_diagnostics(f, g, h, HALF0, alpha=0.1)
+            assert_same_report(got, level_diagnostics_oracle(f, g, h, HALF0, alpha=0.1))
+
+    @pytest.mark.parametrize("runs_cheaper", [True, False])
+    def test_either_path_same_report(self, rng, monkeypatch, runs_cheaper):
+        """The cost rule between the run helpers and the mask kernels moves
+        time only: forcing either path gives the mask loop's reports."""
+        monkeypatch.setattr(transport, "_runs_cheaper", lambda pairs, cells: runs_cheaper)
+        for i in range(12):
+            lam, p = [Fraction(1, 2), Fraction(1, 3)][i % 2], [-0.25, 0.0, 1.0][i % 3]
+            f, g, h, params = diagnostics_case("staircase", int(rng.integers(2 ** 32)), lam, p,
+                                               h_given=i % 4 < 2)
+            got = level_diagnostics(f, g, h, params, alpha=0.1)
+            assert_same_report(got, level_diagnostics_oracle(f, g, h, params, alpha=0.1))
+
+
+def diagnostics_case(kind, seed, lam, p, h_given):
+    """A 1-D pair (f, g) of equal mass, g on a grid shifted by whole cells,
+    and h: None or M*(f, g) on a shifted grid with each cell scaled by a
+    factor in [0.8, 1.2].  Staircases with zero cells, dented indicators and
+    two-bumps have level sets of several runs; dented bumps have one or two,
+    and some of their heights pass all five criteria."""
+    rng = np.random.default_rng(seed)
+    shift = int(rng.integers(-7, 8))
+    if kind == "staircase":
+        f, g = (random_staircase(rng, n_min=8, n_max=40, zero_frac=0.3, origin=o)
+                for o in (0.0, 0.1 * shift))
+        if rng.random() < 0.5:  # few levels, many ties
+            f, g = (x.with_values(np.ceil(x.values * 4) / 4) for x in (f, g))
+    elif kind == "dented":
+        def dented(origin):
+            base = indicator(origin, origin + 1.0, 0.05)
+            i0 = int(rng.integers(1, 9))
+            holes = [(origin + 0.05 * i0, 0.05 * int(rng.integers(1, 4)), 1.0),
+                     (origin + 0.05 * (i0 + 6), 0.05 * int(rng.integers(1, 5)),
+                      float(rng.choice([0.5, 1.0])))]
+            return gen_dented(base, holes)
+        f, g = dented(0.0), dented(0.05 * shift)
+    elif kind == "dented_bump":  # a shallow one-cell dent: some heights pass all five
+        def dented_bump(origin):
+            base = logconcave_bump(width=2.0, spacing=0.05, origin=origin, sharp=2.0)
+            pos = origin + 0.05 * int(rng.integers(8, 32))
+            return gen_dented(base, [(pos, 0.05, float(rng.uniform(0.05, 0.4)))])
+        f, g = dented_bump(0.0), dented_bump(0.05 * shift)
+    else:
+        f = gen_two_bump(float(rng.uniform(0.0, 0.5)), float(rng.uniform(2.1, 3.0)), 0.05)
+        g = translate(gen_two_bump(float(rng.uniform(0.05, 0.5)), float(rng.uniform(2.1, 3.0)),
+                                   0.05), [shift])
+    g = with_mass_of(g, f)
+    params = MeanParams(lam, p)
+    h = None
+    if h_given:
+        m = sup_convolution(f, g, params)
+        h = translate(m.with_values(m.values * rng.uniform(0.8, 1.2, m.values.shape)),
+                      [int(rng.integers(-5, 6))])
+    return f, g, h, params
