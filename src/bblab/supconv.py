@@ -487,30 +487,22 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     return LevelSet(A.dim, 0.0, mask, origin, A.spacing)
 
 
-def _minkowski_run_count(A, B, a: int, b: int) -> int:
-    """Cell count of minkowski_combination for lam = a/b and nonempty 1-D
-    cell sets given as runs: (first cells, last cells) arrays, inclusive, on
-    one lattice.
+def _minkowski_interval_count(l1, r1, l2, r2, a: int, b: int):
+    """Cell counts of minkowski_combination for lam = a/b and 1-D cell
+    intervals [l1, r1] and [l2, r2] (inclusive, on one lattice, nonempty),
+    elementwise over arrays of bounds.
 
-    A run pair [l1, r1], [l2, r2] reaches the lattice sums
-    s = a*i + (b - a)*j, l1 <= i <= r1, l2 <= j <= r2.  The chain from
-    (l1, l2) to (r1, r2) that raises i or j by one at a time reaches the
-    least and the greatest of them, and each step moves s by a or by
-    b - a, at most b, so the snap k = (2s + b) // (2b) moves by 0 or 1 cell:
-    the chain meets every cell from snap(a*l1 + (b-a)*l2) to
-    snap(a*r1 + (b-a)*r2), and the snap, nondecreasing in s, sends no sum of
-    the pair outside them.  So each pair gives one interval, and the count is
-    that of the union of the r_A * r_B intervals, swept in order of their
-    first cells.
+    The pair reaches the lattice sums s = a*i + (b - a)*j,
+    l1 <= i <= r1, l2 <= j <= r2.  The chain from (l1, l2) to (r1, r2) that
+    raises i or j by one at a time reaches the least and the greatest of
+    them, and each step moves s by a or by b - a, at most b, so the snap
+    moves by 0 or 1 cell: the chain meets every cell from
+    snap(a*l1 + (b-a)*l2) to snap(a*r1 + (b-a)*r2), and the snap,
+    nondecreasing in s, sends no sum outside them.  So the combination is
+    that one interval.
     """
-    (l1, r1), (l2, r2) = A, B
     c = b - a
-    lo = _snap(a * l1[:, None] + c * l2, b).ravel()
-    hi = _snap(a * r1[:, None] + c * r2, b).ravel()
-    # +1 where an interval starts, -1 after it ends: covered cells have a positive sum
-    base, size = lo.min(), hi.max() - lo.min() + 2
-    edges = np.bincount(lo - base, minlength=size) - np.bincount(hi + 1 - base, minlength=size)
-    return int(np.count_nonzero(np.cumsum(edges)))
+    return _snap(a * r1 + c * r2, b) - _snap(a * l1 + c * l2, b) + 1
 
 
 def _margin_covers(pos: np.ndarray, p: float) -> bool:

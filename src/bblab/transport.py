@@ -18,8 +18,8 @@ from .gridfn import (GridFunction, ZeroMassError, _offset_cells, integral, level
                      normalize)
 from .hull import convex_hull_set, hull_deficit
 from .means import MeanParams, p_mean_arr
-from .supconv import (_crop, _fft_ns, _minkowski_run_count, _overlap_counts, _snap,
-                      minkowski_combination, sup_convolution)
+from .supconv import (_crop, _minkowski_interval_count, _overlap_counts, minkowski_combination,
+                      sup_convolution)
 
 __all__ = [
     "MassMismatchError",
@@ -229,40 +229,6 @@ def _run_bounds(v: np.ndarray, t: np.ndarray, count: np.ndarray):
     return runs, first, last
 
 
-def _runs(mask: np.ndarray, shift: int = 0):
-    """Runs of a 1-D mask as (first cells, last cells), inclusive, plus shift."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return edges[0::2] + shift, edges[1::2] - 1 + shift
-
-
-def _best_run_overlap(A, B) -> int:
-    """max over integer shifts v of |(v + A) & B| in cells, for nonempty
-    1-D cell sets given as runs (first cells, last cells), inclusive.
-
-    Runs [l1, r1] + v and [l2, r2] share max(0, min(r1 + v, r2) -
-    max(l1 + v, l2) + 1) cells: a trapezoid in v whose slope steps by +1 at
-    l2 - r1 - 1, by -1 at l2 - l1 and at r2 - r1, and by +1 at r2 - l1 + 1.
-    The steps of all r_A r_B pairs, counted per shift, summed once give the
-    slope and twice the overlap at every shift, in integers.
-    """
-    l1, r1 = (x[:, None] for x in A)
-    l2, r2 = B
-    up = np.concatenate([(l2 - r1 - 1).ravel(), (r2 - l1 + 1).ravel()])
-    down = np.concatenate([(l2 - l1).ravel(), (r2 - r1).ravel()])
-    # each pair's -1 steps lie between its +1 steps
-    lo, size = up.min(), up.max() - up.min() + 1
-    steps = np.bincount(up - lo, minlength=size) - np.bincount(down - lo, minlength=size)
-    return int(np.cumsum(np.cumsum(steps)).max())
-
-
-def _runs_cheaper(pairs: int, cells: int) -> bool:
-    """Whether a run helper on this many run pairs is estimated to beat the
-    mask kernels on masks of this many cells: about 30 ns a run pair
-    against 100 us of calls plus _fft_ns (same VM as _fft_ns).  Both paths
-    count exactly, so the choice moves time only, never a value."""
-    return 30.0 * pairs <= 1e5 + _fft_ns((cells,))
-
-
 def _mask_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
     """Per interval, from one LevelSet mask of each of f, g and h: the hull
     deficits of F_t and G_s, |lam F_t + (1-lam) G_s|, the least symmetric
@@ -288,20 +254,20 @@ def _mask_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
 
 def _run_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
     """The rows of _mask_measures in 1-D, in the same floating-point
-    operations, from run lists on f's lattice.
+    operations, wherever the sets a measure needs are nonempty.
 
-    co(A) is [first cell, last cell] and two intervals overlap best in the
+    A level set on f's lattice is a list of runs of cells.  co(A) is
+    [first cell, last cell], the Minkowski combination of two runs is one
+    run (_minkowski_interval_count) and two runs overlap best in the
     shorter length, so the hull deficits and criterion 5 everywhere, and
     criteria 3 and 4 where each set is one run, are closed forms over all
-    intervals at once.  Intervals where a set has several runs list them
-    for _minkowski_run_count and _best_run_overlap.
+    intervals at once.  Intervals where a set has several runs go to
+    _mask_measures.
     """
     (t, s, u), (nF, nG, nH) = levels, counts
-    a, b = lam.numerator, lam.denominator
-    fv, gv, hv = fn.values, gn.values, hn.values
-    rF, loF, hiF = _run_bounds(fv, t, nF)
-    rG, loG, hiG = _run_bounds(gv, s, nG)
-    rH = _run_bounds(hv, u, nH)[0]
+    rF, loF, hiF = _run_bounds(fn.values, t, nF)
+    rG, loG, hiG = _run_bounds(gn.values, s, nG)
+    rH = _run_bounds(hn.values, u, nH)[0]
     off = _offset_cells(fn, gn)[0]  # g's cells on f's lattice
     loG, hiG = loG + off, hiG + off
     coF, coG = hiF - loF + 1, hiG - loG + 1
@@ -311,26 +277,13 @@ def _run_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
     # measures as LevelSet.measure gives them: cells * spacing ** 1
     np.divide(coF * hf - nF * hf, nF * hf, out=out[0], where=live)
     np.divide(coG * hg - nG * hg, nG * hg, out=out[1], where=hasG)
-    out[2] = (_snap(a * hiF + (b - a) * hiG, b) - _snap(a * loF + (b - a) * loG, b) + 1) * hf
+    out[2] = _minkowski_interval_count(loF, hiF, loG, hiG, lam.numerator, lam.denominator) * hf
     out[3] = (nF + nH - 2.0 * np.minimum(nF, nH)) * hf
     out[4] = (coF + coG - 2.0 * np.minimum(coF, coG)) * hf
-    several3 = hasG & ((rF > 1) | (rG > 1))
-    several4 = hasH & ((rF > 1) | (rH > 1))
-    for i in np.flatnonzero(several3 | several4):
-        F = _runs(fv > t[i])
-        if several3[i]:
-            G = _runs(gv > s[i], off)
-            if _runs_cheaper(F[0].size * G[0].size, fv.size + gv.size):
-                out[2, i] = _minkowski_run_count(F, G, a, b) * hf
-            else:
-                out[2, i] = minkowski_combination(level_set(fn, t[i]), level_set(gn, s[i]),
-                                                  lam).measure
-        if several4[i]:
-            H = _runs(hv > u[i])
-            if _runs_cheaper(F[0].size * H[0].size, fv.size + hv.size):
-                out[3, i] = (nF[i] + nH[i] - 2.0 * _best_run_overlap(F, H)) * hf
-            else:
-                out[3, i] = _min_shift_symdiff(level_set(fn, t[i]), level_set(hn, u[i]))
+    several = (hasG & ((rF > 1) | (rG > 1))) | (hasH & ((rF > 1) | (rH > 1)))
+    if several.any():
+        out[:, several] = _mask_measures(fn, gn, hn, lam, [x[several] for x in levels],
+                                         [x[several] for x in counts])
     return out
 
 
@@ -356,7 +309,8 @@ def level_diagnostics(
 
     In 1-D a level set is its runs of cells (_run_measures): integer closed
     forms, evaluated for all heights at once where F_t, G_s and H_u are each
-    one run.  In 2-D level sets stay cell masks (_mask_measures).
+    one run; heights with several runs, and every height in 2-D, take cell
+    masks (_mask_measures).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")

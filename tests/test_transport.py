@@ -31,9 +31,9 @@ from bblab import (
 )
 from bblab import transport
 from bblab.means import _mean
-from bblab.supconv import _minkowski_run_count
-from bblab.transport import (_best_run_overlap, _check_masses, _height_cdf, _mean_knots,
-                             _min_shift_symdiff, _pl_inverse, _runs)
+from bblab.supconv import _minkowski_interval_count
+from bblab.transport import (_check_masses, _height_cdf, _mean_knots, _min_shift_symdiff,
+                             _pl_inverse)
 from conftest import hat, indicator, logconcave_bump, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
@@ -377,29 +377,38 @@ class TestDiagnostics:
 
 
 LAMS = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-masks_1d = st.lists(st.booleans(), min_size=1, max_size=40).filter(any)
+# a 1-D cell interval: (first cell, length), placed in a mask with margins
+intervals = st.tuples(st.integers(0, 10), st.integers(1, 30))
+
+
+def interval_set(first, length, origin):
+    cells = np.arange(first + length + 3)
+    return LevelSet(1, 0.0, (first <= cells) & (cells < first + length), (origin,), 0.1)
 
 
 class TestRunLists:
-    """The 1-D run helpers against the mask kernels, and level_diagnostics
-    against the mask loop (level_diagnostics_oracle)."""
+    """The 1-D closed forms on single runs against the mask kernels, and
+    level_diagnostics against the mask loop (level_diagnostics_oracle)."""
 
     @settings(max_examples=300, deadline=None)
-    @given(ma=masks_1d, mb=masks_1d, off=st.integers(-30, 30), lam=st.sampled_from(LAMS))
-    def test_minkowski_run_count_matches_masks(self, ma, mb, off, lam):
-        A = LevelSet(1, 0.0, ma, (0.3,), 0.1)
-        B = LevelSet(1, 0.0, mb, (0.3 + off * 0.1,), 0.1)
+    @given(ia=intervals, ib=intervals, off=st.integers(-30, 30), lam=st.sampled_from(LAMS))
+    def test_minkowski_interval_count_matches_masks(self, ia, ib, off, lam):
+        A = interval_set(*ia, 0.3)
+        B = interval_set(*ib, 0.3 + off * 0.1)
         ref = int(minkowski_combination(A, B, lam).mask.sum())
-        runs_a, runs_b = _runs(A.mask), _runs(B.mask, off)
-        assert _minkowski_run_count(runs_a, runs_b, lam.numerator, lam.denominator) == ref
+        (la, na), (lb, nb) = ia, ib
+        lb += off  # B's cells on A's lattice
+        count = _minkowski_interval_count(la, la + na - 1, lb, lb + nb - 1, lam.numerator,
+                                          lam.denominator)
+        assert count == ref
 
     @settings(max_examples=300, deadline=None)
-    @given(ma=masks_1d, mb=masks_1d, off=st.integers(-30, 30))
-    def test_best_run_overlap_matches_masks(self, ma, mb, off):
-        A = LevelSet(1, 0.0, ma, (0.3,), 0.1)
-        B = LevelSet(1, 0.0, mb, (0.3 + off * 0.1,), 0.1)
-        best = _best_run_overlap(_runs(A.mask), _runs(B.mask, off))
-        assert (A.cell_count + B.cell_count - 2.0 * best) * A.spacing == _min_shift_symdiff(A, B)
+    @given(ia=intervals, ib=intervals, off=st.integers(-30, 30))
+    def test_interval_overlap_is_shorter_length(self, ia, ib, off):
+        A = interval_set(*ia, 0.3)
+        B = interval_set(*ib, 0.3 + off * 0.1)
+        na, nb = ia[1], ib[1]
+        assert (na + nb - 2.0 * min(na, nb)) * A.spacing == _min_shift_symdiff(A, B)
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["staircase", "dented", "dented_bump", "two_bump"]),
@@ -417,18 +426,6 @@ class TestRunLists:
         for h in (None, sup_convolution(f, g, HALF0)):
             got = level_diagnostics(f, g, h, HALF0, alpha=0.1)
             assert_same_report(got, level_diagnostics_oracle(f, g, h, HALF0, alpha=0.1))
-
-    @pytest.mark.parametrize("runs_cheaper", [True, False])
-    def test_either_path_same_report(self, rng, monkeypatch, runs_cheaper):
-        """The cost rule between the run helpers and the mask kernels moves
-        time only: forcing either path gives the mask loop's reports."""
-        monkeypatch.setattr(transport, "_runs_cheaper", lambda pairs, cells: runs_cheaper)
-        for i in range(12):
-            lam, p = [Fraction(1, 2), Fraction(1, 3)][i % 2], [-0.25, 0.0, 1.0][i % 3]
-            f, g, h, params = diagnostics_case("staircase", int(rng.integers(2 ** 32)), lam, p,
-                                               h_given=i % 4 < 2)
-            got = level_diagnostics(f, g, h, params, alpha=0.1)
-            assert_same_report(got, level_diagnostics_oracle(f, g, h, params, alpha=0.1))
 
 
 def diagnostics_case(kind, seed, lam, p, h_given):
