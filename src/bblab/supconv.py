@@ -14,11 +14,15 @@ Lifted kernel.  M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)) for the
 increasing lift L of means._lift, so M* is a max-plus convolution of
 lam L(f) and (1-lam) L(g) on the lattice sums s, a block max onto cells and
 one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
-2; sup_convolution and the shaving objective (_self_sup_integrals) both
-call it, and hull.is_p_concave calls its max-plus half, _lattice_sums.  In
-1-D at lam = 1/2 the shaving objective takes a state's concave pieces
-instead where that is cheaper: O(n) for one piece and a slope merge for
-each pair of pieces.
+2; sup_convolution (and so the hypothesis check) and the shaving objective
+(_self_sup_integrals) call it, and hull.is_p_concave calls its max-plus
+half, _lattice_sums.  That has two paths to the same lattice sums, bit for
+bit: the O(n_f n_g) kernel _max_plus, and in 1-D at lam = 1/2 the slope
+merge _merge_pieces over the pieces on which the float lifts are exactly
+concave, O(r_g n_f + r_f n_g) for r pieces; a cost rule picks one per row.
+The kernel alone serves 2-D, lam != 1/2 and is_p_concave's distinct pairs.
+The shaving objective takes the merge directly on pieces concave up to a
+slack, and one piece by an O(n) formula.
 
 p_mean_arr evaluates the same formula per pair, at the pair's own scale, so
 the two differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
@@ -59,7 +63,9 @@ _PAIRS_PER_BATCH = 1 << 20
 # gives cell k; so a cell that passes the filter has no violating pair, and
 # the count equals that of a scan of all pairs.  The claim holds as well
 # when W_k below is the maximum over any set of pairs that contains (x, y)
-# (hull.is_p_concave leaves out the pairs (i, i)).
+# (hull.is_p_concave leaves out the pairs (i, i)).  _lattice_sums' slope
+# merge gives the kernel's W bit for bit (_merge_pieces), so the claim
+# covers both of its paths.
 #
 # Proof.  m and v_k evaluate one formula, M = sigma U(T) with
 # T = w L(z_x) + c L(z_y), z = x/sigma, w + c = 1 exactly; only sigma
@@ -232,18 +238,49 @@ def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
     """The max-plus half of _sup_cells: (W, e), W (B, *(b*n for n in shape))
     the largest lifted pair sum at each lattice sum (-inf where no pair
     lands) and 2^e the scale.  distinct (with sym) leaves out the pair
-    (i, i)."""
+    (i, i).
+
+    Two paths give the same W bit for bit.  The kernel (_max_plus) forms
+    every pair.  In 1-D at lam = 1/2 (not distinct), _merge_pieces merges
+    the slopes of each pair of exactly concave pieces of f and g
+    (_exact_pieces); _pieces_cheaper picks it per row."""
     a, b = _lam_ab(params)
-    step = b - a
-    dim = fv.ndim - 1
     lf, lg, e = _scaled_lifts(fv, gv, params, sym)
-    B = len(fv)
-    W = np.full((B,) + tuple(b * n for n in shape), -np.inf)
+    size = tuple(b * n for n in shape)
+    merge = np.zeros(len(fv), dtype=bool)
+    if fv.ndim == 2 and 2 * a == b and not distinct:
+        live_f, sf, ef = _exact_pieces(lf)
+        live_g, sg, eg = (live_f, sf, ef) if sym else _exact_pieces(lg)
+        merge = _pieces_cheaper(sf.sum(axis=1), live_f.sum(axis=1), sg.sum(axis=1),
+                                *_live_box(live_g), sym)
+        if merge.all():
+            return _merge_pieces(lf, lg, (sf, ef), (sg, eg), int(base[0]), size[0], sym), e
+    W = np.full((len(fv),) + size, -np.inf)
+    if merge.any():
+        W[merge] = _merge_pieces(lf[merge], lg[merge], (sf[merge], ef[merge]),
+                                 (sg[merge], eg[merge]), int(base[0]), size[0], sym)
+    rest = np.flatnonzero(~merge)
+    if len(rest) == len(fv):
+        _max_plus(lf, lg, W, a, b, base, sym, distinct)
+    elif len(rest):
+        sub = W[rest]
+        _max_plus(lf[rest], lg[rest], sub, a, b, base, sym, distinct)
+        W[rest] = sub
+    return W, e
+
+
+def _max_plus(lf, lg, W, a: int, b: int, base, sym: bool, distinct: bool):
+    """The O(n_f n_g) kernel of _lattice_sums, into W in place: for each
+    live cell i of f, one add of lf[i] to every lg[j] and one max into
+    W[a*i + (b-a)*j + base] for all rows.  sym visits only j >= i on axis
+    0; distinct leaves out j = i."""
+    step = b - a
+    B, dim = len(lf), lf.ndim - 1
     buf = np.empty(lg.shape)
-    ng = gv.shape[1:]
+    ng = lg.shape[1:]
     live = np.isfinite(lf).reshape(B, -1).any(axis=0)
     for flat in np.flatnonzero(live):
-        i = np.unravel_index(flat, fv.shape[1:])
+        i = np.unravel_index(flat, lf.shape[1:])
         j0 = (int(i[0]) if sym else 0,) + (0,) * (dim - 1)
         rows = (slice(None),) + tuple(slice(j, None) for j in j0)
         t = buf[rows]
@@ -254,7 +291,6 @@ def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
             slice(a * i[d] + step * j0[d] + base[d], a * i[d] + step * n + base[d], step)
             for d, n in enumerate(ng))]
         np.maximum(seg, t, out=seg)
-    return W, e
 
 
 def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray:
@@ -263,13 +299,13 @@ def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray
     fv (B, *nf) and gv (B, *ng) hold row r's f and g on boxes of one
     lattice; returns (B, *shape).  Pair (i, j) lands on the lattice sum
     s = a*i + (b-a)*j + base (per axis, 0 <= base < b), and output cell k
-    collects s in [b*k, b*k + b).  Each pair costs one add and one max of
-    lifted values (_lattice_sums); each cell one unlift.  f and g are
-    divided by the power of two sigma of _scaled_lifts first and the result
-    is multiplied back; M is 1-homogeneous, so this is exact, and the lifts
-    cannot overflow.  sym (fv is gv and lam = 1/2) visits only
-    pairs with j >= i on axis 0: the mirror pair lands on the same s with
-    the same float sum.
+    collects s in [b*k, b*k + b).  _lattice_sums takes the largest lifted
+    pair sum at each s, by the kernel or a slope merge; each cell costs one
+    unlift.  f and g are divided by the power of two sigma of _scaled_lifts
+    first and the result is multiplied back; M is 1-homogeneous, so this is
+    exact, and the lifts cannot overflow.  sym (fv equals gv and
+    lam = 1/2) visits only pairs with j >= i on axis 0: the mirror pair
+    lands on the same s with the same float sum.
     """
     W, e = _lattice_sums(fv, gv, params, base, shape, sym)
     return _unlift_cells(W, _lam_ab(params)[1], params.p, e)
@@ -294,9 +330,12 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
     s_lo = a * flo + (b - a) * (glo + off_g)
     k_lo = _snap(s_lo, b)
     k_hi = _snap(s_lo + a * (np.array(fv.shape) - 1) + (b - a) * (np.array(gv.shape) - 1), b)
+    # pair (i, j) of the boxes lands on s_lo + a*i + (b-a)*j, so at lam = 1/2
+    # equal boxes make the mirror pair (j, i) land on the same sum
+    sym = 2 * a == b and fv.shape == gv.shape and np.array_equal(fv, gv)
     # cell k collects s in [b*k - b//2, b*k - b//2 + b)
     out = _sup_cells(fv[None], gv[None], params, s_lo - (b * k_lo - b // 2),
-                     tuple(int(n) for n in k_hi - k_lo + 1), sym=f is g and 2 * a == b)[0]
+                     tuple(int(n) for n in k_hi - k_lo + 1), sym)[0]
     origin = tuple(o + int(k) * f.spacing for o, k in zip(f.origin, k_lo))
     return GridFunction(f.dim, origin, f.spacing, out)
 
@@ -329,16 +368,28 @@ def _self_sup_integrals(states: np.ndarray, params: MeanParams) -> np.ndarray:
     return out
 
 
-def _pieces_cheaper(r: np.ndarray, live: np.ndarray, box: np.ndarray, n: int) -> np.ndarray:
-    """The cost rule between the piece path and _sup_cells, per row of n
-    cells with r concave pieces, this many positive cells and a support box
-    of this many cells.  The piece path costs about 60 ns per merged slope,
-    (r - 1) * live in all over the r(r - 1)/2 cross pairs, plus 60 ns per
-    cell of the row; _sup_cells costs about 4 ns per pair, about
-    live * box / 2 pairs (fitted on a 2-vCPU VM, numpy 2.4, rows of 50 to
-    800 cells, 2 to 16 pieces).  Either path gives M*(g, g) up to rounding,
-    so the rule moves time only."""
-    return 60.0 * ((r - 1) * live + n) < 2.0 * live * box
+# The cost rule's times (ns): per merged slope and per piece-pair slot of
+# _merge_pieces, per pair and per live cell of f of _max_plus (fitted on a
+# 2-vCPU VM, numpy 2.4, rows of 50 to 4000 cells with 1 to 12 pieces in
+# batches of 1 to 512 rows)
+_MERGE_NS, _SLOT_NS = 30.0, 9e4
+_PAIR_NS, _CELL_NS = 2.0, 1e4
+
+
+def _pieces_cheaper(r_f, live_f, r_g, live_g, box_g, sym: bool) -> np.ndarray:
+    """The cost rule between _merge_pieces and _max_plus for each row of a
+    batch: f with r_f pieces on live_f live cells, g likewise and with a
+    support box of box_g cells.  The merge takes r_g * live_f + r_f * live_g
+    slopes over r_f * r_g slots, the kernel live_f * box_g pairs over live_f
+    cells of f, each half of that when sym.  The rows of a batch share each
+    slot's and each cell's numpy calls, so a row pays 1/B of their cost.
+    In _lattice_sums both paths give the same W, so there the rule moves
+    time only."""
+    B = len(r_f)
+    half = 0.5 if sym else 1.0
+    merge = half * (_MERGE_NS * (r_g * live_f + r_f * live_g) + _SLOT_NS * r_f * r_g / B)
+    kernel = half * _PAIR_NS * live_f * box_g + _CELL_NS * live_f / B
+    return merge < kernel
 
 
 def _self_sup_integrals_1d(rows: np.ndarray, params: MeanParams):
@@ -346,22 +397,14 @@ def _self_sup_integrals_1d(rows: np.ndarray, params: MeanParams):
     pieces.
 
     Each row's positive cells split into maximal runs on which the lift is
-    concave (second differences at most 1e-9 max|L|).  A run breaks at a
-    zero cell and at a kink, and the kink cell belongs to both runs, so
-    every pair of positive cells lies in some pair of pieces P <= Q.  The
-    pair maximizing the mean at a lattice sum within P + P is the balanced
-    one: the cell itself, or the adjacent pair.  On one piece this gives
+    concave up to a slack (_concave_pieces; a kink cell is in both runs).
+    On one piece the pair maximizing the mean at a lattice sum is the
+    balanced one, the cell itself or the adjacent pair, so
     M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)), summed by one O(n) formula.
-    Within P + Q (P < Q), the max-plus convolution of two concave sequences
-    is a slope merge (Bussieck, Hassler, Woeginger and Zimmermann 1994):
-    the pair at sum p0 + q0 + t takes, of the t largest slopes of P and Q
-    together, those of P as steps in P and the rest in Q.  One stable
-    argsort per piece-pair slot, over the rows with that many pieces in
-    blocks, gives the pairs; each is then evaluated with _sup_cells'
-    arithmetic, so pieces whose lifts are exactly concave give _sup_cells'
-    cells.  This costs O(r n) per row of r pieces against about n^2 / 2
-    pairs in the kernel.  Returns (sums, done); the rows that the cost
-    rule _pieces_cheaper leaves (many pieces) are for _sup_cells.
+    Rows of several pieces go to _merge_pieces with these pieces where
+    _pieces_cheaper finds that cheaper.  The slack pieces make both paths
+    M*(g, g) up to rounding, not bit for bit.  Returns (sums, done); the
+    other rows are for _sup_cells.
     """
     B, n = rows.shape
     starts, ends = _concave_pieces(rows, params.p)
@@ -375,17 +418,42 @@ def _self_sup_integrals_1d(rows: np.ndarray, params: MeanParams):
         sums[one] = g.sum(axis=1) + extra
         del g, madj  # before the piece path allocates its own
     pos = rows > 0
-    first = np.argmax(pos, axis=1)
-    last = n - 1 - np.argmax(pos[:, ::-1], axis=1)
-    many = (r > 1) & _pieces_cheaper(r, pos.sum(axis=1), last - first + 1, n)
+    live, box = _live_box(pos)
+    many = (r > 1) & _pieces_cheaper(r, live, r, live, box, True)
     if many.any():
-        sums[many] = _piece_cells(rows[many], starts[many], ends[many], params).sum(axis=1)
+        sub = rows[many]
+        lf, _, e = _scaled_lifts(sub, sub, params, sym=True)
+        pieces = starts[many], ends[many]
+        W = _merge_pieces(lf, lf, pieces, pieces, 1, 2 * n, sym=True)
+        sums[many] = _unlift_cells(W, 2, params.p, e).sum(axis=1)
     return sums, one | many
 
 
+def _two_diff(x, y):
+    """(hi, lo) with hi = fl(x - y) and hi + lo = x - y exactly (Knuth's
+    TwoSum), for finite x and y whose difference does not overflow."""
+    hi = x - y
+    v = hi - x
+    lo = hi - v
+    np.subtract(x, lo, out=lo)
+    v += y
+    lo -= v
+    return hi, lo
+
+
+def _piece_bounds(live: np.ndarray, kink: np.ndarray):
+    """(starts, ends) of the maximal runs of live cells, broken at each kink
+    cell, which ends one run and starts the next."""
+    edge = np.zeros((len(live), 1), dtype=bool)
+    starts = live & ~np.hstack([edge, live[:, :-1]]) | kink
+    ends = live & ~np.hstack([live[:, 1:], edge]) | kink
+    return starts, ends
+
+
 def _concave_pieces(rows: np.ndarray, p: float):
-    """(starts, ends): boolean masks of the first and the last cell of each
-    concave piece of each row; a kink cell is both."""
+    """(starts, ends) of the shave's concave pieces of each row: runs of
+    positive cells broken where the unscaled lift's second difference
+    exceeds 1e-9 max|L|."""
     pos = rows > 0
     L = _lift(rows, p)
     with np.errstate(invalid="ignore"):
@@ -393,57 +461,105 @@ def _concave_pieces(rows: np.ndarray, p: float):
     slack = 1e-9 * np.maximum(np.where(np.isfinite(L), np.abs(L), 0.0).max(axis=1), 1.0)
     kink = np.zeros_like(pos)
     kink[:, 1:-1] = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:] & (d2 > slack[:, None])
-    edge = np.zeros((len(rows), 1), dtype=bool)
-    starts = pos & ~np.hstack([edge, pos[:, :-1]]) | kink
-    ends = pos & ~np.hstack([pos[:, 1:], edge]) | kink
-    return starts, ends
+    return _piece_bounds(pos, kink)
 
 
-def _piece_cells(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                 params: MeanParams) -> np.ndarray:
-    """M*(g, g) on the cells of 1-D rows g (lam = 1/2) whose concave pieces
-    run from each set cell of starts to the matching set cell of ends."""
-    B, n = rows.shape
-    lf, _, e = _scaled_lifts(rows, rows, params, sym=True)
-    # pair (i, j) lands on the lattice sum s = i + j + 1, and cell k
-    # collects s in {2k, 2k + 1}; within a piece the balanced pairs
-    # (k, k) and (k, k + 1) are the best, and adjacent positive cells
-    # always share a piece
-    W = np.empty((B, 2 * n))
-    W[:, 0] = -np.inf
-    W[:, 1::2] = lf + lf
-    W[:, 2::2] = lf[:, :-1] + lf[:, 1:]
-    prow, ps = np.nonzero(starts)
-    pe = np.nonzero(ends)[1]
-    r = np.bincount(prow, minlength=B)
-    off = np.cumsum(r) - r
-    flat_lf, flat_W = lf.reshape(-1), W.reshape(-1)
-    for a, b in itertools.combinations(range(r.max()), 2):
-        rows_ab = np.flatnonzero(r > b)
-        span = (pe - ps)[off[rows_ab] + a] + (pe - ps)[off[rows_ab] + b] + 1
-        # rows per block, so that each temporary holds about 2^18 entries
-        step = max(1, (1 << 18) // int(span.max()))
-        for R in np.split(rows_ab, np.arange(step, len(rows_ab), step)):
-            (p0, p1), (q0, q1) = ((ps[off[R] + k], pe[off[R] + k]) for k in (a, b))
-            keys = []
-            for lo, m in ((p0, p1 - p0), (q0, q1 - q0)):
-                k = np.arange(m.max())
-                at = R[:, None] * n + np.minimum(lo[:, None] + k, n - 2)
-                with np.errstate(invalid="ignore"):  # -inf - -inf off the piece
-                    step_down = flat_lf[at] - flat_lf[at + 1]
-                keys.append(np.where(k < m[:, None], step_down, np.inf))
+def _exact_pieces(lv: np.ndarray):
+    """(live, starts, ends): the finite cells of rows of lifted values lv
+    (B, n) and the first and the last cell of each piece on which lv, read
+    as real numbers, is concave: runs of finite cells, broken at each cell k
+    whose step down lv[k-1] - lv[k] exceeds the next one, lv[k] - lv[k+1].
+    The steps compare exactly: hi = fl(hi + lo) and rounding is monotone,
+    so hi1 > hi2 implies hi1 + lo1 > hi2 + lo2, and equal hi leave lo."""
+    live = np.isfinite(lv)
+    # the -inf lifts of zero cells are masked, so that no step is invalid
+    z = np.where(live, lv, 0.0)
+    hi, lo = _two_diff(z[:, :-1], z[:, 1:])
+    del z
+    h0, h1, l0, l1 = hi[:, :-1], hi[:, 1:], lo[:, :-1], lo[:, 1:]
+    rise = (h0 > h1) | (h0 == h1) & (l0 > l1)
+    kink = np.zeros_like(live)
+    kink[:, 1:-1] = live[:, :-2] & live[:, 1:-1] & live[:, 2:] & rise
+    return (live,) + _piece_bounds(live, kink)
+
+
+def _live_box(live: np.ndarray):
+    """(live cells, cells of the box from the first to the last) per row."""
+    count = live.sum(axis=1)
+    first = np.argmax(live, axis=1)
+    last = live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    return count, np.where(count > 0, last - first + 1, 0)
+
+
+def _merge_pieces(lf, lg, pf, pg, base: int, m: int, sym: bool) -> np.ndarray:
+    """Lattice sums W (B, m) of 1-D rows at lam = 1/2 from their pieces
+    pf = (starts, ends) of f and pg of g (a kink cell is both):
+    W[r, s] is the largest lf[r, i] + lg[r, j] with i + j + base = s over
+    the pairs (i, j) in one piece of f and one piece of g (-inf if none).
+
+    Every pair of live cells lies in some pair of pieces P x Q, since a
+    kink cell belongs to both its pieces.  If lf is concave on P and lg on
+    Q, the max-plus convolution of the two is a slope merge (Bussieck,
+    Hassler, Woeginger and Zimmermann 1994; Lucet 1997): the pair at
+    i + j = p0 + q0 + t takes, of the t largest slopes of P and Q together,
+    those of P as steps in P and the rest in Q.  One stable lexsort of the
+    exact steps down (hi, lo) per piece-pair slot, over the rows that have
+    the slot in blocks, gives the pairs, P's first on ties.  On pieces that
+    are exactly concave in real arithmetic (_exact_pieces) the chosen pair
+    has the largest real sum at its lattice sum, float addition is
+    monotone, and tied steps give equal real sums, so W is _max_plus's W
+    bit for bit.  sym (lg is lf, pg is pf): a piece with itself takes the
+    balanced pairs (k, k) and (k, k + 1), adjacent live cells share a
+    piece, and only the slots P < Q are merged.  Costs O(r_g n_f + r_f n_g)
+    per row of r pieces, against about n_f n_g pairs in the kernel.
+    """
+    B, nf = lf.shape
+    ng = lg.shape[1]
+    W = np.full((B, m), -np.inf)
+    if sym:
+        W[:, base:base + 2 * nf - 1:2] = lf + lf
+        W[:, base + 1:base + 2 * nf - 2:2] = lf[:, :-1] + lf[:, 1:]
+    sides = []
+    for starts, ends in (pf, pg):
+        row, start = np.nonzero(starts)
+        r = np.bincount(row, minlength=B)
+        sides.append((start, np.nonzero(ends)[1], r, np.cumsum(r) - r))
+    (sf, ef, rf, of), (sg, eg, rg, og) = sides
+    if sym:
+        slots = itertools.combinations(range(rf.max(initial=0)), 2)
+    else:
+        slots = itertools.product(range(rf.max(initial=0)), range(rg.max(initial=0)))
+    flat_W = W.reshape(-1)
+    for u, w in slots:
+        rows_uw = np.flatnonzero((rf > u) & (rg > w))
+        if len(rows_uw) == 0:
+            continue
+        span = (ef - sf)[of[rows_uw] + u] + (eg - sg)[og[rows_uw] + w] + 1
+        # rows per block, so that each temporary holds about 2^17 entries
+        step = max(1, (1 << 17) // int(span.max()))
+        for R in np.split(rows_uw, np.arange(step, len(rows_uw), step)):
+            p0, p1 = sf[of[R] + u], ef[of[R] + u]
+            q0, q1 = sg[og[R] + w], eg[og[R] + w]
+            his, los = [], []
+            for first, cnt, lv, n in ((p0, p1 - p0, lf, nf), (q0, q1 - q0, lg, ng)):
+                k = np.arange(cnt.max())
+                at = R[:, None] * n + np.minimum(first[:, None] + k, n - 2)
+                with np.errstate(invalid="ignore"):  # the padding may read -inf lifts
+                    hi, lo = _two_diff(lv.reshape(-1)[at], lv.reshape(-1)[at + 1])
+                his.append(np.where(k < cnt[:, None], hi, np.inf))
+                los.append(lo)
             # stable: ties take P first; the +inf padding sorts last
-            order = np.argsort(np.hstack(keys), axis=1, kind="stable")
+            order = np.lexsort((np.hstack(los), np.hstack(his)))
             in_p = np.zeros((len(R), order.shape[1] + 1), dtype=np.intp)
-            np.cumsum(order < keys[0].shape[1], axis=1, out=in_p[:, 1:])
+            np.cumsum(order < his[0].shape[1], axis=1, out=in_p[:, 1:])
             t = np.arange(in_p.shape[1])
             # past the last real slope the clipped pair is still in P x Q
             i = np.minimum(p0[:, None] + in_p, p1[:, None])
             j = np.minimum(q0[:, None] + t - in_p, q1[:, None])
-            v = flat_lf[R[:, None] * n + i] + flat_lf[R[:, None] * n + j]
-            at = R[:, None] * (2 * n) + i + j + 1
+            v = lf.reshape(-1)[R[:, None] * nf + i] + lg.reshape(-1)[R[:, None] * ng + j]
+            at = R[:, None] * m + i + j + base
             flat_W[at] = np.maximum(flat_W[at], v)
-    return _unlift_cells(W, 2, params.p, e)
+    return W
 
 
 def _dilate(mask: np.ndarray, factor: int) -> np.ndarray:

@@ -590,8 +590,9 @@ class TestShaveObjective:
     @pytest.mark.parametrize("kind", ["dented", "stairs", "bumps", "kinked"])
     @pytest.mark.parametrize("p", [-0.25, 0.0, 0.5, 1.0])
     def test_matches_kernel(self, p, kind, rng, monkeypatch):
-        """Rows of several pieces, on the piece path, against _sup_cells;
-        rows of one piece, on the O(n) formula, against the old formula."""
+        """Rows of several pieces, on the piece path, against the kernel of
+        _sup_cells; rows of one piece, on the O(n) formula, against the old
+        formula."""
         params = MeanParams(Fraction(1, 2), p)
         monkeypatch.setattr(supconv, "_pieces_cheaper", lambda r, *_: np.ones(len(r), bool))
         rows = piece_rows(kind, p, rng)
@@ -600,7 +601,9 @@ class TestShaveObjective:
         multi = rows[r >= 2]
         ints, done = _self_sup_integrals_1d(multi, params)
         assert done.all()
-        ref = _sup_cells(multi, multi, params, (1,), (rows.shape[1],), sym=True).sum(axis=1)
+        with monkeypatch.context() as m:  # the kernel, not the exact slope merge
+            m.setattr(supconv, "_pieces_cheaper", lambda r, *_: np.zeros(len(r), bool))
+            ref = _sup_cells(multi, multi, params, (1,), (rows.shape[1],), sym=True).sum(axis=1)
         # constant lifts (indicators) and dyadic tents at p = 1 sum exactly
         if kind == "dented" or (kind == "kinked" and p == 1.0):
             assert np.array_equal(ints, ref)

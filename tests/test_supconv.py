@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bblab import (
     GridFunction,
@@ -20,7 +22,7 @@ from bblab import (
 )
 from bblab import supconv
 from bblab.gridfn import _offset_cells
-from bblab.supconv import _overlap_counts, _snap
+from bblab.supconv import _exact_pieces, _lattice_sums, _margin_covers, _overlap_counts, _snap
 from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF = MeanParams(Fraction(1, 2), 0.0)
@@ -295,6 +297,135 @@ class TestSupConvolution:
             sup_convolution(f, f, MeanParams(1 / math.pi, 0.0))
 
 
+# exponents of the piece-path tests: 5e-324 is the smallest subnormal, on
+# the Box-Cox branch of the lift
+PIECE_PS = [-0.5, -0.25, 0.0, 5e-324, 0.5, 1.0, 2.0]
+
+
+def piece_values(kind, p, n, rng):
+    """n positive-or-zero values of a few concave pieces of the lift at p.
+
+    bump: a p-concave bump (the lift is a concave parabola);
+    flat: an indicator of a random height;
+    hat: the min of two or three affine ramps (kinks in the values);
+    dented: a bump or an indicator with one to three runs of zero cells.
+    """
+    u = (np.arange(n) + 0.5) / n * 2.0 - 1.0
+    height = float(rng.uniform(0.2, 3.0))
+    if kind == "flat" or (kind == "dented" and rng.random() < 0.5):
+        vals = np.full(n, height)
+    elif kind == "hat":
+        ramps = [1.0 + rng.uniform(-4, 4) * (u - rng.uniform(-1, 1))
+                 for _ in range(rng.integers(2, 4))]
+        vals = np.clip(np.min(ramps, axis=0), 0.0, None) * height
+    elif p >= 1e-3:
+        vals = height * (1.0 - 0.9 * u ** 2) ** (1.0 / p)
+    elif p < 0:
+        vals = height * (1.0 + 3.0 * u ** 2) ** (1.0 / p)
+    else:
+        vals = height * np.exp(-rng.uniform(0.5, 5.0) * u ** 2)
+    if kind == "dented":
+        for _ in range(rng.integers(1, 4)):
+            at = int(rng.integers(0, n))
+            vals[at:at + int(rng.integers(1, 4))] = 0.0
+    if not (vals > 0).any():
+        vals[n // 2] = height
+    return vals
+
+
+def both_paths(fn):
+    """fn() with _lattice_sums on the slope merge, then on the kernel."""
+    out = []
+    with pytest.MonkeyPatch.context() as m:
+        for merge in (True, False):
+            m.setattr(supconv, "_pieces_cheaper",
+                      lambda r, *_, merge=merge: np.full(len(r), merge))
+            out.append(fn())
+    return out
+
+
+class TestPiecePath:
+    """In 1-D at lam = 1/2 the slope merge of exactly concave pieces gives
+    the kernel's lattice sums W bit for bit, so every M* does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from(PIECE_PS),
+           kinds=st.tuples(*[st.sampled_from(["bump", "flat", "hat", "dented"])] * 2),
+           same=st.booleans())
+    def test_matches_kernel(self, seed, p, kinds, same):
+        rng = np.random.default_rng(seed)
+        params = MeanParams(Fraction(1, 2), p)
+        nf, ng = (int(n) for n in rng.integers(1, 40, size=2))
+        f = GridFunction(1, (0.0,), SP, piece_values(kinds[0], p, nf, rng))
+        g = f if same else GridFunction(1, (SP * int(rng.integers(-6, 7)),), SP,
+                                        piece_values(kinds[1], p, ng, rng))
+        fv, gv = f.values[None], g.values[None]
+        shape = ((fv.shape[1] + gv.shape[1]) // 2 + 1,)
+        (W1, e1), (W2, e2) = both_paths(lambda: _lattice_sums(fv, gv, params, (1,), shape, same))
+        assert e1 == e2 and np.array_equal(W1, W2)
+        h1, h2 = both_paths(lambda: sup_convolution(f, g, params))
+        assert h1.origin == h2.origin and np.array_equal(h1.values, h2.values)
+
+    def test_batch_of_rows(self, rng):
+        """A batch mixing one-piece, dented and kinked rows, as the shave
+        sends to _sup_cells."""
+        for p in PIECE_PS:
+            rows = np.array([piece_values(kind, p, 30, rng)
+                             for kind in ("bump", "flat", "hat", "dented") * 4])
+            params = MeanParams(Fraction(1, 2), p)
+            (W1, _), (W2, _) = both_paths(
+                lambda: _lattice_sums(rows, rows, params, (1,), (30,), True))
+            assert np.array_equal(W1, W2)
+
+    def test_float_slope_tie(self):
+        """Rows whose float steps tie while the real steps differ, at p = 1,
+        where the lift is x / 2 exactly.  (2^-60, 1, 2) lifts to
+        (2^-62, 1/4, 1/2): both float steps are 1/4, but the real first step
+        is smaller, so the row is convex at its middle cell and splits
+        there.  f = (2^-55, 1/2) and g = (2^-54, 1/2 + 2^-53) step by
+        1/4 - 2^-56 and 1/4 + 2^-55, both 1/4 in float; the merge must step
+        in g first, since the pair (1, 0) rounds to 1/4 and the pair (0, 1),
+        the kernel's value at s = 1, to 1/4 + 2^-54."""
+        params = MeanParams(Fraction(1, 2), 1.0)
+        row = np.array([[2.0 ** -60, 1.0, 2.0]])
+        lf = supconv._scaled_lifts(row, row, params, sym=True)[0]
+        assert lf[0, 1] - lf[0, 0] == lf[0, 2] - lf[0, 1] == 0.25
+        assert _exact_pieces(lf)[1].sum() == 2
+        f, g = np.array([[2.0 ** -55, 0.5]]), np.array([[2.0 ** -54, 0.5 + 2.0 ** -53]])
+        lf, lg, _ = supconv._scaled_lifts(f, g, params, sym=False)
+        assert lf[0, 1] - lf[0, 0] == lg[0, 1] - lg[0, 0] == 0.25
+        (W1, _), (W2, _) = both_paths(lambda: _lattice_sums(f, g, params, (0,), (2,), False))
+        assert np.array_equal(W1, W2) and W1[0, 1] == 0.25 + 2.0 ** -54
+        for g in (row, np.array([[1.0, 2.0]]), np.array([[2.0 ** -60, 1.0]])):
+            sym = g is row
+            (W1, _), (W2, _) = both_paths(lambda: _lattice_sums(row, g, params, (1,), (4,), sym))
+            assert np.array_equal(W1, W2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_symmetric_by_value(self, dim, rng, monkeypatch):
+        """g with f's values takes the symmetric pass (half the pairs) as
+        g = f does, with the same output bit for bit."""
+        shape = (40,) if dim == 1 else (9, 7)
+        f = GridFunction(dim, (0.0,) * dim, SP, rng.uniform(0.1, 2.0, size=shape))
+        copy = GridFunction(dim, (0.0,) * dim, SP, f.values.copy())
+        seen = []
+        lattice_sums = supconv._lattice_sums
+        monkeypatch.setattr(supconv, "_lattice_sums",
+                            lambda *a, **k: seen.append(a[5]) or lattice_sums(*a, **k))
+        for p in (-0.25, 0.0, 1.0):
+            params = MeanParams(Fraction(1, 2), p, n=dim)
+            ref, got = sup_convolution(f, f, params), sup_convolution(f, copy, params)
+            assert got.origin == ref.origin and np.array_equal(got.values, ref.values)
+        assert seen == [True] * 6
+        other = GridFunction(dim, (SP,) * dim, SP, f.values.copy())  # moved: still sym
+        sup_convolution(f, other, MeanParams(Fraction(1, 2), 0.0, n=dim))
+        sup_convolution(f, f, MeanParams(Fraction(1, 3), 0.0, n=dim))
+        changed = f.values.copy()
+        changed.flat[3] *= 1.5
+        assert_matches_supconv_oracle(f, copy.with_values(changed), Fraction(1, 2), 0.0, n=dim)
+        assert seen[6:] == [True, False, False]
+
+
 class TestMinkowski:
     def test_same_interval(self):
         A = level_set(indicator(0.0, 1.0, 0.1), 0.0)
@@ -500,6 +631,44 @@ class TestDeficit:
             rep = deficit(f, g, h, params)
             count, ref = violation_scan_oracle(f, g, h, params, rep.tol)
             assert rep.pointwise_violations == count
+            assert verify_bbl_hypothesis(f, g, h, params) == ref
+
+    @pytest.mark.parametrize("case", ["sharpness-0.25", "sharpness0", "dented_bumps", "wide_span"])
+    def test_piece_path_matches_pair_scan_oracle(self, case, monkeypatch):
+        """1-D lam = 1/2 inputs whose M*(f, g) takes the slope merge: counts
+        and witness lists equal the exhaustive pair scan.  Sharpness triples
+        with nf + ng odd have the one corner violation; the bump pair's h is
+        M*(f, g) dented on a few cells; the wide pair's values span more
+        than the _MARGIN proof covers, so every cell is enumerated."""
+        merges = []
+        merge = supconv._merge_pieces
+        monkeypatch.setattr(supconv, "_merge_pieces", lambda *a: merges.append(1) or merge(*a))
+        triples = []
+        if case.startswith("sharpness"):
+            params = MeanParams(Fraction(1, 2), float(case[len("sharpness"):]))
+            for d0 in np.geomspace(1e-3, 1e-1, 12):
+                f, g, h = gen_sharpness_pair(float(d0), spacing=0.01)
+                if (f.shape[0] + g.shape[0]) % 2:
+                    triples.append((f, g, h, 1))
+            assert len(triples) >= 3
+        else:
+            params = HALF
+            sharp = 715.0 if case == "wide_span" else 3.0
+            f = logconcave_bump(width=2.0, spacing=0.02, sharp=sharp)
+            g = logconcave_bump(width=1.4, spacing=0.02, sharp=1.5 * sharp, origin=0.3)
+            if case == "wide_span":
+                assert not _margin_covers(np.concatenate([f.values, g.values]), 0.0)
+            h = sup_convolution(f, g, params)
+            dented = h.values.copy()
+            dented[[5, 40, len(dented) // 2]] *= 1.0 - 1e-3
+            triples.append((f, g, h.with_values(dented), None))
+        for f, g, h, expect in triples:
+            merges.clear()
+            rep = deficit(f, g, h, params)
+            count, ref = violation_scan_oracle(f, g, h, params, rep.tol)
+            assert merges, "the hypothesis check took the kernel"
+            assert rep.pointwise_violations == count == len(ref) > 0
+            assert expect is None or count == expect
             assert verify_bbl_hypothesis(f, g, h, params) == ref
 
 
