@@ -61,17 +61,20 @@ class MeanParams:
 
     @property
     def lam_fraction(self) -> Fraction:
-        """lam as an exact rational; rejects lam that is not (close to) a
-        small-denominator rational, since grid combinations need exactness."""
-        if isinstance(self.lam, Fraction):
-            return self.lam
-        frac = Fraction(self.lam).limit_denominator(64)
-        if abs(float(frac) - self.lam) > 1e-12:
-            raise ValueError(
-                f"lam={self.lam} is not commensurate (need a rational with "
-                "denominator <= 64 for grid combinations)"
-            )
-        return frac
+        return _rational(self.lam)
+
+
+def _rational(lam) -> Fraction:
+    """lam as an exact rational: a Fraction as it is, else the nearest with
+    denominator <= 64, which must lie within 1e-12 of lam, since grid
+    combinations need exactness."""
+    if isinstance(lam, Fraction):
+        return lam
+    frac = Fraction(lam).limit_denominator(64)
+    if abs(float(frac) - float(lam)) > 1e-12:
+        raise ValueError(f"lam={lam} is not commensurate (need a rational with "
+                         "denominator <= 64 for grid combinations)")
+    return frac
 
 
 def _mean(lam: float, p: float, x: float, y: float) -> float:

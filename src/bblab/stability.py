@@ -330,7 +330,9 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     fs = f.with_values(np.ldexp(f.values, -e))
     cands = _shave_candidates_1d(fs, p) if f.dim == 1 else _shave_candidates_2d(fs, p)
     n_cand = sum(len(block) for block in cands)
-    # the kernel's work array holds b^dim lattice sums per cell of a state
+    # a chunk of states is one _self_sup_integrals call, whose lattice sums W
+    # hold b^dim entries per cell of a state: about 4e6 of them bound its
+    # memory
     chunk = max(16, 4 * 10 ** 6 // (f.values.size * params.lam_fraction.denominator ** f.dim))
 
     def best(lo: int, hi: int):

@@ -16,13 +16,15 @@ lam L(f) and (1-lam) L(g) on the lattice sums s, a block max onto cells and
 one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
 2; sup_convolution (and so the hypothesis check) and the shaving objective
 (_self_sup_integrals) call it, and hull.is_p_concave calls its max-plus
-half, _lattice_sums.  That has two paths to the same lattice sums, bit for
-bit: the O(n_f n_g) kernel _max_plus, and in 1-D at lam = 1/2 the slope
-merge _merge_pieces over the pieces on which the float lifts are exactly
-concave, O(r_g n_f + r_f n_g) for r pieces; a cost rule picks one per row.
-The kernel alone serves 2-D, lam != 1/2 and is_p_concave's distinct pairs.
-The shaving objective takes the merge directly on pieces concave up to a
-slack, and one piece by an O(n) formula.
+half, _lattice_sums.  That has two paths: the O(n_f n_g) kernel _max_plus,
+and in 1-D at lam = 1/2 the slope merge _merge_pieces over concave pieces,
+O(r_g n_f + r_f n_g) for r pieces; a cost rule picks one per row.  The
+caller picks the piece finder.  On the exact pieces (_exact_pieces, the
+default), where the float lifts are concave in real arithmetic, both paths
+give the same lattice sums bit for bit.  The shaving objective passes the
+pieces concave up to a slack (_concave_pieces), so that rounding kinks do
+not split its states, and gets M* up to rounding.  The kernel alone serves
+2-D, lam != 1/2 and is_p_concave's distinct pairs.
 
 p_mean_arr evaluates the same formula per pair, at the pair's own scale, so
 the two differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
@@ -38,13 +40,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .gridfn import (GridFunction, LevelSet, ZeroMassError, _cell_centers, _offset_cells,
                      common_grid, integral)
-from .means import MeanParams, _lift, _scale_exp, _unlift, p_mean_arr
+from .means import MeanParams, _lift, _rational, _scale_exp, _unlift, p_mean_arr
 
 __all__ = [
     "DeficitReport",
@@ -64,8 +65,8 @@ _PAIRS_PER_BATCH = 1 << 20
 # the count equals that of a scan of all pairs.  The claim holds as well
 # when W_k below is the maximum over any set of pairs that contains (x, y)
 # (hull.is_p_concave leaves out the pairs (i, i)).  _lattice_sums' slope
-# merge gives the kernel's W bit for bit (_merge_pieces), so the claim
-# covers both of its paths.
+# merge on exact pieces, which sup_convolution uses, gives the kernel's W
+# bit for bit (_merge_pieces), so the claim covers both of its paths.
 #
 # Proof.  m and v_k evaluate one formula, M = sigma U(T) with
 # T = w L(z_x) + c L(z_y), z = x/sigma, w + c = 1 exactly; only sigma
@@ -120,7 +121,7 @@ class DeficitReport:
 
 
 def _lam_ab(params: MeanParams) -> tuple[int, int]:
-    frac: Fraction = params.lam_fraction
+    frac = params.lam_fraction
     return frac.numerator, frac.denominator
 
 
@@ -222,48 +223,38 @@ def _scaled_lifts(fv, gv, params: MeanParams, sym: bool):
     return lf, lg, e
 
 
-def _unlift_cells(W: np.ndarray, b: int, p: float, e: int) -> np.ndarray:
-    """Cells from the lifted lattice sums W (B, b*n_1, ...): the max over
-    each cell's block of b^dim sums, one unlift, times 2^e.  The max runs
-    over strided slices, one axis at a time (numpy reduces a short inner
-    axis about 20 times slower)."""
-    for d in range(1, W.ndim):
-        at = (slice(None),) * d
-        W = functools.reduce(np.maximum, (W[at + (slice(k, None, b),)] for k in range(b)))
-    return _unlift(W, p, e)
-
-
 def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
-                  distinct: bool = False):
+                  distinct: bool = False, pieces=None):
     """The max-plus half of _sup_cells: (W, e), W (B, *(b*n for n in shape))
     the largest lifted pair sum at each lattice sum (-inf where no pair
     lands) and 2^e the scale.  distinct (with sym) leaves out the pair
     (i, i).
 
-    Two paths give the same W bit for bit.  The kernel (_max_plus) forms
-    every pair.  In 1-D at lam = 1/2 (not distinct), _merge_pieces merges
-    the slopes of each pair of exactly concave pieces of f and g
-    (_exact_pieces); _pieces_cheaper picks it per row."""
+    The kernel (_max_plus) forms every pair.  In 1-D at lam = 1/2 (not
+    distinct), _merge_pieces merges the slopes of each pair of concave
+    pieces of f and g, found by pieces(lifts) -> (live, starts, ends);
+    _pieces_cheaper picks the path per row.  On the exact pieces
+    (_exact_pieces, the default) both paths give the same W bit for bit;
+    on the shave's slack pieces (_concave_pieces) the merge gives W up to
+    rounding."""
     a, b = _lam_ab(params)
     lf, lg, e = _scaled_lifts(fv, gv, params, sym)
-    size = tuple(b * n for n in shape)
-    merge = np.zeros(len(fv), dtype=bool)
+    W = np.empty((len(fv),) + tuple(b * n for n in shape))
+    rest = np.arange(len(fv))
     if fv.ndim == 2 and 2 * a == b and not distinct:
-        live_f, sf, ef = _exact_pieces(lf)
-        live_g, sg, eg = (live_f, sf, ef) if sym else _exact_pieces(lg)
-        merge = _pieces_cheaper(sf.sum(axis=1), live_f.sum(axis=1), sg.sum(axis=1),
-                                *_live_box(live_g), sym)
-        if merge.all():
-            return _merge_pieces(lf, lg, (sf, ef), (sg, eg), int(base[0]), size[0], sym), e
-    W = np.full((len(fv),) + size, -np.inf)
-    if merge.any():
-        W[merge] = _merge_pieces(lf[merge], lg[merge], (sf[merge], ef[merge]),
-                                 (sg[merge], eg[merge]), int(base[0]), size[0], sym)
-    rest = np.flatnonzero(~merge)
+        pieces = pieces or _exact_pieces
+        live_f, sf, ef = pieces(lf)
+        live_g, sg, eg = (live_f, sf, ef) if sym else pieces(lg)
+        r_f, r_g = sf.sum(axis=1), sg.sum(axis=1)
+        merge = _pieces_cheaper(r_f, live_f.sum(axis=1), r_g, *_live_box(live_g), sym)
+        if merge.any():
+            _merge_pieces(lf, lg, (sf, ef, r_f), (sg, eg, r_g), int(base[0]), W, merge, sym)
+        rest = np.flatnonzero(~merge)
     if len(rest) == len(fv):
+        W.fill(-np.inf)
         _max_plus(lf, lg, W, a, b, base, sym, distinct)
     elif len(rest):
-        sub = W[rest]
+        sub = np.full((len(rest),) + W.shape[1:], -np.inf)
         _max_plus(lf[rest], lg[rest], sub, a, b, base, sym, distinct)
         W[rest] = sub
     return W, e
@@ -293,7 +284,8 @@ def _max_plus(lf, lg, W, a: int, b: int, base, sym: bool, distinct: bool):
         np.maximum(seg, t, out=seg)
 
 
-def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray:
+def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool,
+               pieces=None) -> np.ndarray:
     """M*_{lam,p} on output cells for a batch of pairs of grid functions.
 
     fv (B, *nf) and gv (B, *ng) hold row r's f and g on boxes of one
@@ -305,10 +297,18 @@ def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool) -> np.ndarray
     first and the result is multiplied back; M is 1-homogeneous, so this is
     exact, and the lifts cannot overflow.  sym (fv equals gv and
     lam = 1/2) visits only pairs with j >= i on axis 0: the mirror pair
-    lands on the same s with the same float sum.
+    lands on the same s with the same float sum.  pieces: the piece finder
+    of the slope merge (_lattice_sums).
     """
-    W, e = _lattice_sums(fv, gv, params, base, shape, sym)
-    return _unlift_cells(W, _lam_ab(params)[1], params.p, e)
+    W, e = _lattice_sums(fv, gv, params, base, shape, sym, pieces=pieces)
+    b = _lam_ab(params)[1]
+    # the max over each cell's block of b^dim sums, over strided slices one
+    # axis at a time (numpy reduces a short inner axis about 20 times
+    # slower); rebinding W frees the lattice sums before the unlift
+    for d in range(1, W.ndim):
+        at = (slice(None),) * d
+        W = functools.reduce(np.maximum, (W[at + (slice(k, None, b),)] for k in range(b)))
+    return _unlift(W, params.p, e)
 
 
 def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> GridFunction:
@@ -342,30 +342,18 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
 
 def _self_sup_integrals(states: np.ndarray, params: MeanParams) -> np.ndarray:
     """sum M*(s, s) over the cells of each state s of the batch (B, *shape),
-    dims 1 and 2: in 1-D at lam = 1/2 by concave pieces where the cost rule
-    of _self_sup_integrals_1d finds that cheaper, else by _sup_cells on the
-    batch's common support box."""
-    out = np.empty(len(states))
-    rest = np.arange(len(states))
-    a, b = _lam_ab(params)
-    if states.ndim == 2 and 2 * a == b:
-        sums, done = _self_sup_integrals_1d(states, params)
-        out[done] = sums[done]
-        rest = np.flatnonzero(~done)
-    if len(rest) == 0:
-        return out
-    sub = states[rest]
-    cropped = _crop(sub, sub.max(axis=0))
+    dims 1 and 2: one _sup_cells call on the batch's common support box,
+    with the shave's slack pieces (_concave_pieces) for the slope merge."""
+    cropped = _crop(states, states.max(axis=0))
     if cropped is None:
-        out[rest] = 0.0
-        return out
+        return np.zeros(len(states))
     sub = cropped[0]
+    a, b = _lam_ab(params)
     # on a common box, with s = a*i + (b-a)*j, cell k collects s in
     # [b*k - b//2, b*k - b//2 + b)
     cells = _sup_cells(sub, sub, params, (b // 2,) * (sub.ndim - 1), sub.shape[1:],
-                       sym=2 * a == b)
-    out[rest] = cells.reshape(len(rest), -1).sum(axis=1)
-    return out
+                       2 * a == b, _concave_pieces)
+    return cells.reshape(len(sub), -1).sum(axis=1)
 
 
 # The cost rule's times (ns): per merged slope and per piece-pair slot of
@@ -383,50 +371,14 @@ def _pieces_cheaper(r_f, live_f, r_g, live_g, box_g, sym: bool) -> np.ndarray:
     slopes over r_f * r_g slots, the kernel live_f * box_g pairs over live_f
     cells of f, each half of that when sym.  The rows of a batch share each
     slot's and each cell's numpy calls, so a row pays 1/B of their cost.
-    In _lattice_sums both paths give the same W, so there the rule moves
-    time only."""
+    On exact pieces both paths give the same W, so the rule moves time
+    only; on the shave's slack pieces it moves the shave's sums within
+    rounding as well."""
     B = len(r_f)
     half = 0.5 if sym else 1.0
     merge = half * (_MERGE_NS * (r_g * live_f + r_f * live_g) + _SLOT_NS * r_f * r_g / B)
     kernel = half * _PAIR_NS * live_f * box_g + _CELL_NS * live_f / B
     return merge < kernel
-
-
-def _self_sup_integrals_1d(rows: np.ndarray, params: MeanParams):
-    """sum M*(g, g) over the cells of 1-D rows g at lam = 1/2, by concave
-    pieces.
-
-    Each row's positive cells split into maximal runs on which the lift is
-    concave up to a slack (_concave_pieces; a kink cell is in both runs).
-    On one piece the pair maximizing the mean at a lattice sum is the
-    balanced one, the cell itself or the adjacent pair, so
-    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)), summed by one O(n) formula.
-    Rows of several pieces go to _merge_pieces with these pieces where
-    _pieces_cheaper finds that cheaper.  The slack pieces make both paths
-    M*(g, g) up to rounding, not bit for bit.  Returns (sums, done); the
-    other rows are for _sup_cells.
-    """
-    B, n = rows.shape
-    starts, ends = _concave_pieces(rows, params.p)
-    r = starts.sum(axis=1)
-    sums = np.zeros(B)
-    one = r <= 1
-    if one.any():
-        g = rows[one]
-        madj = p_mean_arr(params.lam_float, params.p, g[:, :-1], g[:, 1:])
-        extra = np.clip(madj - g[:, 1:], 0.0, None).sum(axis=1)
-        sums[one] = g.sum(axis=1) + extra
-        del g, madj  # before the piece path allocates its own
-    pos = rows > 0
-    live, box = _live_box(pos)
-    many = (r > 1) & _pieces_cheaper(r, live, r, live, box, True)
-    if many.any():
-        sub = rows[many]
-        lf, _, e = _scaled_lifts(sub, sub, params, sym=True)
-        pieces = starts[many], ends[many]
-        W = _merge_pieces(lf, lf, pieces, pieces, 1, 2 * n, sym=True)
-        sums[many] = _unlift_cells(W, 2, params.p, e).sum(axis=1)
-    return sums, one | many
 
 
 def _two_diff(x, y):
@@ -450,18 +402,23 @@ def _piece_bounds(live: np.ndarray, kink: np.ndarray):
     return starts, ends
 
 
-def _concave_pieces(rows: np.ndarray, p: float):
-    """(starts, ends) of the shave's concave pieces of each row: runs of
-    positive cells broken where the unscaled lift's second difference
-    exceeds 1e-9 max|L|."""
-    pos = rows > 0
-    L = _lift(rows, p)
-    with np.errstate(invalid="ignore"):
-        d2 = L[:, :-2] - 2.0 * L[:, 1:-1] + L[:, 2:]
-    slack = 1e-9 * np.maximum(np.where(np.isfinite(L), np.abs(L), 0.0).max(axis=1), 1.0)
-    kink = np.zeros_like(pos)
-    kink[:, 1:-1] = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:] & (d2 > slack[:, None])
-    return _piece_bounds(pos, kink)
+def _concave_pieces(lv: np.ndarray):
+    """(live, starts, ends) as _exact_pieces gives them, for the shave's
+    objective: runs of finite lifts lv (B, n) broken where the second
+    difference exceeds 1e-9 max(max|lv|, 1) of the row, so that rounding
+    kinks do not split a piece.  The merge over these pieces gives M* up to
+    that slack, not the kernel's W bit for bit."""
+    live = np.isfinite(lv)
+    with np.errstate(invalid="ignore"):  # -inf lifts of zero cells
+        d2 = lv[:, 1:-1] * -2.0
+        d2 += lv[:, :-2]
+        d2 += lv[:, 2:]
+    top = np.maximum(lv.max(axis=1, where=live, initial=1.0),
+                     -lv.min(axis=1, where=live, initial=0.0))
+    slack = 1e-9 * top
+    kink = np.zeros_like(live)
+    kink[:, 1:-1] = live[:, :-2] & live[:, 1:-1] & live[:, 2:] & (d2 > slack[:, None])
+    return (live,) + _piece_bounds(live, kink)
 
 
 def _exact_pieces(lv: np.ndarray):
@@ -491,11 +448,12 @@ def _live_box(live: np.ndarray):
     return count, np.where(count > 0, last - first + 1, 0)
 
 
-def _merge_pieces(lf, lg, pf, pg, base: int, m: int, sym: bool) -> np.ndarray:
-    """Lattice sums W (B, m) of 1-D rows at lam = 1/2 from their pieces
-    pf = (starts, ends) of f and pg of g (a kink cell is both):
-    W[r, s] is the largest lf[r, i] + lg[r, j] with i + j + base = s over
-    the pairs (i, j) in one piece of f and one piece of g (-inf if none).
+def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool):
+    """Lattice sums of 1-D rows at lam = 1/2 from their pieces, into W
+    (B, m) on the rows of the mask rows: pf = (starts, ends, counts) of the
+    pieces of f (a kink cell is both) and pg of g; W[r, s] is the largest
+    lf[r, i] + lg[r, j] with i + j + base = s over the pairs (i, j) in one
+    piece of f and one piece of g (-inf if none).
 
     Every pair of live cells lies in some pair of pieces P x Q, since a
     kink cell belongs to both its pieces.  If lf is concave on P and lg on
@@ -509,26 +467,35 @@ def _merge_pieces(lf, lg, pf, pg, base: int, m: int, sym: bool) -> np.ndarray:
     has the largest real sum at its lattice sum, float addition is
     monotone, and tied steps give equal real sums, so W is _max_plus's W
     bit for bit.  sym (lg is lf, pg is pf): a piece with itself takes the
-    balanced pairs (k, k) and (k, k + 1), adjacent live cells share a
-    piece, and only the slots P < Q are merged.  Costs O(r_g n_f + r_f n_g)
-    per row of r pieces, against about n_f n_g pairs in the kernel.
+    balanced pairs (k, k) and (k, k + 1), which fill W from base to
+    base + 2 nf - 2, adjacent live cells share a piece, and only the slots
+    P < Q are merged, so rows of one piece need no slot.  Costs
+    O(r_g n_f + r_f n_g) per row of r pieces, against about n_f n_g pairs
+    in the kernel.
     """
     B, nf = lf.shape
     ng = lg.shape[1]
-    W = np.full((B, m), -np.inf)
+    m = W.shape[1]
     if sym:
-        W[:, base:base + 2 * nf - 1:2] = lf + lf
-        W[:, base + 1:base + 2 * nf - 2:2] = lf[:, :-1] + lf[:, 1:]
-    sides = []
-    for starts, ends in (pf, pg):
-        row, start = np.nonzero(starts)
-        r = np.bincount(row, minlength=B)
-        sides.append((start, np.nonzero(ends)[1], r, np.cumsum(r) - r))
-    (sf, ef, rf, of), (sg, eg, rg, og) = sides
-    if sym:
-        slots = itertools.combinations(range(rf.max(initial=0)), 2)
+        W[rows, :base] = -np.inf
+        W[rows, base + 2 * nf - 1:] = -np.inf
+        np.add(lf, lf, out=W[:, base:base + 2 * nf - 1:2], where=rows[:, None])
+        np.add(lf[:, :-1], lf[:, 1:], out=W[:, base + 1:base + 2 * nf - 2:2],
+               where=rows[:, None])
     else:
-        slots = itertools.product(range(rf.max(initial=0)), range(rg.max(initial=0)))
+        W[rows] = -np.inf
+    rf, rg = pf[2] * rows, pg[2] * rows
+    if sym:
+        slots = list(itertools.combinations(range(rf.max(initial=0)), 2))
+    else:
+        slots = list(itertools.product(range(rf.max(initial=0)), range(rg.max(initial=0))))
+    if not slots:
+        return
+    # per side: the first and the last cell of every piece, and each row's
+    # offset into them
+    sides = [(np.nonzero(starts)[1], np.nonzero(ends)[1], np.cumsum(r) - r)
+             for starts, ends, r in ((pf,) if sym else (pf, pg))]
+    (sf, ef, of), (sg, eg, og) = sides[0], sides[-1]
     flat_W = W.reshape(-1)
     for u, w in slots:
         rows_uw = np.flatnonzero((rf > u) & (rg > w))
@@ -559,7 +526,6 @@ def _merge_pieces(lf, lg, pf, pg, base: int, m: int, sym: bool) -> np.ndarray:
             v = lf.reshape(-1)[R[:, None] * nf + i] + lg.reshape(-1)[R[:, None] * ng + j]
             at = R[:, None] * m + i + j + base
             flat_W[at] = np.maximum(flat_W[at], v)
-    return W
 
 
 def _dilate(mask: np.ndarray, factor: int) -> np.ndarray:
@@ -578,9 +544,7 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     _overlap_counts call (with B flipped), then the floor snap of each
     reached s to its cell.
     """
-    frac = lam if isinstance(lam, Fraction) else Fraction(lam).limit_denominator(64)
-    if abs(float(frac) - float(lam)) > 1e-12:
-        raise ValueError(f"lambda {lam} is not a small-denominator rational")
+    frac = _rational(lam)
     if not 0 <= frac <= 1:
         raise ValueError(f"lambda {lam} is outside [0, 1]")
     a, b = frac.numerator, frac.denominator

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bblab import (
     Cone2D,
@@ -28,9 +30,9 @@ from bblab import (
 )
 from bblab import stability, supconv
 from bblab.gridfn import common_grid, normalize
-from bblab.means import _lift, p_mean_arr
+from bblab.means import _lift, _unlift
 from bblab.stability import _best_shift, _shave_candidates_1d
-from bblab.supconv import _bounding_box, _concave_pieces, _self_sup_integrals_1d, _sup_cells
+from bblab.supconv import _bounding_box, _concave_pieces, _self_sup_integrals
 from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
@@ -108,40 +110,6 @@ def shave_candidates_2d_oracle(f: GridFunction, p: float):
             seen.add(key)
             planes.append(key)
     return _dictionary(caps, halfspaces, planes, 2)
-
-
-def self_sup_integral_rows_oracle(rows: np.ndarray, params: MeanParams):
-    """Reference one-piece shave objective: the exact sum of M*(g,g) over
-    the cells of rows that are grid-p-concave, lam = 1/2.
-
-    For a concave lift with contiguous support, the pair maximizing the mean
-    at every output cell is the balanced one: the cell itself for exact
-    combinations and the adjacent pair for boundary combinations, so
-    M*(g,g)(z) = max(g_z, M(g_{z-1}, g_z)).  Returns (sums, valid).
-    """
-    lam, p = params.lam_float, params.p
-    B, n = rows.shape
-    pos = rows > 0
-    cnt = pos.sum(axis=1)
-    first = np.argmax(pos, axis=1)
-    last = n - 1 - np.argmax(pos[:, ::-1], axis=1)
-    contiguous = (cnt > 0) & (cnt == last - first + 1)
-
-    W = _lift(rows, p)
-    with np.errstate(invalid="ignore"):
-        d2 = W[:, :-2] - 2.0 * W[:, 1:-1] + W[:, 2:]
-    interior = pos[:, :-2] & pos[:, 1:-1] & pos[:, 2:]
-    finiteW = np.where(np.isfinite(W), np.abs(W), 0.0)
-    slack = 1e-9 * np.maximum(finiteW.max(axis=1), 1.0)
-    concave_ok = np.ones(B, dtype=bool)
-    if interior.any():
-        bad = interior & (d2 > slack[:, None])
-        concave_ok = ~bad.any(axis=1)
-    valid = contiguous & concave_ok
-
-    madj = p_mean_arr(lam, p, rows[:, :-1], rows[:, 1:])
-    extra = np.clip(madj - rows[:, 1:], 0.0, None).sum(axis=1)
-    return rows.sum(axis=1) + extra, valid
 
 
 def best_shift_oracle(f: GridFunction, g: GridFunction):
@@ -415,9 +383,9 @@ class TestShave:
             assert_same_dictionary(_shave_candidates_1d(f, p), shave_candidates_1d_oracle(f, p))
 
     def test_piece_path_changes_nothing(self, rng, monkeypatch):
-        """shave with the piece path equals shave with the one-piece oracle
-        and _sup_cells for every other row: same states, same removed mass
-        and objective up to rounding."""
+        """shave with the piece path equals shave with the objective on the
+        kernel alone: same states, same removed mass and objective up to
+        rounding."""
         def dented(width, spacing):
             base = indicator(0.0, 1.0, spacing)
             return gen_dented(base, [((1.0 - width) / 2.0, width, 1.0)])
@@ -433,7 +401,7 @@ class TestShave:
         for f, c in cases:
             fp, removed, obj = shave(f, HALF0, c)
             with monkeypatch.context() as m:
-                m.setattr(supconv, "_self_sup_integrals_1d", self_sup_integral_rows_oracle)
+                m.setattr(supconv, "_pieces_cheaper", rule(False))
                 ref_fp, ref_removed, ref_obj = shave(f, HALF0, c)
             assert np.array_equal(fp.values, ref_fp.values)
             assert removed == pytest.approx(ref_removed, rel=1e-14, abs=0.0)
@@ -582,48 +550,93 @@ def piece_rows(kind, p, rng, n=48, count=25):
 
 
 def _piece_counts(rows, p):
-    """Concave pieces per row, as _self_sup_integrals_1d splits them."""
-    return _concave_pieces(rows, p)[0].sum(axis=1)
+    """Concave pieces per row, as _self_sup_integrals splits them."""
+    lifts = supconv._scaled_lifts(rows, rows, MeanParams(Fraction(1, 2), p), sym=True)[0]
+    return _concave_pieces(lifts)[1].sum(axis=1)
+
+
+def self_sup_max_plus(rows, params):
+    """sum M*(g, g) over the cells of 1-D rows g at lam = 1/2, by _max_plus
+    alone."""
+    lf, _, e = supconv._scaled_lifts(rows, rows, params, sym=True)
+    W = np.full((len(rows), 2 * rows.shape[1]), -np.inf)
+    supconv._max_plus(lf, lf, W, 1, 2, (1,), True, False)
+    return _unlift(np.maximum(W[:, 0::2], W[:, 1::2]), params.p, e).sum(axis=1)
+
+
+def rule(merge: bool):
+    """A _pieces_cheaper that sends every row to the slope merge (True) or
+    to the kernel (False)."""
+    return lambda r, *_: np.full(len(r), merge)
 
 
 class TestShaveObjective:
     @pytest.mark.parametrize("kind", ["dented", "stairs", "bumps", "kinked"])
     @pytest.mark.parametrize("p", [-0.25, 0.0, 0.5, 1.0])
     def test_matches_kernel(self, p, kind, rng, monkeypatch):
-        """Rows of several pieces, on the piece path, against the kernel of
-        _sup_cells; rows of one piece, on the O(n) formula, against the old
-        formula."""
+        """Rows of one and of several pieces, on the slope merge, against
+        the objective on the kernel."""
         params = MeanParams(Fraction(1, 2), p)
-        monkeypatch.setattr(supconv, "_pieces_cheaper", lambda r, *_: np.ones(len(r), bool))
         rows = piece_rows(kind, p, rng)
         r = _piece_counts(rows, p)
-        assert r.min() >= 1 and (r >= 2).sum() >= 5
-        multi = rows[r >= 2]
-        ints, done = _self_sup_integrals_1d(multi, params)
-        assert done.all()
-        with monkeypatch.context() as m:  # the kernel, not the exact slope merge
-            m.setattr(supconv, "_pieces_cheaper", lambda r, *_: np.zeros(len(r), bool))
-            ref = _sup_cells(multi, multi, params, (1,), (rows.shape[1],), sym=True).sum(axis=1)
+        assert r.min() >= 1 and (r >= 2).sum() >= 5 and (r == 1).any()
+        with monkeypatch.context() as m:
+            m.setattr(supconv, "_pieces_cheaper", rule(True))
+            ints = _self_sup_integrals(rows, params)
+        monkeypatch.setattr(supconv, "_pieces_cheaper", rule(False))
+        ref = _self_sup_integrals(rows, params)
         # constant lifts (indicators) and dyadic tents at p = 1 sum exactly
         if kind == "dented" or (kind == "kinked" and p == 1.0):
             assert np.array_equal(ints, ref)
         else:
             np.testing.assert_allclose(ints, ref, rtol=1e-13, atol=0.0)
-        single = rows[r == 1]
-        ints, done = _self_sup_integrals_1d(single, params)
-        ref_ints, ref_valid = self_sup_integral_rows_oracle(single, params)
-        assert done.all() and ref_valid.all()
-        assert np.array_equal(ints, ref_ints)
 
-    def test_rule_takes_both_paths(self, rng):
-        """The cost rule sends a dented indicator of 1000 cells to the piece
-        path and a random 24-cell row of many pieces to _sup_cells."""
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([-0.25, 0.0, 0.5, 1.0]),
+           kind=st.sampled_from(["dented", "stairs", "bumps", "kinked", "random"]),
+           cuts=st.integers(0, 3))
+    def test_random_rows_match_max_plus(self, seed, p, kind, cuts):
+        """Random rows, some cut by p-planes min(row, unlift(m i + q)) as
+        the shave's dictionary cuts them (states that split into many exact
+        pieces), on the slope merge against _max_plus."""
+        rng = np.random.default_rng(seed)
+        params = MeanParams(Fraction(1, 2), p)
+        if kind == "random":
+            rows = rng.uniform(0.1, 2.0, size=(8, 40)) * (rng.random((8, 40)) > 0.2)
+        else:
+            rows = piece_rows(kind, p, rng, n=40, count=8)
+        k = np.arange(rows.shape[1])
+        for _ in range(cuts):
+            lifts = _lift(rows, p)
+            for row, lift in zip(rows, lifts):
+                sup = np.flatnonzero(row > 0)
+                if len(sup) >= 2:
+                    i, j = np.sort(rng.choice(sup, 2, replace=False))
+                    m = (lift[j] - lift[i]) / (j - i)
+                    row[:] = np.minimum(row, _unlift(m * (k - i) + lift[i], p))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(supconv, "_pieces_cheaper", rule(True))
+            ints = _self_sup_integrals(rows, params)
+        np.testing.assert_allclose(ints, self_sup_max_plus(rows, params), rtol=1e-13, atol=0.0)
+
+    def test_rule_takes_both_paths(self, rng, monkeypatch):
+        """With the shave's slack pieces, the cost rule sends a dented
+        indicator of 1000 cells to the slope merge and a random 24-cell row
+        of many pieces to the kernel."""
+        calls = []
+        for name in ("_merge_pieces", "_max_plus"):
+            fn = getattr(supconv, name)
+            monkeypatch.setattr(supconv, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
         dented = np.ones((1, 1000))
         dented[0, 450:550] = 0.0
         ragged = rng.uniform(0.1, 2.0, size=(1, 24))
-        for rows, piece_path in ((dented, True), (ragged, False)):
+        for rows, path in ((dented, "_merge_pieces"), (ragged, "_max_plus")):
             assert _piece_counts(rows, 0.0)[0] >= 2
-            assert _self_sup_integrals_1d(rows, HALF0)[1][0] == piece_path
+            calls.clear()
+            n = rows.shape[1]
+            supconv._lattice_sums(rows, rows, HALF0, (1,), (n,), True, pieces=_concave_pieces)
+            assert calls == [path]
 
 
 class TestUnits:

@@ -296,6 +296,17 @@ class TestSupConvolution:
         with pytest.raises(ValueError):
             sup_convolution(f, f, MeanParams(1 / math.pi, 0.0))
 
+    def test_incommensurate_lambda_rejected_by_minkowski(self):
+        """minkowski_combination parses lambda as MeanParams does: 1/pi is
+        rejected, and a float close to 1/3 is read as 1/3."""
+        A = level_set(indicator(0.0, 1.0, 0.1), 0.0)
+        with pytest.raises(ValueError, match="not commensurate"):
+            minkowski_combination(A, A, 1 / math.pi)
+        C, ref = minkowski_combination(A, A, 1 / 3), minkowski_combination(A, A, Fraction(1, 3))
+        assert C.origin == ref.origin and np.array_equal(C.mask, ref.mask)
+        with pytest.raises(ValueError, match="outside"):
+            minkowski_combination(A, A, 1.5)
+
 
 # exponents of the piece-path tests: 5e-324 is the smallest subnormal, on
 # the Box-Cox branch of the lift
