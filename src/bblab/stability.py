@@ -15,7 +15,8 @@ lattice triangles of them (2-D, O(N) caps for N support cells).  A move is
 accepted only on strict gain, so the invariant
     removed <= delta * mass / c
 is inherited from objective(f) = 0.  integral(M*(f', f')) is
-supconv._self_sup_integrals times the cell volume.
+supconv._self_sup_integrals times the cell volume, or, for the half-lines
+of a full 1-D sweep, supconv._half_line_sup_integrals.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .gridfn import (
 )
 from .hull import _convex_hull_2d, p_concave_hull
 from .means import MeanParams, _lift, _scale_exp, _unlift, exponent_map
-from .supconv import (_crop, _fft_ns, _overlap_counts, _self_sup_integrals, deficit,
-                      sup_convolution, verify_bbl_hypothesis)
+from .supconv import (_crop, _fft_ns, _half_line_sup_integrals, _overlap_counts,
+                      _self_sup_integrals, deficit, sup_convolution, verify_bbl_hypothesis)
 
 __all__ = [
     "StabilityReport",
@@ -297,6 +298,20 @@ def _materialize(cands: tuple, lo: int, hi: int, shape: tuple, p: float) -> np.n
     return out
 
 
+def _half_line_masses(cur: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(prefix, suffix): the sums over the row of the 1-D states cur on
+    i <= k and cur on i >= k, for each k of ks, bit for bit those of the
+    materialized states (shave's removed), by blocks of about 2^20 cells."""
+    i = np.arange(cur.size)
+    out = np.empty((2, len(ks)))
+    rows = max(1, (1 << 20) // cur.size)
+    for a in range(0, len(ks), rows):
+        k = ks[a : a + rows, None]
+        out[0, a : a + rows] = np.where(i <= k, cur, 0.0).sum(axis=1)
+        out[1, a : a + rows] = np.where(i >= k, cur, 0.0).sum(axis=1)
+    return out
+
+
 def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     """Greedy ascent over the shaving dictionary.
 
@@ -304,11 +319,17 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     integral(M*(f,f) - M*(f',f')) - (1+c) integral(f - f').  Moves are
     accepted only on strict improvement, above 1e-10 of integral(M*(f,f)).
     Each step takes the first candidate of greatest gain in a range of the
-    dictionary, evaluated in chunks: a full sweep, then, after an accept,
-    the 17 candidates around it, so that monotone families (cap cascades,
-    end cuts) ride the candidate order, and a full sweep again when the
-    ride ends.  integral(M*(s, s)) is supconv._self_sup_integrals times the
-    cell volume.  f is shaved as f / 2^e, e from means._scale_exp as in the
+    dictionary: a full sweep, then, after an accept, the 17 candidates
+    around it, so that monotone families (cap cascades, end cuts) ride the
+    candidate order, and a full sweep again when the ride ends.  The
+    candidates are materialized and evaluated in chunks, integral(M*(s, s))
+    being supconv._self_sup_integrals times the cell volume, except the
+    half-lines of a full 1-D sweep: the prefixes and suffixes of the
+    current state, whose integrals come from one kernel pass grown a cell
+    at a time (supconv._half_line_sup_integrals) and whose masses are the
+    same row sums (_half_line_masses); only the winner is materialized.
+    A pass after every accept would cost O(n^2), so the windows stay on
+    the chunks.  f is shaved as f / 2^e, e from means._scale_exp as in the
     hull and the kernel, and the results are scaled back, so that f' and
     the ratios do not depend on units.  The dictionary
     (_shave_candidates_1d, _shave_candidates_2d) decides the quality of f'
@@ -332,26 +353,47 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     n_cand = sum(len(block) for block in cands)
     # a chunk of states is one _self_sup_integrals call, whose lattice sums W
     # hold b^dim entries per cell of a state: about 4e6 of them bound its
-    # memory
+    # memory.  A full 1-D sweep chunks the caps and planes only
     chunk = max(16, 4 * 10 ** 6 // (f.values.size * params.lam_fraction.denominator ** f.dim))
+    caps, halfspaces, planes = cands
 
-    def best(lo: int, hi: int):
-        """(state, index) of the first candidate in [lo, hi) whose gain is
-        the greatest and above tol_gain, or (None, None)."""
-        best_gain, best_idx, best_state = tol_gain, None, None
+    def gains(blocks: tuple, lo: int, hi: int) -> np.ndarray:
+        """The gain of candidates lo .. hi - 1 of the dictionary blocks, -inf
+        where a candidate changes nothing, by chunks of materialized
+        states."""
+        out = np.full(hi - lo, -np.inf)
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            states = np.minimum(cur, _materialize(cands, a, b, f.shape, p))
+            states = np.minimum(cur, _materialize(blocks, a, b, f.shape, p))
             removed = cur_int - states.reshape(b - a, -1).sum(axis=1) * cv
-            gains = np.full(b - a, -np.inf)
             changed = removed > 0
             if changed.any():
                 sups = _self_sup_integrals(states[changed], params) * cv
-                gains[changed] = (cur_sup - sups) - (1.0 + c) * removed[changed]
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                best_gain, best_idx, best_state = float(gains[k]), a + k, states[k]
-        return best_state, best_idx
+                out[a - lo : b - lo][changed] = (cur_sup - sups) - (1.0 + c) * removed[changed]
+        return out
+
+    def half_line_gains() -> np.ndarray:
+        """The gains of the 1-D half-lines, as gains gives them, by one pass
+        of supconv._half_line_sup_integrals."""
+        ks = halfspaces[: len(halfspaces) // 2, 1]
+        sups = _half_line_sup_integrals(cur, ks, params) * cv
+        removed = cur_int - _half_line_masses(cur, ks) * cv
+        return np.where(removed > 0, (cur_sup - sups) - (1.0 + c) * removed, -np.inf).reshape(-1)
+
+    def best(lo: int, hi: int):
+        """(state, index) of the first candidate in [lo, hi) whose gain is
+        the greatest and above tol_gain, or (None, None).  A full 1-D sweep
+        chunks the caps and planes as one range and takes the half-lines in
+        one pass."""
+        if full and f.dim == 1:
+            g = gains((caps, halfspaces[:0], planes), 0, n_cand - len(halfspaces))
+            g = np.concatenate([g[: len(caps)], half_line_gains(), g[len(caps) :]])
+        else:
+            g = gains(cands, lo, hi)
+        k = int(np.argmax(g))
+        if not g[k] > tol_gain:
+            return None, None
+        return np.minimum(cur, _materialize(cands, lo + k, lo + k + 1, f.shape, p))[0], lo + k
 
     cur = fs.values.copy()
     m0 = cur_int = float(cur.sum()) * cv

@@ -16,15 +16,18 @@ lam L(f) and (1-lam) L(g) on the lattice sums s, a block max onto cells and
 one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
 2; sup_convolution (and so the hypothesis check) and the shaving objective
 (_self_sup_integrals) call it, and hull.is_p_concave calls its max-plus
-half, _lattice_sums.  That has two paths: the O(n_f n_g) kernel _max_plus,
-and in 1-D at lam = 1/2 the slope merge _merge_pieces over concave pieces,
-O(r_g n_f + r_f n_g) for r pieces; a cost rule picks one per row.  The
-caller picks the piece finder.  On the exact pieces (_exact_pieces, the
-default), where the float lifts are concave in real arithmetic, both paths
-give the same lattice sums bit for bit.  The shaving objective passes the
-pieces concave up to a slack (_concave_pieces), so that rounding kinks do
-not split its states, and gets M* up to rounding.  The kernel alone serves
-2-D, lam != 1/2 and is_p_concave's distinct pairs.
+half, _lattice_sums.  The shave's full 1-D sweeps take the half-line states
+from _half_line_sup_integrals instead: one kernel pass grown a cell at a
+time, whose sums are the kernel path's bit for bit.  _lattice_sums has two
+paths: the O(n_f n_g) kernel _max_plus, and in 1-D at lam = 1/2 the slope
+merge _merge_pieces over concave pieces, O(r_g n_f + r_f n_g) for r
+pieces; a cost rule picks one per row.  The caller picks the piece finder.
+On the exact pieces (_exact_pieces, the default), where the float lifts are
+concave in real arithmetic, both paths give the same lattice sums bit for
+bit.  The shaving objective passes the pieces concave up to a slack
+(_concave_pieces), so that rounding kinks do not split its states, and gets
+M* up to rounding.  The kernel alone serves 2-D, lam != 1/2 and
+is_p_concave's distinct pairs.
 
 p_mean_arr evaluates the same formula per pair, at the pair's own scale, so
 the two differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
@@ -354,6 +357,89 @@ def _self_sup_integrals(states: np.ndarray, params: MeanParams) -> np.ndarray:
     cells = _sup_cells(sub, sub, params, (b // 2,) * (sub.ndim - 1), sub.shape[1:],
                        2 * a == b, _concave_pieces)
     return cells.reshape(len(sub), -1).sum(axis=1)
+
+
+def _half_line_sup_integrals(cur: np.ndarray, ks: np.ndarray, params: MeanParams):
+    """(prefix, suffix): sum M*(s, s) over the cells of the 1-D states
+    s = cur on i <= k and s = cur on i >= k, for each k of ks (ascending).
+
+    One kernel pass grows the states a cell at a time along cur's support
+    box, from the left for the prefixes and from the right for the
+    suffixes (_grown_sums).  The lifts and e are _scaled_lifts' on cur,
+    and each state's cells on cur's box are summed as _self_sup_integrals
+    sums them, so each sum equals, bit for bit, _self_sup_integrals' on
+    the kernel path for a batch of such states whose maximum is cur.  The
+    pass forms O(n^2) pairs in all for n cells in the box, where the
+    kernel forms O(n^2) pairs per state."""
+    out = np.zeros((2, len(ks)))
+    cropped = _crop(cur)
+    if cropped is None:
+        return out
+    sub, (lo,) = cropped
+    m = len(sub)
+    a, b = _lam_ab(params)
+    sym = 2 * a == b
+    lf, lg, e = _scaled_lifts(sub[None], sub[None], params, sym)
+    lf = lf[0]
+    lg = lf if sym else lg[0]
+    at = np.asarray(ks) - int(lo)
+    # cells of the box each state keeps: its first ones, or its last ones
+    out[0] = _grown_sums(lf, lg, np.clip(at + 1, 0, m), params, e, False)
+    out[1, ::-1] = _grown_sums(lf, lg, np.clip(m - at, 0, m)[::-1], params, e, True)
+    return out
+
+
+def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> np.ndarray:
+    """sum M*(s, s) over the box's cells of the states s made of the first
+    counts[r] cells of the box (the last ones when backward), counts
+    nondecreasing, from the lifts lf and lg (lg is lf when lam = 1/2).
+
+    Adding cell t adds the pairs that contain it: (t, j) over the kept
+    cells j, t included, and (i, t) over the others, two strided segments
+    of the lattice sums W, one when lg is lf (the mirror pair has the same
+    float sum).  W is the running max, so after each cell it is the
+    kernel's W of the state, and only the cells whose W rose are unlifted
+    again.  The states' cells are written into a (rows, box) block and
+    summed along axis 1, as _self_sup_integrals sums them."""
+    a, b = _lam_ab(params)
+    step, base = b - a, b // 2
+    m = len(lf)
+    W = np.full(b * m, -np.inf)
+    blocks = W.reshape(m, b)
+    cells = np.zeros(m)
+    sums = np.empty(len(counts))
+    block = np.empty((max(1, min(len(counts), (1 << 20) // m)), m))
+    added = 0
+    for r, want in enumerate(counts):
+        for t in range(added, want):
+            t = m - 1 - t if backward else t
+            if lf[t] == -np.inf:
+                continue
+            # the kept cells after t: [t, m) or [0, t]
+            j0, j1 = (t, m) if backward else (0, t + 1)
+            rose = _raise(W, lf[t] + lg[j0:j1], a * t + step * j0 + base, step)
+            if lg is not lf and j1 - j0 > 1:
+                i0, i1 = (t + 1, m) if backward else (0, t)
+                rose = np.concatenate([rose, _raise(W, lf[i0:i1] + lg[t],
+                                                    a * i0 + step * t + base, a)])
+            # the pair (t, t) is a new lattice sum, so some cell always rises
+            hit = rose // b
+            cells[hit] = _unlift(blocks[hit].max(axis=1), params.p, e)
+        added = want
+        k = r % len(block)
+        block[k] = cells
+        if k == len(block) - 1 or r == len(counts) - 1:
+            sums[r - k:r + 1] = block[:k + 1].sum(axis=1)
+    return sums
+
+
+def _raise(W, v, s0: int, ds: int) -> np.ndarray:
+    """W at s0, s0 + ds, ... raised to v where v is larger, in place; the
+    lattice sums that rose."""
+    seg = W[s0:s0 + ds * (len(v) - 1) + 1:ds]
+    up = (v > seg).nonzero()[0]
+    seg[up] = v[up]
+    return ds * up + s0
 
 
 # The cost rule's times (ns): per merged slope and per piece-pair slot of

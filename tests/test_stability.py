@@ -639,6 +639,125 @@ class TestShaveObjective:
             assert calls == [path]
 
 
+def half_line_sup_integrals_oracle(cur, ks, params):
+    """The full-row path: the half-line states, cur on i <= k for each k of
+    ks, then cur on i >= k, materialized over the row, and their sums by
+    _self_sup_integrals in one batch with cur, whose box and scale are
+    cur's."""
+    i = np.arange(len(cur))
+    states = [np.where(i <= ks[:, None], cur, 0.0), np.where(i >= ks[:, None], cur, 0.0)]
+    return _self_sup_integrals(np.vstack(states + [cur[None]]), params)[:-1].reshape(2, -1)
+
+
+def half_line_row(rng, n):
+    """A random row of n cells with zero gaps and leading zeros, on levels
+    that tie (a staircase) or spread."""
+    if rng.random() < 0.5:
+        row = rng.choice([0.5, 1.0, 1.5], n)
+    else:
+        row = rng.uniform(0.1, 2.0, n)
+    row[rng.random(n) < 0.3] = 0.0
+    row[: int(rng.integers(0, 4))] = 0.0
+    if not row.any():
+        row[-1] = 1.0
+    return row
+
+
+class TestHalfLinePass:
+    """supconv._half_line_sup_integrals, the one kernel pass over the 1-D
+    half-lines of a full shave sweep."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([-0.25, 0.0, 0.5, 1.0]),
+           lam=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]))
+    def test_matches_kernel(self, seed, p, lam):
+        """Bit for bit the kernel path on the materialized prefix and suffix
+        states at cur's scale and box, with k also outside cur's box; and
+        their masses are the sums of the states shave materializes."""
+        rng = np.random.default_rng(seed)
+        params = MeanParams(lam, p)
+        n = int(rng.integers(1, 48))
+        cur = half_line_row(rng, n)
+        ks = np.sort(rng.choice(np.arange(-3, n + 3), size=min(n + 6, 12), replace=False))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(supconv, "_pieces_cheaper", rule(False))
+            ref = half_line_sup_integrals_oracle(cur, ks, params)
+        assert np.array_equal(supconv._half_line_sup_integrals(cur, ks, params), ref)
+        ones = np.ones_like(ks)
+        halfspaces = np.vstack([np.column_stack([-ones, ks]), np.column_stack([ones, -ks])])
+        dictionary = (np.empty(0), halfspaces, np.empty((0, 2)))
+        states = np.minimum(cur, stability._materialize(dictionary, 0, 2 * len(ks), (n,), p))
+        assert np.array_equal(stability._half_line_masses(cur, ks).reshape(-1), states.sum(axis=1))
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3)])
+    def test_one_support_cell(self, lam):
+        """No half-line changes a one-cell state: shave returns it, and both
+        half-lines at the cell keep all of M*(f, f)."""
+        params = MeanParams(lam, 0.0)
+        f = GridFunction(1, (0.0,), 0.1, np.array([0.0, 0.0, 0.7, 0.0]))
+        fp, removed, obj = shave(f, params)
+        assert np.array_equal(fp.values, f.values) and removed == 0.0 and obj == 0.0
+        sums = supconv._half_line_sup_integrals(f.values, np.array([2]), params)
+        assert np.array_equal(sums, np.full((2, 1), _self_sup_integrals(f.values[None], params)[0]))
+
+    def test_support_shrank(self, monkeypatch):
+        """After an accept, the dictionary's k lie outside cur's box: the two
+        bump loses its far bump to a half-line, and the next full sweep
+        passes k on both sides of what is left."""
+        f = gen_two_bump(1e-6, 50.0, spacing=0.05)
+        cur = shave(f, HALF0)[0].values
+        sup = np.flatnonzero(cur > 0)
+        ks = np.flatnonzero(f.values > 0)
+        assert ks[-1] > sup[-1] and ks[0] == sup[0]
+        sums = supconv._half_line_sup_integrals(cur, ks, HALF0)
+        monkeypatch.setattr(supconv, "_pieces_cheaper", rule(False))
+        whole = _self_sup_integrals(cur[None], HALF0)[0]
+        assert np.all(sums[0, ks >= sup[-1]] == whole) and np.all(sums[1, ks > sup[-1]] == 0.0)
+        assert np.array_equal(sums, half_line_sup_integrals_oracle(cur, ks, HALF0))
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    def test_dented(self, p, monkeypatch):
+        """Zero cells inside the support: the prefixes that end in the hole
+        are one state, and every sum is the kernel's."""
+        cur = np.ones(60)
+        cur[25:31] = 0.0
+        params = MeanParams(Fraction(1, 2), p)
+        ks = np.arange(60)
+        sums = supconv._half_line_sup_integrals(cur, ks, params)
+        assert np.all(sums[0, 24:31] == sums[0, 24]) and np.all(sums[1, 25:32] == sums[1, 31])
+        monkeypatch.setattr(supconv, "_pieces_cheaper", rule(False))
+        assert np.array_equal(sums, half_line_sup_integrals_oracle(cur, ks, params))
+
+    def test_full_row_path_changes_nothing(self, rng, monkeypatch):
+        """shave with the pass equals shave with the full-row path as its
+        oracle: the same states, removed mass and objective, on the corpus
+        of test_piece_path_changes_nothing (every linear-1d bench input)
+        and on staircases at lam = 1/3; removed stays below delta mass / c."""
+        def dented(width, spacing):
+            base = indicator(0.0, 1.0, spacing)
+            return gen_dented(base, [((1.0 - width) / 2.0, width, 1.0)])
+
+        cases = [(dented(w, 0.002), 0.75, HALF0) for w in (0.01, 0.05, 0.1, 0.2)]
+        cases += [(dented(0.1, 0.001), 0.75, HALF0), (dented(0.05, 0.002), None, HALF0)]
+        cases.append((gen_two_bump(1e-6, 50.0, spacing=0.05), None, HALF0))
+        cases += [(random_staircase(rng, n_max=40), None, HALF0) for _ in range(20)]
+        f, g, _ = gen_sharpness_pair(1e-3, 1e-3)
+        fn, gn = normalize(f), normalize(g)
+        vf, vg, origin, spacing = common_grid(f, translate(g, _best_shift(fn, gn)[0]))
+        cases.append((GridFunction(1, origin, spacing, np.minimum(vf, vg)), None, HALF0))
+        third = MeanParams(Fraction(1, 3), 0.0)
+        cases += [(random_staircase(rng, n_max=40), c, third) for c in (None, 0.75) * 5]
+        for f, c, params in cases:
+            fp, removed, obj = shave(f, params, c)
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_half_line_sup_integrals", half_line_sup_integrals_oracle)
+                ref_fp, ref_removed, ref_obj = shave(f, params, c)
+            assert np.array_equal(fp.values, ref_fp.values)
+            assert (removed, obj) == (ref_removed, ref_obj)
+            delta = integral(sup_convolution(f, f, params)) / integral(f) - 1.0
+            assert removed <= delta * integral(f) / (c or 0.1 * params.lam_float) + 1e-12
+
+
 class TestUnits:
     """shave works on f / 2^e, so scaling the values or the spacing by a
     power of two scales its outputs exactly, and any other scale moves them
