@@ -34,10 +34,6 @@ from .supconv import sup_convolution
 from .transport import level_diagnostics
 
 
-def _parse_lambda(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_delta0(text: str):
     """'a:b:logN' -> N log-spaced values; 'a:b:N' linear; or a comma list."""
     if ":" in text:
@@ -50,7 +46,7 @@ def _parse_delta0(text: str):
 
 
 def _params(args) -> MeanParams:
-    return MeanParams(_parse_lambda(args.lam), args.p, args.n)
+    return MeanParams(Fraction(args.lam), args.p, args.n)
 
 
 def _add_common(sp, g=False, h=False, h_optional=False):
@@ -62,6 +58,15 @@ def _add_common(sp, g=False, h=False, h_optional=False):
     sp.add_argument("--lambda", dest="lam", default="1/2", help="rational weight, e.g. 1/2")
     sp.add_argument("--p", type=float, default=0.0, help="mean exponent")
     sp.add_argument("--n", type=int, default=1, help="ambient dimension for the parameter check")
+
+
+def _emit(header: str, line: str, path) -> None:
+    """Print a CSV header and one line, and write them to path if given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(header + "\n" + line + "\n")
+    print(header)
+    print(line)
 
 
 def _report_certificate(rep, path):
@@ -83,11 +88,7 @@ def _report_certificate(rep, path):
             "1" if rep.hypothesis_valid else "0",
         ]
     )
-    if path:
-        with open(path, "w") as fh:
-            fh.write(header + "\n" + line + "\n")
-    print(header)
-    print(line)
+    _emit(header, line, path)
     return rep.hypothesis_valid
 
 
@@ -176,11 +177,7 @@ def main(argv=None) -> int:
             + [repr(m) for m in rep.masses]
             + [repr(rep.hull_gap_integral), rep.h_convention]
         )
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(header + "\n" + line + "\n")
-        print(header)
-        print(line)
+        _emit(header, line, args.out)
         return 0
 
     if args.cmd == "certify-symdiff":
@@ -200,11 +197,10 @@ def main(argv=None) -> int:
         return 0 if _report_certificate(rep, args.report) else 1
 
     if args.cmd == "sweep":
-        params = MeanParams(_parse_lambda(args.lam), args.p, args.n)
         rows = lab.sweep(
             args.family,
             _parse_delta0(args.delta0),
-            params,
+            _params(args),
             spacing=args.spacing,
             certificates=args.certificates,
             c=args.c,

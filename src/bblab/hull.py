@@ -7,14 +7,15 @@ the upper concave envelope of the lifted cloud, and mapping back.  The
 lift is of f / 2^e (means._scale_exp), so it cannot overflow.  Hull
 combinatorics are exact: cell indices are integers, and the exact
 predicates run on the float lifts times one power of two 2^K, as Python
-integers (_dyadic_ints); the signs do not change, and planes are divided
-by 2^K at the end.  In 2-D the gift wrap evaluates its orientation
-predicates in float, for all points at once, with a rigorous error bound
-(a filter in the manner of Shewchuk's adaptive predicates), and falls back
-to the exact predicate only for the signs the bound leaves in doubt; its
-facets are those of an all-Fraction wrap, in the same order.  Zero cells
-never enter the envelope (their lift is -inf); the envelope is then
-evaluated on every cell of the convex hull of the support, which is
+integers (_dyadic_ints), with the floats' signs.  Exact values stay dyadic
+integers until a single rounding: a 1-D slope is one integer quotient, a
+2-D plane coefficient one Fraction.  In 2-D the gift wrap evaluates its
+orientation predicates in float, for all points at once, with a rigorous
+error bound (a filter in the manner of Shewchuk's adaptive predicates), and
+falls back to the exact predicate only for the signs the bound leaves in
+doubt; its facets are those of an all-Fraction wrap, in the same order.
+Zero cells never enter the envelope (their lift is -inf); the envelope is
+then evaluated on every cell of the convex hull of the support, which is
 exactly the domain where co_p is defined here.
 
 The midpoint test is_p_concave (dims 1 and 2) gives the report of a scan
@@ -75,19 +76,23 @@ def p_plane_eval(plane: PPlane, x) -> float:
     return s ** (1.0 / plane.p)
 
 
-def _pplane(f: GridFunction, p: float, e: int, coef, const) -> PPlane:
-    """The facet w = <coef, index> + const on the lift scale L of z = f / 2^e
-    as a PPlane in position space, on the x^p scale (2^(ep) times sign(p) L,
-    or 1 + p L for Box-Cox; L + e log 2 at p = 0; inf or nan past floats)."""
+def _pplanes(f: GridFunction, p: float, e: int, coef: np.ndarray, const: np.ndarray) -> list:
+    """The facets w = <coef[k], index> + const[k] on the lift scale L of
+    z = f / 2^e as PPlanes in position space, on the x^p scale (2^(ep) times
+    sign(p) L, or 1 + p L for Box-Cox; L + e log 2 at p = 0; inf or nan past
+    floats).  coef is (facets, dim); with no columns, a constant, every slope
+    is +0.0."""
     box_cox = 0.0 < abs(p) < _SMALL_P
     g = 2.0 ** (e * p) if e * p < 1024 else math.inf
     scale = g * (p if box_cox else (-1.0 if p < 0 else 1.0))
-    y = [scale * float(a) for a in coef]
-    d = scale * float(const) + (g if box_cox else e * math.log(2.0) if p == 0.0 else 0.0)
-    # index -> position: i = (x - origin)/h - 1/2
-    for a, o in zip(y, f.origin):
-        d -= a * (o / f.spacing + 0.5)
-    return PPlane(p, tuple(a / f.spacing for a in y), d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = scale * coef
+        d = scale * const + (g if box_cox else e * math.log(2.0) if p == 0.0 else 0.0)
+        # index -> position: i = (x - origin)/h - 1/2
+        for a, o in zip(y.T, f.origin):
+            d -= a * (o / f.spacing + 0.5)
+        slopes = (y / f.spacing).tolist() if coef.shape[1] else [[0.0] * f.dim] * len(d)
+    return [PPlane(p, tuple(a), c) for a, c in zip(slopes, d.tolist())]
 
 
 def _dyadic_ints(w: np.ndarray):
@@ -357,7 +362,8 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
 
     Support of the hull is exactly the convex hull of supp(f) (cells whose
     centers lie in it, boundary included).  Facets are reported as PPlanes
-    in position space.
+    in position space; where their x^p-scale coefficients exceed the float
+    range they read inf or nan, while the hull itself stays correct.
     """
     if f.dim not in (1, 2):
         raise ValueError("p_concave_hull supports dim 1 and 2")
@@ -369,30 +375,31 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
     e = int(_scale_exp(f.max(), f.values[f.values > 0].min(), p))
     if f.dim == 1:
         idx = np.flatnonzero(f.values > 0)
-        ints, K = _dyadic_ints(_lift(f.values[idx], p, e))
-        chain = [(x, Fraction(w, 1 << K)) for x, w in _upper_chain(idx, ints)]
+        w = _lift(f.values[idx], p, e)
+        ints, K = _dyadic_ints(w)
+        chain = _upper_chain(idx, ints)
+        x = np.array([a for a, _ in chain])
+        v = np.searchsorted(idx, x)  # the vertices' lifts are w[v]
         domain = np.arange(idx.min(), idx.max() + 1)
-        xs = [float(x) for x, _ in chain]
-        ws = [float(v) for _, v in chain]
         hull_vals = np.zeros(f.shape)
-        hull_vals[domain] = _unlift(np.interp(domain.astype(float), xs, ws), p, e)
-        facets = []
-        for (x1, w1), (x2, w2) in zip(chain[:-1], chain[1:]):
-            m = float((w2 - w1) / Fraction(x2 - x1))
-            facets.append(_pplane(f, p, e, (m,), float(w1) - m * x1))
-        if not facets:  # one support cell: a constant, slope +0.0 for every p
-            facets.append(PPlane(p, (0.0,), _pplane(f, p, e, (), chain[0][1]).d))
+        hull_vals[domain] = _unlift(np.interp(domain.astype(float), x.astype(float), w[v]), p, e)
+        if len(chain) == 1:  # one support cell: a constant
+            facets = _pplanes(f, p, e, np.empty((1, 0)), w[v])
+        else:  # each slope is a quotient of integers, rounded once
+            m = np.array([(b - a) / ((x2 - x1) << K)
+                          for (x1, a), (x2, b) in zip(chain[:-1], chain[1:])])
+            facets = _pplanes(f, p, e, m[:, None], w[v[:-1]] - m * x[:-1])
     else:
         idx = np.argwhere(f.values > 0)
-        planes = _upper_envelope_2d(idx, _lift(f.values[tuple(idx.T)], p, e))
+        planes = np.array(_upper_envelope_2d(idx, _lift(f.values[tuple(idx.T)], p, e)),
+                          dtype=float)
         cells = convex_hull_set(level_set(f, 0.0)).indices()
         env = np.full(len(cells), np.inf)
         for alpha, beta, gamma in planes:
-            vals_p = float(alpha) * cells[:, 0] + float(beta) * cells[:, 1] + float(gamma)
-            np.minimum(env, vals_p, out=env)
+            np.minimum(env, alpha * cells[:, 0] + beta * cells[:, 1] + gamma, out=env)
         hull_vals = np.zeros(f.shape)
         hull_vals[tuple(cells.T)] = _unlift(env, p, e)
-        facets = [_pplane(f, p, e, (alpha, beta), gamma) for alpha, beta, gamma in planes]
+        facets = _pplanes(f, p, e, planes[:, :2], planes[:, 2])
     hull = f.with_values(np.maximum(hull_vals, f.values))
     return HullResult(hull, integral(hull) - integral(f), facets)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfn import (GridFunction, ZeroMassError, _offset_cells, integral, level_set,
-                     normalize)
+from .gridfn import (GridFunction, ZeroMassError, _count_above, _offset_cells, integral,
+                     level_set, normalize)
 from .hull import convex_hull_set, hull_deficit
 from .means import MeanParams, p_mean_arr
 from .supconv import (_crop, _minkowski_interval_count, _overlap_counts, minkowski_combination,
@@ -103,13 +103,12 @@ def _height_cdf(f: GridFunction):
     """Height knots (0 and the distinct values) and Phi(t) = int_0^t |F_s| ds
     of the normalized function.
 
-    Between adjacent knots |F_t| is the count of values above the midpoint,
-    taken by one searchsorted on the sorted positive values.
+    Between adjacent knots |F_t| is the count of values above the midpoint.
     """
-    vals = np.sort(f.values[f.values > 0])
+    vals = f.values[f.values > 0]
     knots = np.concatenate(([0.0], np.unique(vals)))
     mids = 0.5 * (knots[:-1] + knots[1:])
-    counts = len(vals) - np.searchsorted(vals, mids, side="right")
+    counts = _count_above(vals, mids)
     seg = counts * f.cell_volume * np.diff(knots)
     cums = np.concatenate(([0.0], np.cumsum(seg)))
     cums /= cums[-1]
@@ -207,12 +206,6 @@ def _mean_knots(lam: float, p: float, T: TransportMap1D, t_max: float, u: np.nda
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _count_above(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """#{values > t} for each threshold in t: one sort, one searchsorted."""
-    v = np.sort(values, axis=None)
-    return v.size - np.searchsorted(v, t, side="right")
 
 
 def _run_bounds(v: np.ndarray, t: np.ndarray, count: np.ndarray):

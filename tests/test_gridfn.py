@@ -17,7 +17,27 @@ from bblab import (
     restrict,
     translate,
 )
-from conftest import indicator, random_staircase
+from conftest import indicator, logconcave_bump, random_staircase
+
+
+def layer_cake_oracle(f: GridFunction, n_heights=None) -> float:
+    """The layer cake with one mask per height: a loop over the distinct
+    values, or an (n_heights, cells) comparison for the midpoint rule."""
+    m = f.max()
+    if m == 0.0:
+        return 0.0
+    cv = f.cell_volume
+    vals = f.values.ravel()
+    if n_heights is None:
+        knots = np.unique(np.concatenate(([0.0], vals[vals > 0])))
+        total = 0.0
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            mid = 0.5 * (lo + hi)
+            total += (hi - lo) * (vals > mid).sum() * cv
+        return float(total)
+    ts = (np.arange(n_heights) + 0.5) * (m / n_heights)
+    meas = (vals[None, :] > ts[:, None]).sum(axis=1) * cv
+    return float(meas.sum() * (m / n_heights))
 
 
 class TestConstruction:
@@ -129,6 +149,27 @@ class TestLayerCake:
         for _ in range(50):
             f = random_staircase(rng)
             assert layer_cake_integral(f) == pytest.approx(integral(f), rel=1e-12)
+
+    def test_matches_mask_oracle(self, rng):
+        """Random, tied, 10^+-100 and all-zero values in 1-D and 2-D: the
+        same floats as one mask per height."""
+        for k in range(100):
+            shape = ((int(rng.integers(1, 40)),) if k // 4 % 2
+                     else tuple(int(n) for n in rng.integers(1, 9, size=2)))
+            vals = [rng.uniform(0.0, 2.0, shape), rng.choice([0.0, 0.5, 1.0, 1.5], size=shape),
+                    10.0 ** rng.uniform(-100.0, 100.0, shape) * (rng.random(shape) < 0.8),
+                    np.zeros(shape)][k % 4]
+            f = GridFunction(len(shape), (0.3,) * len(shape), 0.07, vals)
+            for n in (None, 1, 7, 100):
+                assert layer_cake_integral(f, n) == layer_cake_oracle(f, n)
+
+    def test_many_heights(self):
+        """10^6 heights on 10^4 cells: one mask per height would take 10^10
+        bytes."""
+        f = logconcave_bump(width=2.0, spacing=2e-4)
+        n = 10 ** 6
+        supp = (f.values > 0).sum() * f.spacing
+        assert abs(layer_cake_integral(f, n) - integral(f)) <= f.max() * supp / n
 
 
 class TestTranslateCapNormalizeRestrict:

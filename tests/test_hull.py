@@ -20,16 +20,18 @@ from bblab import (
 from bblab import hull
 from bblab.gridfn import _cell_centers
 from bblab.hull import (
+    HullResult,
     PConcavityReport,
     _collinear_envelope_2d,
     _convex_hull_2d,
     _cross2,
+    _dyadic_ints,
     _orient_above,
     _plane_through,
     _upper_chain,
     _upper_envelope_2d,
 )
-from bblab.means import _lift, _scale_exp, p_mean_arr
+from bblab.means import _SMALL_P, _lift, _scale_exp, _unlift, p_mean_arr
 from bblab.supconv import _margin_covers
 from conftest import hat, indicator, logconcave_bump, pconcave_bump, random_staircase
 
@@ -151,6 +153,66 @@ def upper_envelope_2d_oracle(pts):
 def assert_envelope_matches_oracle(idx, w):
     pts = [(int(a), int(b), Fraction(v)) for (a, b), v in zip(idx.tolist(), w.tolist())]
     assert _upper_envelope_2d(idx, w) == upper_envelope_2d_oracle(pts)
+
+
+# --- reference p_concave_hull: the 1-D chain's values as Fractions, converted
+#     to floats one by one, and one _pplane call per facet in both dims;
+#     p_concave_hull must give the same hull values, gap_mass and facets
+
+def pplane_oracle(f: GridFunction, p: float, e: int, coef, const) -> PPlane:
+    box_cox = 0.0 < abs(p) < _SMALL_P
+    g = 2.0 ** (e * p) if e * p < 1024 else math.inf
+    scale = g * (p if box_cox else (-1.0 if p < 0 else 1.0))
+    y = [scale * float(a) for a in coef]
+    d = scale * float(const) + (g if box_cox else e * math.log(2.0) if p == 0.0 else 0.0)
+    for a, o in zip(y, f.origin):
+        d -= a * (o / f.spacing + 0.5)
+    return PPlane(p, tuple(a / f.spacing for a in y), d)
+
+
+def p_concave_hull_1d_oracle(f: GridFunction, p: float) -> HullResult:
+    e = int(_scale_exp(f.max(), f.values[f.values > 0].min(), p))
+    idx = np.flatnonzero(f.values > 0)
+    ints, K = _dyadic_ints(_lift(f.values[idx], p, e))
+    chain = [(x, Fraction(w, 1 << K)) for x, w in _upper_chain(idx, ints)]
+    domain = np.arange(idx.min(), idx.max() + 1)
+    xs = [float(x) for x, _ in chain]
+    ws = [float(v) for _, v in chain]
+    hull_vals = np.zeros(f.shape)
+    hull_vals[domain] = _unlift(np.interp(domain.astype(float), xs, ws), p, e)
+    facets = []
+    for (x1, w1), (x2, w2) in zip(chain[:-1], chain[1:]):
+        m = float((w2 - w1) / Fraction(x2 - x1))
+        facets.append(pplane_oracle(f, p, e, (m,), float(w1) - m * x1))
+    if not facets:  # one support cell: a constant, slope +0.0 for every p
+        facets.append(PPlane(p, (0.0,), pplane_oracle(f, p, e, (), chain[0][1]).d))
+    hull = f.with_values(np.maximum(hull_vals, f.values))
+    return HullResult(hull, integral(hull) - integral(f), facets)
+
+
+def p_concave_hull_2d_oracle(f: GridFunction, p: float) -> HullResult:
+    e = int(_scale_exp(f.max(), f.values[f.values > 0].min(), p))
+    idx = np.argwhere(f.values > 0)
+    planes = _upper_envelope_2d(idx, _lift(f.values[tuple(idx.T)], p, e))
+    cells = convex_hull_set(level_set(f, 0.0)).indices()
+    env = np.full(len(cells), np.inf)
+    for alpha, beta, gamma in planes:
+        vals_p = float(alpha) * cells[:, 0] + float(beta) * cells[:, 1] + float(gamma)
+        np.minimum(env, vals_p, out=env)
+    hull_vals = np.zeros(f.shape)
+    hull_vals[tuple(cells.T)] = _unlift(env, p, e)
+    facets = [pplane_oracle(f, p, e, (alpha, beta), gamma) for alpha, beta, gamma in planes]
+    hull = f.with_values(np.maximum(hull_vals, f.values))
+    return HullResult(hull, integral(hull) - integral(f), facets)
+
+
+def assert_hull_matches_oracle(f: GridFunction, p: float):
+    """Bit for bit: facets are compared by repr, since some read nan."""
+    got = p_concave_hull(f, p)
+    ref = (p_concave_hull_1d_oracle if f.dim == 1 else p_concave_hull_2d_oracle)(f, p)
+    assert np.array_equal(got.hull.values, ref.hull.values)
+    assert repr(got.gap_mass) == repr(ref.gap_mass)
+    assert [repr(pl) for pl in got.facets] == [repr(pl) for pl in ref.facets]
 
 
 # --- reference midpoint test: every pair of positive cells, in chunks of
@@ -341,6 +403,26 @@ class TestHull1D:
         assert hull == pytest.approx([1.0, 1e200 * math.sqrt(0.5), 1e200], rel=1e-12)
 
 
+    @pytest.mark.parametrize("p", [-0.4, -0.25, -1e-3, -1e-7, 0.0, 1e-9, 1e-4, 0.5, 1.0, 2.0])
+    def test_matches_fraction_oracle(self, p, rng):
+        """Random, holed, tied, bump (p-concave: every cell a vertex),
+        indicator and spread values, on 1 to 300 cells and two grids, plus
+        one and two support cells, against the Fraction chain."""
+        rows = [np.array([0.0, 0.0, 3.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0, 2.0]),
+                np.array([1.0, 0.0, 1e200])]
+        for n in (1, 2, 3, 5, 10, 50, 300):
+            holed = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.7)
+            holed[int(rng.integers(0, n))] = 1.0
+            bump = (pconcave_bump(p, spacing=2.0 / n) if abs(p) >= _SMALL_P
+                    else logconcave_bump(spacing=2.0 / n))
+            rows += [rng.uniform(0.1, 2.0, n), holed,
+                     rng.choice([0.5, 1.0, 1.5, 2.0], size=n),
+                     bump.values, np.ones(n),
+                     10.0 ** rng.uniform(-150.0, 150.0, n)]
+        for vals in rows:
+            for origin, spacing in (((0.0,), 0.1), ((-3.7,), 0.013)):
+                assert_hull_matches_oracle(GridFunction(1, origin, spacing, vals), p)
+
 class TestHull2D:
     def _lp_oracle(self, f, p):
         """Independent 2-D check: envelope at each cell by linear programming
@@ -403,6 +485,34 @@ class TestHull2D:
         for vals in fields:
             idx = np.argwhere(vals > 0)
             assert_envelope_matches_oracle(idx, _lift(vals[tuple(idx.T)], p))
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1e-4, 0.5, 1.0, 2.0])
+    def test_matches_fraction_oracle(self, p, rng):
+        """test_envelope_matches_oracle's fields, on two grids, against the
+        Fraction planes converted one coefficient at a time."""
+        fields = []
+        for k in range(60):
+            shape = tuple(int(n) for n in rng.integers(2, 9, size=2))
+            if k % 2:
+                vals = rng.choice([0.5, 1.0, 1.5, 2.0], size=shape)
+            else:
+                vals = rng.uniform(0.1, 2.0, size=shape)
+            vals[rng.random(shape) < 0.3] = 0.0
+            if not vals.any():
+                vals[0, 0] = 1.0
+            fields.append(vals)
+        for cells in ([(2, j) for j in range(6)], [(i, 4) for i in range(5)],
+                      [(i, i) for i in range(6)], [(i, 2 * i + 1) for i in range(3)],
+                      [(3, 3)], [(1, 0), (0, 5)]):
+            vals = np.zeros((6, 7))
+            vals[tuple(np.array(cells).T)] = rng.uniform(0.1, 2.0, size=len(cells))
+            fields.append(vals)
+        fields.append(np.full((5, 6), 1.7))
+        fields.append(np.where(rng.random((7, 7)) < 0.5, 1.7, 0.0))
+        fields += [gaussian_2d(n).values for n in (6, 9, 12)]
+        for k, vals in enumerate(fields):
+            origin, spacing = ((0.0, 0.0), 0.1) if k % 2 else ((-3.7, 1.1), 0.013)
+            assert_hull_matches_oracle(GridFunction(2, origin, spacing, vals), p)
 
     def test_envelope_matches_oracle_near_coplanar(self, rng):
         """Lifts 1 ulp off a plane or a paraboloid, whose grid quads are
