@@ -10,9 +10,10 @@ Shaving maximizes
     integral(M*(f,f) - M*(f',f')) - (1 + c) * integral(f - f')
 over f' = min(f, ell) by greedy ascent on a finite dictionary of p-concave
 caps, held as three blocks of arrays: levels, integer half-space forms,
-and lifted p-plane forms through pairs of support points (1-D) or unit
-lattice triangles of them (2-D, O(N) caps for N support cells).  A move is
-accepted only on strict gain, so the invariant
+and lifted p-plane forms through adjacent support points and the ends of
+the lift's concave pieces (1-D, O(n r) caps for n support cells and r
+pieces) or unit lattice triangles of them (2-D, O(N) caps for N support
+cells).  A move is accepted only on strict gain, so the invariant
     removed <= delta * mass / c
 is inherited from objective(f) = 0.  integral(M*(f', f')) is
 supconv._self_sup_integrals times the cell volume, or, for the half-lines
@@ -38,7 +39,7 @@ from .gridfn import (
 )
 from .hull import _convex_hull_2d, p_concave_hull
 from .means import MeanParams, _lift, _scale_exp, _unlift, exponent_map
-from .supconv import (_crop, _fft_ns, _half_line_sup_integrals, _overlap_counts,
+from .supconv import (_crop, _exact_pieces, _fft_ns, _half_line_sup_integrals, _overlap_counts,
                       _self_sup_integrals, deficit, sup_convolution, verify_bbl_hypothesis)
 
 __all__ = [
@@ -211,24 +212,28 @@ def _shave_candidates_1d(f: GridFunction, p: float):
     """The dictionary (caps, halfspaces, planes), each block in a fixed
     order: level caps (descending); the half-lines (-1, k), keeping the
     cells i <= k, then (1, -k), keeping i >= k, for each support cell k by
-    position; the p-planes (m, q), w = m i + q, through pairs of lifted
-    support points w, in pair order, the first of equal forms."""
+    position; the p-planes (m, q), w = m i + q, through the lifted support
+    points w of each adjacent pair and each pair with a piece end, in pair
+    order, the first of equal forms: O(n r) planes for n support cells and
+    r pieces.  A piece end starts or ends a piece on which the lifts, in
+    support order, are exactly concave (supconv._exact_pieces): the
+    support's ends, dent edges and kinks.  A plane through two cells inside
+    one piece only dents it, below the lifts between them."""
     vals = f.values
     sup = np.flatnonzero(vals > 0)
+    n = len(sup)
     ones = np.ones_like(sup)
     halfspaces = np.vstack([np.column_stack([-ones, sup]), np.column_stack([ones, -sup])])
     w = _lift(vals, p)
-    rows = [np.empty((0, 2))]
-    for ai, i in enumerate(sup[:-1].tolist()):
-        # row ai: the planes through (i, w[i]) and each later support point,
-        # in order.  Within a row q is a function of m, so the first
-        # occurrence of each m gives the row's distinct forms; "+ 0.0" keeps
-        # -0.0 and 0.0 one form
-        j = sup[ai + 1 :]
-        m = (w[j] - w[i]) / (j - i) + 0.0
-        m = m[np.sort(np.unique(m, return_index=True)[1])]
-        rows.append(np.column_stack([m, w[i] - m * i + 0.0]))
-    return np.unique(vals[sup])[:-1][::-1], halfspaces, _first_rows(np.vstack(rows))
+    _, starts, ends = _exact_pieces(w[sup][None, :])
+    a, b = np.meshgrid(np.flatnonzero(starts[0] | ends[0]), np.arange(n))
+    # keys ai n + bi (ai < bi): adjacent pairs, each end with every cell
+    keys = np.unique(np.concatenate([np.arange(n - 1) * (n + 1) + 1,
+                                     (np.minimum(a, b) * n + np.maximum(a, b))[a != b]]))
+    i, j = sup[keys // n], sup[keys % n]
+    m = (w[j] - w[i]) / (j - i) + 0.0  # + 0.0: -0.0 and 0.0 are one form
+    return (np.unique(vals[sup])[:-1][::-1], halfspaces,
+            _first_rows(np.column_stack([m, w[i] - m * i + 0.0])))
 
 
 def _shave_candidates_2d(f: GridFunction, p: float):
@@ -333,7 +338,8 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     hull and the kernel, and the results are scaled back, so that f' and
     the ratios do not depend on units.  The dictionary
     (_shave_candidates_1d, _shave_candidates_2d) decides the quality of f'
-    only: any dictionary keeps removed <= delta * mass / c.
+    only: any dictionary keeps removed <= delta * mass / c.  The 1-D
+    planes are a subset of the exhaustive pairs', the tests' oracle.
     """
     if c is None:
         c = 0.1 * params.lam_float

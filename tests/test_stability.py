@@ -54,12 +54,14 @@ def assert_same_dictionary(got, ref):
         assert np.array_equal(block, ref_block)
 
 
-def shave_candidates_1d_oracle(f: GridFunction, p: float):
+def shave_candidates_1d_oracle(f: GridFunction, p: float, keep=lambda ai, bi: True):
     """Reference 1-D shaving dictionary: the pair loop over support cells.
 
     Level caps (descending), half-lines keeping i <= k, then i >= k (by
     position k), then the p-planes through each pair of lifted support
-    points, in pair order, keeping the first of equal (slope, offset) keys.
+    points (the pairs (ai, bi) of support positions that keep admits, all
+    of them by default), in pair order, keeping the first of equal
+    (slope, offset) keys.
     """
     vals = f.values
     sup = np.flatnonzero(vals > 0)
@@ -70,6 +72,8 @@ def shave_candidates_1d_oracle(f: GridFunction, p: float):
     seen = set()
     for ai in range(len(sup)):
         for bi in range(ai + 1, len(sup)):
+            if not keep(ai, bi):
+                continue
             i, j = int(sup[ai]), int(sup[bi])
             m = (w[j] - w[i]) / (j - i)
             q = w[i] - m * i
@@ -78,6 +82,22 @@ def shave_candidates_1d_oracle(f: GridFunction, p: float):
                 seen.add(key)
                 planes.append(key)
     return _dictionary(caps, halfspaces, planes, 1)
+
+
+def piece_ends_oracle(w_sup) -> set:
+    """The support positions that start or end a piece on which the lifts
+    w_sup, in support order, are concave in rational arithmetic: the first,
+    the last, and each k whose step down w[k-1] - w[k] exceeds the next."""
+    x = [Fraction(float(v)) for v in w_sup]
+    n = len(x)
+    return {0, n - 1} | {k for k in range(1, n - 1) if x[k - 1] - x[k] > x[k] - x[k + 1]}
+
+
+def shave_candidates_1d_pairs_oracle(f: GridFunction, p: float):
+    """The pair loop over the pairs of adjacent support cells and the pairs
+    with a piece end (piece_ends_oracle)."""
+    ends = piece_ends_oracle(_lift(f.values, p)[f.values > 0])
+    return shave_candidates_1d_oracle(f, p, lambda ai, bi: bi == ai + 1 or {ai, bi} & ends)
 
 
 def shave_candidates_2d_oracle(f: GridFunction, p: float):
@@ -110,6 +130,19 @@ def shave_candidates_2d_oracle(f: GridFunction, p: float):
             seen.add(key)
             planes.append(key)
     return _dictionary(caps, halfspaces, planes, 2)
+
+
+def dented_indicator(width, spacing):
+    """The bench's dented indicators: [0, 1] with a centred hole."""
+    return gen_dented(indicator(0.0, 1.0, spacing), [((1.0 - width) / 2.0, width, 1.0)])
+
+
+def sharpness_k():
+    """k = min(f, shifted g) of the sharpness pair (delta0 1e-3, spacing
+    1e-3), as certify_main shaves it."""
+    f, g, _ = gen_sharpness_pair(1e-3, 1e-3)
+    vf, vg, origin, spacing = common_grid(f, translate(g, _best_shift(normalize(f), normalize(g))[0]))
+    return GridFunction(1, origin, spacing, np.minimum(vf, vg))
 
 
 def best_shift_oracle(f: GridFunction, g: GridFunction):
@@ -370,8 +403,9 @@ class TestShave:
 
     @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
     def test_candidates_1d_match_oracle(self, p, rng):
-        """The vectorized dictionary equals the pair loop, order included, on
-        staircases with exact ties (many equal planes) and random values."""
+        """The vectorized dictionary equals the pair loop over adjacent and
+        piece-end pairs, order included, on staircases with exact ties (many
+        equal planes) and random values."""
         inputs = [indicator(0.0, 1.0, 0.05), hat(width=1.0, spacing=0.05)]
         for k in range(40):
             f = random_staircase(rng, n_max=40, zero_frac=0.3)
@@ -380,7 +414,67 @@ class TestShave:
                 f = f.with_values(np.where(f.values > 0, levels, 0.0))
             inputs.append(f)
         for f in inputs:
-            assert_same_dictionary(_shave_candidates_1d(f, p), shave_candidates_1d_oracle(f, p))
+            assert_same_dictionary(_shave_candidates_1d(f, p),
+                                   shave_candidates_1d_pairs_oracle(f, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([-0.25, 0.0, 0.5, 1.0]),
+           kind=st.sampled_from(["random", "dented", "stairs", "bumps", "kinked"]))
+    def test_candidates_1d_within_exhaustive(self, seed, p, kind):
+        """Every plane of the dictionary is a plane of the exhaustive one,
+        and it holds the plane of every adjacent pair and of every pair with
+        a piece end, on random rows with zero gaps and on piece_rows' tied,
+        holed and bump rows."""
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            vals = rng.uniform(0.1, 2.0, 40) * (rng.random(40) > 0.2)
+        else:
+            vals = piece_rows(kind, p, rng, n=40, count=1)[0]
+        f = GridFunction(1, (0.0,), 0.1, vals)
+        planes = {tuple(r) for r in _shave_candidates_1d(f, p)[2]}
+        assert planes <= {tuple(r) for r in shave_candidates_1d_oracle(f, p)[2]}
+        assert {tuple(r) for r in shave_candidates_1d_pairs_oracle(f, p)[2]} <= planes
+
+    def test_quality_against_oracle(self, rng):
+        """The O(n r) dictionary against the exhaustive one: the same states
+        on the bench's dented indicators, the two-bump, the sharpness k, a
+        log-concave bump and a hat, and at least 0.99 of the oracle's
+        objective on dented bumps and random staircases.  Planes through
+        adjacent support points alone fall below 0.99 on these dented
+        bumps."""
+        same = [(dented_indicator(w, 0.002), HALF0, 0.75) for w in (0.01, 0.05, 0.1, 0.2)]
+        same += [(dented_indicator(0.1, 0.001), HALF0, 0.75)]
+        same += [(gen_two_bump(1e-6, 50.0, spacing=0.05), HALF0, None), (sharpness_k(), HALF0, None)]
+        bumps = [gen_dented(logconcave_bump(spacing=0.04), [dent])
+                 for dent in ((0.5, 0.3, 0.4), (1.4, 0.2, 0.3), (1.18, 0.26, 0.8))]
+        other = []
+        for lam in (Fraction(1, 2), Fraction(1, 3)):
+            for p in (-0.25, 0.0, 1.0):
+                params = MeanParams(lam, p)
+                same += [(logconcave_bump(spacing=0.04), params, None),
+                         (hat(width=1.0, spacing=0.02), params, None)]
+                other += [(f, params, None) for f in bumps]
+                other += [(random_staircase(rng, n_max=40), params, None) for _ in range(3)]
+        for k, (f, params, c) in enumerate(same + other):
+            fp, _, obj = shave(f, params, c)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(stability, "_shave_candidates_1d", shave_candidates_1d_oracle)
+                ref_fp, _, ref_obj = shave(f, params, c)
+            if k < len(same):
+                assert np.array_equal(fp.values, ref_fp.values), (k, params)
+            else:
+                assert obj >= 0.99 * ref_obj, (k, params, obj, ref_obj)
+
+    def test_candidates_1d_scale(self):
+        """A 1000-cell log-concave bump, one concave piece: at most 3n
+        planes, and certify_linear returns a finite ratio and a p-concave
+        witness."""
+        f = logconcave_bump(spacing=0.002)
+        assert f.values.size == 1000
+        assert len(_shave_candidates_1d(f, 0.0)[2]) <= 3 * 1000
+        rep = certify_linear(f, HALF0)
+        assert math.isfinite(rep.ratio_linear)
+        assert bool(is_p_concave(rep.witness, 0.0, 1e-9))
 
     def test_piece_path_changes_nothing(self, rng, monkeypatch):
         """shave with the piece path equals shave with the objective on the
