@@ -156,15 +156,12 @@ def main(argv=None) -> int:
             with open(args.report, "w") as fh:
                 fh.write("cell,x,f,hull,gap\n")
                 cells = np.argwhere(res.hull.values > 0)
-                for cell, x in zip(cells, _cell_centers(f, cells)):
-                    idx = tuple(int(v) for v in cell)
+                at = tuple(cells.T)
+                for cell, x, fv, hv in zip(cells.tolist(), _cell_centers(f, cells),
+                                           f.values[at].tolist(), res.hull.values[at].tolist()):
                     x = x if f.dim > 1 else (x,)
-                    fv = float(f.values[idx])
-                    hv = float(res.hull.values[idx])
-                    fh.write(
-                        f"{';'.join(str(i) for i in idx)},{';'.join(repr(v) for v in x)},"
-                        f"{fv!r},{hv!r},{hv - fv!r}\n"
-                    )
+                    fh.write(f"{';'.join(map(str, cell))},{';'.join(map(repr, x))},"
+                             f"{fv!r},{hv!r},{hv - fv!r}\n")
         print(f"gap_mass={res.gap_mass!r} facets={len(res.facets)}")
         return 0
 

@@ -279,9 +279,8 @@ def dump_gfn(f: GridFunction, path) -> None:
         head += [repr(o) for o in f.origin]
         head += [str(s) for s in f.shape]
         fh.write(" ".join(head) + "\n")
-        rows = f.values.reshape(-1, f.shape[-1])
-        for row in rows:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        rows = f.values.reshape(-1, f.shape[-1]).tolist()
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in rows)
 
 
 def load_gfn(path) -> GridFunction:
@@ -297,10 +296,7 @@ def load_gfn(path) -> GridFunction:
         spacing = float(tokens[2])
         origin = tuple(float(t) for t in tokens[3 : 3 + dim])
         shape = tuple(int(t) for t in tokens[3 + dim :])
-        flat = []
-        for line in fh:
-            flat.extend(float(t) for t in line.split())
-    vals = np.asarray(flat, dtype=float)
+        vals = np.array(fh.read().split(), dtype=float)
     expected = int(np.prod(shape))
     if vals.size != expected:
         raise ValueError(f"expected {expected} values, found {vals.size}")

@@ -8,8 +8,8 @@ lift is of f / 2^e (means._scale_exp), so it cannot overflow.  Hull
 combinatorics are exact: cell indices are integers, and the exact
 predicates run on the float lifts times one power of two 2^K, as Python
 integers (_dyadic_ints), with the floats' signs.  Exact values stay dyadic
-integers until a single rounding: a 1-D slope is one integer quotient, a
-2-D plane coefficient one Fraction.  In 2-D the gift wrap evaluates its
+integers until a single rounding: a 1-D slope and a 2-D plane coefficient
+are each one integer quotient.  In 2-D the gift wrap evaluates its
 orientation predicates in float, for all points at once, with a rigorous
 error bound (a filter in the manner of Shewchuk's adaptive predicates), and
 falls back to the exact predicate only for the signs the bound leaves in
@@ -20,8 +20,8 @@ exactly the domain where co_p is defined here.
 
 The midpoint test is_p_concave (dims 1 and 2) gives the report of a scan
 of every pair of positive cells, but scans only where a filter cannot
-clear a midpoint cell k: one max-plus pass of sup_convolution's kernel
-bounds M_{1/2,p} over the distinct pairs with midpoint k, the proof at
+clear a midpoint cell k: one max-plus pass (the slope merge in 1-D, the
+kernel in 2-D) bounds M_{1/2,p} over the distinct pairs at k, the proof at
 supconv._MARGIN turns that bound into "every gap at k is negative", and the
 pairs of the remaining cells are enumerated and compared with p_mean_arr.
 Ties go to the first pair in row-major order.
@@ -105,11 +105,6 @@ def _dyadic_ints(w: np.ndarray):
     return [m << (K - d.bit_length() + 1) for m, d in ratios], K
 
 
-def _unscale(planes: list, K: int) -> list:
-    """Planes of the lifts times 2^K as Fraction planes of the lifts."""
-    return [tuple(Fraction(c) / (1 << K) for c in plane) for plane in planes]
-
-
 # --------------------------------------------------------------------------
 # exact 1-D upper concave chain on (integer index, rational value) points
 
@@ -169,41 +164,35 @@ def _orient_above(P, Q, C, D):
 
 
 def _plane_through(P, Q, C):
-    """(alpha, beta, gamma) Fractions with w = alpha*x + beta*y + gamma."""
+    """The integer plane (n1, n2, n3, gamma), n3 w = -n1 x - n2 y + gamma,
+    through three integer points; n3 = cross(P, Q, C) > 0 when CCW."""
     d1 = (Q[0] - P[0], Q[1] - P[1], Q[2] - P[2])
     d2 = (C[0] - P[0], C[1] - P[1], C[2] - P[2])
     n1 = d1[1] * d2[2] - d1[2] * d2[1]
     n2 = d1[2] * d2[0] - d1[0] * d2[2]
     n3 = d1[0] * d2[1] - d1[1] * d2[0]
-    alpha = Fraction(-n1, 1) / n3
-    beta = Fraction(-n2, 1) / n3
-    gamma = P[2] + (n1 * Fraction(P[0]) + n2 * Fraction(P[1])) / n3
-    return alpha, beta, gamma
+    return n1, n2, n3, P[2] * n3 + n1 * P[0] + n2 * P[1]
 
 
 def _collinear_envelope_2d(pts):
-    """Upper envelope of lifted points whose xy all lie on one line."""
+    """Upper envelope (_plane_through's planes) of lifted points on one xy line."""
     p_lo = min(pts, key=lambda p: (p[0], p[1]))
     p_hi = max(pts, key=lambda p: (p[0], p[1]))
     ux, uy = p_hi[0] - p_lo[0], p_hi[1] - p_lo[1]
     if ux == 0 and uy == 0:
-        w = max(p[2] for p in pts)
-        return [(Fraction(0), Fraction(0), w)]
+        return [(0, 0, 1, max(p[2] for p in pts))]
     g = math.gcd(abs(ux), abs(uy))
     dirv = (ux // g, uy // g)
-    # with t = <dirv, (x, y)> integer, a segment w = m*t + q of the chain is
-    # realized by the plane (m*d0, m*d1, q); evaluation happens on the line
+    # with t = <dirv, (x, y)> integer, the chain's segment (t1, w1)-(t2, w2) is the
+    # plane dt w = dw (d0 x + d1 y) + w1 dt - dw t1; evaluation happens on the line
     t = np.array([dirv[0] * p[0] + dirv[1] * p[1] for p in pts])
     order = np.argsort(t)
     chain = _upper_chain(t[order], [pts[i][2] for i in order])
     planes = []
     for (t1, w1), (t2, w2) in zip(chain[:-1], chain[1:]):
-        m = (w2 - w1) / Fraction(int(t2) - int(t1))
-        planes.append((m * dirv[0], m * dirv[1], w1 - m * t1))
-    if not planes:
-        _, w1 = chain[0]
-        planes.append((Fraction(0), Fraction(0), Fraction(w1)))
-    return planes
+        dt, dw = int(t2) - int(t1), w2 - w1
+        planes.append((-dw * dirv[0], -dw * dirv[1], dt, w1 * dt - dw * int(t1)))
+    return planes or [(0, 0, 1, chain[0][1])]
 
 
 # smallest positive subnormal: covers the absolute rounding error of a
@@ -247,10 +236,20 @@ def _orient_filter(X, Y, W, P, Q, C, cross):
 
 
 def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
-    """Facet planes of the upper concave envelope of lifted points.
+    """Facet planes (alpha, beta, gamma) of the upper concave envelope of
+    lifted points, w = alpha*x + beta*y + gamma: the integer planes of
+    _integer_envelope_2d with each coefficient one integer quotient,
+    -n1/(n3 2^K), -n2/(n3 2^K) and gamma/(n3 2^K), rounded once."""
+    planes, K = _integer_envelope_2d(idx, w)
+    return [(-n1 / (n3 << K), -n2 / (n3 << K), g / (n3 << K)) for n1, n2, n3, g in planes]
 
-    idx: (n, 2) distinct integer cells; w: their n float lifts.  Returns a
-    list of (alpha, beta, gamma) Fractions with w = alpha*x + beta*y + gamma;
+
+def _integer_envelope_2d(idx: np.ndarray, w: np.ndarray):
+    """(planes, K): the facet planes of the upper concave envelope of lifted
+    points, on the lifts times 2^K (_dyadic_ints).
+
+    idx: (n, 2) distinct integer cells; w: their n float lifts.  Each plane
+    is _plane_through's (n1, n2, n3, gamma), n3 w 2^K = -n1 x - n2 y + gamma;
     the envelope is their pointwise minimum over the xy convex hull.  Every
     returned plane dominates all points (verified exactly), so the minimum
     never undercuts the envelope.
@@ -291,7 +290,7 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
 
     hull_xy = _convex_hull_2d(idx)
     if len(hull_xy) <= 2:
-        return _unscale(_collinear_envelope_2d(pts), K)
+        return _collinear_envelope_2d(pts), K
 
     planes = []
     seen = set()
@@ -345,7 +344,7 @@ def _upper_envelope_2d(idx: np.ndarray, w: np.ndarray) -> list:
         for E in ((C, Q), (P, C)):
             if E not in seen:
                 queue.append(E)
-    return _unscale(planes, K)
+    return planes, K
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +448,7 @@ def is_p_concave(f: GridFunction, p: float, tol: float = 1e-9) -> PConcavityRepo
     positions is the first of the worst pairs in row-major order of x, then
     of y, or None.  The report is that of a scan of every pair, computed
     as follows.
-    - Filter: one pass of the max-plus kernel of sup_convolution at
+    - Filter: one max-plus pass of sup_convolution (_lattice_sums) at
       lam = 1/2 over the distinct pairs with an even lattice sum
       (_midpoint_means; the pair (x, x) has gap exactly 0) gives V(k), the
       largest mean at each midpoint cell k as the kernel rounds it.  By the

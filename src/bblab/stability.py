@@ -37,10 +37,11 @@ from .gridfn import (
     normalize,
     translate,
 )
-from .hull import _convex_hull_2d, p_concave_hull
+from .hull import _TINY, _convex_hull_2d, p_concave_hull
 from .means import MeanParams, _lift, _scale_exp, _unlift, exponent_map
-from .supconv import (_crop, _exact_pieces, _fft_ns, _half_line_sup_integrals, _overlap_counts,
-                      _self_sup_integrals, deficit, sup_convolution, verify_bbl_hypothesis)
+from .supconv import (_crop, _exact_pieces, _fft_correlation, _fft_ns, _half_line_sup_integrals,
+                      _overlap_counts, _self_sup_integrals, deficit, sup_convolution,
+                      verify_bbl_hypothesis)
 
 __all__ = [
     "StabilityReport",
@@ -78,20 +79,65 @@ def _ratio(dist: float, scale: float) -> float:
     return 0.0 if dist <= 1e-15 else math.inf
 
 
-def _direct_scan(fbox: np.ndarray, gbox: np.ndarray) -> np.ndarray:
-    """sum |f - g(. - v)| for every shift of the support boxes that overlaps
+def _direct_scan(fbox: np.ndarray, gbox: np.ndarray, slack: float) -> np.ndarray:
+    """sum |f - g(. - v)| at every shift of the support boxes that overlaps
     them, at its full-correlation index (_overlap_counts), one numpy pass
-    over the g box per shift."""
+    over the g box per shift; +inf where a lower bound proves the sum more
+    than slack above the smallest.
+
+    The shifts go in ascending order of the bound, and the scan stops at the
+    first whose bound exceeds (best + slack)(1 + 2^-40), best the smallest
+    sum so far.  _best_shift passes slack = w/cv, w >= 1e-11 its tie window;
+    the factor covers the roundings of w/cv, of the sums times cv and of the
+    tie bound, so every shift in the window is summed as a full scan sums it.
+
+    Bound.  With M = max(max f, max g), (x - y)^2 <= M |x - y| on [0, M], so
+    D(v) = sum |f - g_v| >= (Q - 2 c(v))/M, Q = sum f^2 + sum g^2 and
+    c = f (star) g from one _fft_correlation (none past _FFT_MAX: then every
+    shift is summed), on f and g times 2^-e, M 2^-e in [1/2, 1), so that
+    Q >= 1/4 dwarfs the errors of underflow (2^-1075 per rounded product,
+    at most 2^28 of them per FFT output, each reaching it times at most
+    N <= 2^23, the cells of both boxes).  With u = 2^-53:
+    - |c~ - c| <= 4e-8 |f| |g| <= 2e-8 Q by Percival's bound as
+      _overlap_counts states it, with its factor 10^6 for pocketfft;
+    - the float Q, a sum of N rounded squares, is within gamma_(N+1)
+      < 2^-29 relative in any order (Higham, (3.5)), and the quotient adds
+      two roundings of terms below 2.1 q/M: the float bound is within
+      5e-8 q/M of (Q - 2c)/M;
+    - the scan's sum d = fl(fl(a + F~) - b) of float sums of nonnegative
+      terms (|f_v - g| and f_v over the g box, f) has
+      d >= D - gamma_(N+2) (A + F + S) >= D - 2^-28 (F + G), as the real
+      sums have A <= S + G and S <= F (G the mass of g).
+    The margin 2^-21 (q/M + F + G) is over four times these, which covers
+    its own roundings; the bound less it, times 2^e, less the smallest
+    subnormal (for a product that underflows), is below d wherever the
+    sums are finite.
+    """
     m = gbox.shape
+    shape = tuple(n + k - 1 for n, k in zip(fbox.shape, m))
     pad = np.zeros(tuple(n + 2 * (k - 1) for n, k in zip(fbox.shape, m)))
     pad[tuple(slice(k - 1, k - 1 + n) for n, k in zip(fbox.shape, m))] = fbox
     f_mass = float(fbox.sum())
-    dists = np.empty(tuple(n + k - 1 for n, k in zip(fbox.shape, m)))
+    top, e = math.frexp(max(fbox.max(), gbox.max()))
+    fs, gs = np.ldexp(fbox, -e), np.ldexp(gbox, -e)
+    c = _fft_correlation(fs, gs)
+    c = np.full(shape, np.inf) if c is None else c  # no bound: -inf below
+    q = float(np.vdot(fs, fs)) + float(np.vdot(gs, gs))
+    margin = 2.0 ** -21 * (q / top + float(fs.sum()) + float(gs.sum()))
+    lower = np.ldexp((q - 2.0 * c) / top - margin, e) - _TINY
+    order = np.argsort(lower, axis=None, kind="stable")
+    dists = np.full(shape, np.inf)
+    best = stop = np.inf
     # seg[y] = f at y shifted by the index's offset; f-mass off the g box
     # faces zero
-    for t in np.ndindex(dists.shape):
+    for bound, flat in zip(lower.reshape(-1)[order].tolist(), order.tolist()):
+        if bound > stop:
+            break
+        t = np.unravel_index(flat, shape)
         seg = pad[tuple(slice(i, i + k) for i, k in zip(t, m))]
-        dists[t] = float(np.abs(seg - gbox).sum()) + f_mass - float(seg.sum())
+        dists[t] = d = float(np.abs(seg - gbox).sum()) + f_mass - float(seg.sum())
+        if d < best:
+            best, stop = d, (d + slack) * (1.0 + 2.0 ** -40)
     return dists
 
 
@@ -128,7 +174,7 @@ def _layers_cheaper(k: int, shape: tuple, cells: int) -> bool:
 
 
 def _best_shift(f: GridFunction, g: GridFunction):
-    """Exhaustive integer-shift search minimizing int |f - g(. - v h)|.
+    """Integer-shift search minimizing int |f - g(. - v h)|, exact over the range.
 
     Range: per axis, the v in [lo_f - hi_g, hi_f - lo_g] at which the
     support boxes overlap ([lo, hi] the box's index bounds on the common
@@ -138,14 +184,14 @@ def _best_shift(f: GridFunction, g: GridFunction):
     (1e-11 relative to 1 + mass) are ties, which break by smaller |v|^2,
     then lexicographic v; a minimum that ties with separation (an overlap
     worth less than the noise) keeps the in-range shift the rule picks.
-    Every distance in the range comes from one of two scans, chosen by the
-    cost rule _layers_cheaper: _direct_scan, O(|g box|) per shift, or
-    _layer_scan, by the layer cake
+    The distances come from one of two scans, chosen by the cost rule
+    _layers_cheaper: _direct_scan, O(|g box|) per shift it sums, which are
+    the shifts an FFT lower bound leaves in the tie window, or _layer_scan,
         int |f - g_v| = int_0^inf |{f > t} symdiff ({g > t} + v)| dt,
     one exact mask correlation for each of the K distinct values of f and
     g.  The sharpness pair has K = 2; smooth inputs have K near the cell
-    count and take the direct scan.  The range and the tie rule are the
-    same on both.
+    count and take the direct scan.  Both give the window's distances, so
+    the same (v, dist), bit for bit.
     """
     vf, vg, _, h = common_grid(f, g)
     cv = h ** f.dim
@@ -157,11 +203,12 @@ def _best_shift(f: GridFunction, g: GridFunction):
     v_lo = flo - (glo + np.array(gbox.shape) - 1)
     levels = np.unique(np.concatenate([fbox[fbox > 0], gbox[gbox > 0]]))
     shape = tuple(n + k - 1 for n, k in zip(fbox.shape, gbox.shape))
+    window = 1e-11 * (1.0 + float(vf.sum()) * cv)
     if _layers_cheaper(len(levels), shape, gbox.size):
         dists = _layer_scan(fbox, gbox, levels) * cv
     else:
-        dists = _direct_scan(fbox, gbox) * cv
-    tie = dists.min() + 1e-11 * (1.0 + float(vf.sum()) * cv)
+        dists = _direct_scan(fbox, gbox, window / cv) * cv
+    tie = dists.min() + window
     cand = np.argwhere(dists <= tie) + v_lo
     best = np.lexsort(np.vstack([cand.T[::-1], (cand ** 2).sum(axis=1)]))[0]
     v = tuple(int(x) for x in cand[best])

@@ -26,8 +26,8 @@ On the exact pieces (_exact_pieces, the default), where the float lifts are
 concave in real arithmetic, both paths give the same lattice sums bit for
 bit.  The shaving objective passes the pieces concave up to a slack
 (_concave_pieces), so that rounding kinks do not split its states, and gets
-M* up to rounding.  The kernel alone serves 2-D, lam != 1/2 and
-is_p_concave's distinct pairs.
+M* up to rounding.  The kernel alone serves 2-D (the 2-D midpoint test
+included) and lam != 1/2.
 
 p_mean_arr evaluates the same formula per pair, at the pair's own scale, so
 the two differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
@@ -68,8 +68,9 @@ _PAIRS_PER_BATCH = 1 << 20
 # the count equals that of a scan of all pairs.  The claim holds as well
 # when W_k below is the maximum over any set of pairs that contains (x, y)
 # (hull.is_p_concave leaves out the pairs (i, i)).  _lattice_sums' slope
-# merge on exact pieces, which sup_convolution uses, gives the kernel's W
-# bit for bit (_merge_pieces), so the claim covers both of its paths.
+# merge on exact pieces, which sup_convolution and the 1-D midpoint test
+# use, gives the kernel's W bit for bit, distinct pairs included
+# (_merge_pieces), so the claim covers both of its paths.
 #
 # Proof.  m and v_k evaluate one formula, M = sigma U(T) with
 # T = w L(z_x) + c L(z_y), z = x/sigma, w + c = 1 exactly; only sigma
@@ -197,11 +198,7 @@ def _overlap_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ra = np.flatnonzero(a.reshape(-1, a.shape[-1]).any(axis=1))
     rb = np.flatnonzero(b.reshape(-1, b.shape[-1]).any(axis=1))
     direct_ns = len(ra) * len(rb) * (2e3 + 0.2 * a.shape[-1] * b.shape[-1])
-    pad = tuple(1 << (n - 1).bit_length() for n in shape)
-    if direct_ns > _fft_ns(shape) and math.prod(pad) <= _FFT_MAX:
-        axes = tuple(range(a.ndim))
-        spec = np.fft.rfftn(a, pad, axes) * np.fft.rfftn(np.flip(b), pad, axes)
-        full = np.fft.irfftn(spec, pad, axes)[tuple(slice(0, n) for n in shape)]
+    if direct_ns > _fft_ns(shape) and (full := _fft_correlation(a, b)) is not None:
         return np.rint(full).astype(np.int64)
     a2 = a.reshape(-1, a.shape[-1]).astype(float)
     b2 = b.reshape(-1, b.shape[-1]).astype(float)
@@ -210,6 +207,18 @@ def _overlap_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for j in rb:
             out[i - j + b2.shape[0] - 1] += np.correlate(a2[i], b2[j], "full")
     return out.reshape(shape).astype(np.int64)
+
+
+def _fft_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """_overlap_counts' FFT method on real arrays before the rounding: their
+    full correlation in float, or None where the padding exceeds _FFT_MAX."""
+    shape = tuple(n + m - 1 for n, m in zip(a.shape, b.shape))
+    pad = tuple(1 << (n - 1).bit_length() for n in shape)
+    if math.prod(pad) > _FFT_MAX:
+        return None
+    axes = tuple(range(a.ndim))
+    spec = np.fft.rfftn(a, pad, axes) * np.fft.rfftn(np.flip(b), pad, axes)
+    return np.fft.irfftn(spec, pad, axes)[tuple(slice(0, n) for n in shape)]
 
 
 def _scaled_lifts(fv, gv, params: MeanParams, sym: bool):
@@ -233,8 +242,8 @@ def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
     lands) and 2^e the scale.  distinct (with sym) leaves out the pair
     (i, i).
 
-    The kernel (_max_plus) forms every pair.  In 1-D at lam = 1/2 (not
-    distinct), _merge_pieces merges the slopes of each pair of concave
+    The kernel (_max_plus) forms every pair.  In 1-D at lam = 1/2,
+    _merge_pieces merges the slopes of each pair of concave
     pieces of f and g, found by pieces(lifts) -> (live, starts, ends);
     _pieces_cheaper picks the path per row.  On the exact pieces
     (_exact_pieces, the default) both paths give the same W bit for bit;
@@ -244,14 +253,15 @@ def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
     lf, lg, e = _scaled_lifts(fv, gv, params, sym)
     W = np.empty((len(fv),) + tuple(b * n for n in shape))
     rest = np.arange(len(fv))
-    if fv.ndim == 2 and 2 * a == b and not distinct:
+    if fv.ndim == 2 and 2 * a == b:
         pieces = pieces or _exact_pieces
         live_f, sf, ef = pieces(lf)
         live_g, sg, eg = (live_f, sf, ef) if sym else pieces(lg)
         r_f, r_g = sf.sum(axis=1), sg.sum(axis=1)
         merge = _pieces_cheaper(r_f, live_f.sum(axis=1), r_g, *_live_box(live_g), sym)
         if merge.any():
-            _merge_pieces(lf, lg, (sf, ef, r_f), (sg, eg, r_g), int(base[0]), W, merge, sym)
+            _merge_pieces(lf, lg, (sf, ef, r_f), (sg, eg, r_g), int(base[0]), W, merge, sym,
+                          distinct)
         rest = np.flatnonzero(~merge)
     if len(rest) == len(fv):
         W.fill(-np.inf)
@@ -534,7 +544,7 @@ def _live_box(live: np.ndarray):
     return count, np.where(count > 0, last - first + 1, 0)
 
 
-def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool):
+def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool, distinct: bool):
     """Lattice sums of 1-D rows at lam = 1/2 from their pieces, into W
     (B, m) on the rows of the mask rows: pf = (starts, ends, counts) of the
     pieces of f (a kink cell is both) and pg of g; W[r, s] is the largest
@@ -555,7 +565,13 @@ def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool):
     bit for bit.  sym (lg is lf, pg is pf): a piece with itself takes the
     balanced pairs (k, k) and (k, k + 1), which fill W from base to
     base + 2 nf - 2, adjacent live cells share a piece, and only the slots
-    P < Q are merged, so rows of one piece need no slot.  Costs
+    P < Q are merged, so rows of one piece need no slot.  distinct (with
+    sym) leaves out the pairs (i, i): the balanced pair at base + 2k is then
+    (k - 1, k + 1), by concavity a piece's largest distinct pair there (-inf
+    at the row's ends); and no slot P < Q picks a pair (k, k), for P and Q
+    share at most the kink cell k, where P's last step down exceeds Q's
+    first (_exact_pieces), so the merge takes Q's first step before P's
+    last and reaches i = k only with j > k.  Costs
     O(r_g n_f + r_f n_g) per row of r pieces, against about n_f n_g pairs
     in the kernel.
     """
@@ -563,9 +579,11 @@ def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool):
     ng = lg.shape[1]
     m = W.shape[1]
     if sym:
-        W[rows, :base] = -np.inf
-        W[rows, base + 2 * nf - 1:] = -np.inf
-        np.add(lf, lf, out=W[:, base:base + 2 * nf - 1:2], where=rows[:, None])
+        d = int(distinct)
+        W[rows, :base + d] = -np.inf
+        W[rows, base + 2 * nf - 1 - d:] = -np.inf
+        np.add(lf[:, :nf - 2 * d], lf[:, 2 * d:],
+               out=W[:, base + 2 * d:base + 2 * nf - 1 - 2 * d:2], where=rows[:, None])
         np.add(lf[:, :-1], lf[:, 1:], out=W[:, base + 1:base + 2 * nf - 2:2],
                where=rows[:, None])
     else:

@@ -8,6 +8,7 @@ import pytest
 
 from bblab import GridFunction, dump_gfn, integral, load_gfn, sup_convolution, MeanParams
 from bblab.cli import main
+from bblab.gridfn import _cell_centers
 from conftest import hat, indicator
 
 
@@ -40,6 +41,35 @@ def test_hull_with_report(files, tmp_path):
                "--report", str(rep)])
     assert rc == 0
     assert rep.read_text().startswith("cell,x,f,hull,gap")
+
+
+def hull_report_oracle(f, hull) -> str:
+    """Reference hull report: one numpy scalar per value."""
+    lines = ["cell,x,f,hull,gap\n"]
+    cells = np.argwhere(hull.values > 0)
+    for cell, x in zip(cells, _cell_centers(f, cells)):
+        idx = tuple(int(v) for v in cell)
+        x = x if f.dim > 1 else (x,)
+        fv, hv = float(f.values[idx]), float(hull.values[idx])
+        lines.append(f"{';'.join(str(i) for i in idx)},{';'.join(repr(v) for v in x)},"
+                     f"{fv!r},{hv!r},{hv - fv!r}\n")
+    return "".join(lines)
+
+
+def test_hull_report_matches_oracle(tmp_path, rng):
+    """Holed and random values in 1-D and 2-D: the report's bytes equal a
+    per-cell formatting of numpy scalars."""
+    holed = np.where(rng.random((6, 5)) < 0.6, 1.5, 0.0)
+    holed[0, 0] = 1.0
+    fields = [GridFunction(1, (-0.35,), 0.013, rng.uniform(0.1, 2.0, 60) * (rng.random(60) < 0.8)),
+              GridFunction(2, (0.5, -1.1), 0.1, rng.uniform(0.1, 2.0, (7, 9))),
+              GridFunction(2, (0.0, 0.0), 0.25, holed)]
+    for k, f in enumerate(fields):
+        pf, out, rep = tmp_path / f"f{k}.gfn", tmp_path / f"h{k}.gfn", tmp_path / f"r{k}.csv"
+        dump_gfn(f, pf)
+        assert main(["hull", "--f", str(pf), "--p", "0", "--out", str(out),
+                     "--report", str(rep)]) == 0
+        assert rep.read_text() == hull_report_oracle(load_gfn(pf), load_gfn(out))
 
 
 def test_diagnose(files):

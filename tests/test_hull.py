@@ -26,8 +26,8 @@ from bblab.hull import (
     _convex_hull_2d,
     _cross2,
     _dyadic_ints,
+    _integer_envelope_2d,
     _orient_above,
-    _plane_through,
     _upper_chain,
     _upper_envelope_2d,
 )
@@ -72,14 +72,35 @@ def hull_oracle_1d(f: GridFunction, p: float) -> np.ndarray:
     return out
 
 
-# --- reference 2-D envelope: the gift wrap with every predicate in Fraction
-#     arithmetic, one Python loop per point; _upper_envelope_2d must return
-#     the same planes in the same order
+# --- reference 2-D envelope: the gift wrap with every predicate and plane in
+#     Fraction arithmetic, one Python loop per point; _integer_envelope_2d
+#     must return the same planes, read as Fractions, in the same order
+
+def read_plane(plane, K=0):
+    """(alpha, beta, gamma) Fractions of an integer plane of the lifts times
+    2^K, n3 w 2^K = -n1 x - n2 y + gamma."""
+    n1, n2, n3, gamma = plane
+    d = Fraction(n3) * (1 << K)
+    return -n1 / d, -n2 / d, gamma / d
+
+
+def plane_through_oracle(P, Q, C):
+    """(alpha, beta, gamma) Fractions with w = alpha*x + beta*y + gamma."""
+    d1 = (Q[0] - P[0], Q[1] - P[1], Q[2] - P[2])
+    d2 = (C[0] - P[0], C[1] - P[1], C[2] - P[2])
+    n1 = d1[1] * d2[2] - d1[2] * d2[1]
+    n2 = d1[2] * d2[0] - d1[0] * d2[2]
+    n3 = d1[0] * d2[1] - d1[1] * d2[0]
+    alpha = Fraction(-n1, 1) / n3
+    beta = Fraction(-n2, 1) / n3
+    gamma = P[2] + (n1 * Fraction(P[0]) + n2 * Fraction(P[1])) / n3
+    return alpha, beta, gamma
+
 
 def upper_envelope_2d_oracle(pts):
     hull_xy = _convex_hull_2d(np.array([(p[0], p[1]) for p in pts]))
     if len(hull_xy) <= 2:
-        return _collinear_envelope_2d(pts)
+        return [read_plane(plane) for plane in _collinear_envelope_2d(pts)]
 
     best = {}
     for p in pts:
@@ -134,7 +155,7 @@ def upper_envelope_2d_oracle(pts):
         for D in pts:
             if _orient_above(P, Q, C, D) > 0:
                 raise RuntimeError("hull wrap produced a non-supporting facet")
-        planes.append(_plane_through(P, Q, C))
+        planes.append(plane_through_oracle(P, Q, C))
         for E in ((P, Q), (Q, C), (C, P)):
             seen.add((E[0][:2], E[1][:2]))
         for E in ((C, Q), (P, C)):
@@ -152,7 +173,8 @@ def upper_envelope_2d_oracle(pts):
 
 def assert_envelope_matches_oracle(idx, w):
     pts = [(int(a), int(b), Fraction(v)) for (a, b), v in zip(idx.tolist(), w.tolist())]
-    assert _upper_envelope_2d(idx, w) == upper_envelope_2d_oracle(pts)
+    planes, K = _integer_envelope_2d(idx, w)
+    assert [read_plane(plane, K) for plane in planes] == upper_envelope_2d_oracle(pts)
 
 
 # --- reference p_concave_hull: the 1-D chain's values as Fractions, converted

@@ -196,6 +196,21 @@ def best_shift_oracle(f: GridFunction, g: GridFunction):
     return v, dists[v]
 
 
+def direct_scan_oracle(fbox, gbox, *_):
+    """Reference direct scan: sum |f - g(. - v)| at every shift of the
+    support boxes that overlaps them, one numpy pass over the g box per
+    shift; _direct_scan must give the same floats wherever it sums."""
+    m = gbox.shape
+    pad = np.zeros(tuple(n + 2 * (k - 1) for n, k in zip(fbox.shape, m)))
+    pad[tuple(slice(k - 1, k - 1 + n) for n, k in zip(fbox.shape, m))] = fbox
+    f_mass = float(fbox.sum())
+    dists = np.empty(tuple(n + k - 1 for n, k in zip(fbox.shape, m)))
+    for t in np.ndindex(dists.shape):
+        seg = pad[tuple(slice(i, i + k) for i, k in zip(t, m))]
+        dists[t] = float(np.abs(seg - gbox).sum()) + f_mass - float(seg.sum())
+    return dists
+
+
 def _staircase(rng, dim, levels=(0.0, 0.5, 1.0, 1.5)):
     """Random staircase on few tied levels, zero cells included."""
     shape = tuple(rng.integers(3, 9 if dim == 2 else 25, size=dim))
@@ -296,6 +311,79 @@ class TestBestShift:
         ref_shift, ref_dist = best_shift_oracle(fn, gn)
         assert shift == ref_shift
         assert dist == pytest.approx(ref_dist, rel=1e-12)
+
+
+def bound_corpus_pair(kind, dim, rng):
+    """One (f, g) pair of the direct scan's bound test."""
+    if kind == "stairs":  # exact ties between shifts
+        return normalize(_staircase(rng, dim)), normalize(_staircase(rng, dim))
+    if kind == "one-cell":
+        shape = tuple(rng.integers(1, 6, size=dim))
+        f, g = np.zeros(shape), np.zeros(shape)
+        f[tuple(rng.integers(0, n) for n in shape)] = rng.uniform(0.1, 2.0)
+        g[tuple(rng.integers(0, n) for n in shape)] = rng.uniform(0.1, 2.0)
+        return (GridFunction(dim, (0.0,) * dim, 0.1, f), GridFunction(dim, (0.0,) * dim, 0.1, g))
+    if kind == "disjoint":  # interleaved supports: every even shift overlaps nothing
+        vals = _staircase(rng, dim, levels=(0.5, 1.0)).values
+        parity = np.indices(vals.shape).sum(axis=0) % 2
+        f, g = vals * (parity == 0), vals * (parity == 1)
+        f.flat[0] = g.flat[1] = 1.0
+        return (normalize(GridFunction(dim, (0.0,) * dim, 0.1, f)),
+                normalize(GridFunction(dim, (0.0,) * dim, 0.1, g)))
+    if kind == "masks":  # 0/1 values: the bound equals the sum up to rounding
+        return tuple(normalize(_staircase(rng, dim, levels=(0.0, 1.0))) for _ in range(2))
+    if kind == "bumps":
+        n = int(rng.integers(5, 40 if dim == 1 else 14))
+        return (normalize(_bump(dim, n, rng.uniform(1.0, 10.0), rng.uniform(-0.5, 0.5))),
+                normalize(_bump(dim, n, rng.uniform(1.0, 10.0), rng.uniform(-0.5, 0.5))))
+    f = normalize(_staircase(rng, dim))
+    if kind == "equal":
+        return f, f
+    if kind == "translated":
+        return f, translate(f, rng.integers(-4, 5, size=dim))
+    # far: supports far apart on their common grid
+    v = rng.integers(20, 60, size=dim) * rng.choice([-1, 1], size=dim)
+    return f, translate(normalize(_staircase(rng, dim)), v)
+
+
+class TestDirectScanBound:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           kind=st.sampled_from(["stairs", "masks", "equal", "translated", "far", "one-cell",
+                                 "disjoint", "bumps"]))
+    def test_matches_oracle(self, seed, dim, kind):
+        """The pruned scan gives the full scan's shift and distance bit for
+        bit, and its sums wherever it sums."""
+        f, g = bound_corpus_pair(kind, dim, np.random.default_rng(seed))
+        scan, scans = stability._direct_scan, []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(stability, "_layers_cheaper", lambda *_: False)
+            m.setattr(stability, "_direct_scan",
+                      lambda *a: scans.append((a, scan(*a))) or scans[-1][1])
+            got = _best_shift(f, g)
+            m.setattr(stability, "_direct_scan", direct_scan_oracle)
+            ref = _best_shift(f, g)
+        assert got[0] == ref[0] and got[1] == ref[1]
+        if kind == "equal":
+            assert got == ((0,) * dim, 0.0)
+        for (fbox, gbox, _), dists in scans:
+            full = direct_scan_oracle(fbox, gbox)
+            seen = np.isfinite(dists)
+            assert seen.any() and np.array_equal(dists[seen], full[seen])
+
+    def test_gaussian_100_sums_few_shifts(self, monkeypatch):
+        """A 100x100 Gaussian pair (sigma 0.6, spacing 0.04, centres 0.3 and
+        0.1 apart) sums fewer than 1 % of its 39 601 shifts."""
+        x = (np.arange(100) + 0.5) * 0.04 - 2.0
+        pair = [normalize(GridFunction(2, (-2.0, -2.0), 0.04, np.exp(
+            -((x[:, None] - cx) ** 2 + (x[None, :] - cy) ** 2) / 0.72)))
+            for cx, cy in ((0.0, 0.0), (0.3, 0.1))]
+        scan, dists = stability._direct_scan, []
+        monkeypatch.setattr(stability, "_direct_scan",
+                            lambda *a: dists.append(scan(*a)) or dists[-1])
+        _best_shift(*pair)
+        assert dists[0].size == 39601
+        assert np.isfinite(dists[0]).sum() < 396
 
 
 class TestCertifySymdiff:

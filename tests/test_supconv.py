@@ -12,6 +12,7 @@ from bblab import (
     deficit,
     gen_sharpness_pair,
     integral,
+    is_p_concave,
     level_set,
     minkowski_combination,
     normalize,
@@ -435,6 +436,45 @@ class TestPiecePath:
         changed.flat[3] *= 1.5
         assert_matches_supconv_oracle(f, copy.with_values(changed), Fraction(1, 2), 0.0, n=dim)
         assert seen[6:] == [True, False, False]
+
+
+def distinct_row(kind, n, rng):
+    """n values for the distinct-pair test, with zero and isolated cells."""
+    u = (np.arange(n) + 0.5) / n * 2.0 - 1.0
+    if kind == "random":
+        vals = rng.uniform(0.1, 2.0, n)
+    elif kind == "bump":
+        vals = np.exp(-rng.uniform(0.5, 8.0) * (u - rng.uniform(-0.3, 0.3)) ** 2)
+    elif kind == "stairs":
+        vals = rng.choice([0.5, 1.0, 1.5], n)
+    else:  # two bumps
+        vals = (np.exp(-20.0 * (u - 0.45) ** 2)
+                + rng.uniform(0.3, 2.0) * np.exp(-20.0 * (u + 0.4) ** 2))
+    return vals * (rng.random(n) > 0.2)
+
+
+class TestDistinctPieces:
+    """sym and distinct (the 1-D midpoint test) on the slope merge gives the
+    kernel's W bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([-0.25, 0.0, 0.5, 1.0]),
+           kind=st.sampled_from(["random", "bump", "stairs", "two-bump"]),
+           rows=st.integers(1, 3))
+    def test_matches_kernel(self, seed, p, kind, rows):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        fv = np.array([distinct_row(kind, n, rng) for _ in range(rows)])
+        params = MeanParams(Fraction(1, 2), p)
+        (W1, e1), (W2, e2) = both_paths(
+            lambda: _lattice_sums(fv, fv, params, (0,), (n,), True, distinct=True))
+        assert e1 == e2 and np.array_equal(W1, W2)
+
+    def test_midpoint_test_takes_merge(self, monkeypatch):
+        """is_p_concave on a 5000-cell log-concave bump forms no kernel pair."""
+        f = logconcave_bump(spacing=2.0 / 5000)
+        monkeypatch.setattr(supconv, "_max_plus", None)  # must not run
+        assert is_p_concave(f, 0.0).ok
 
 
 class TestMinkowski:
