@@ -45,8 +45,9 @@ def _parse_delta0(text: str):
     return [float(t) for t in text.split(",")]
 
 
-def _params(args) -> MeanParams:
-    return MeanParams(Fraction(args.lam), args.p, args.n)
+def _params(args, n: int) -> MeanParams:
+    """The mean's parameters for inputs of dimension n."""
+    return MeanParams(Fraction(args.lam), args.p, n)
 
 
 def _add_common(sp, g=False, h=False, h_optional=False):
@@ -57,7 +58,6 @@ def _add_common(sp, g=False, h=False, h_optional=False):
         sp.add_argument("--h", required=not h_optional, help="GFN1 input for h")
     sp.add_argument("--lambda", dest="lam", default="1/2", help="rational weight, e.g. 1/2")
     sp.add_argument("--p", type=float, default=0.0, help="mean exponent")
-    sp.add_argument("--n", type=int, default=1, help="ambient dimension for the parameter check")
 
 
 def _emit(header: str, line: str, path) -> None:
@@ -130,10 +130,10 @@ def main(argv=None) -> int:
     sp.add_argument("--family", required=True, choices=["sharpness", "dented"])
     sp.add_argument("--lambda", dest="lam", default="1/2")
     sp.add_argument("--p", type=float, default=0.0)
-    sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--delta0", required=True, help="a:b:logN, a:b:N, or comma list")
     sp.add_argument("--spacing", type=float, default=1e-4)
-    sp.add_argument("--certificates", default="symdiff", choices=["symdiff", "linear", "main"])
+    sp.add_argument("--certificates", default=None, choices=["symdiff", "linear", "main"],
+                    help="the family's own by default: symdiff (sharpness), linear (dented)")
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
 
     if args.cmd == "supconv":
         f, g = load_gfn(args.f), load_gfn(args.g)
-        dump_gfn(sup_convolution(f, g, _params(args)), args.out)
+        dump_gfn(sup_convolution(f, g, _params(args, f.dim)), args.out)
         return 0
 
     if args.cmd == "hull":
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
 
     if args.cmd == "diagnose":
         f, g, h = load_gfn(args.f), load_gfn(args.g), load_gfn(args.h)
-        rep = level_diagnostics(f, g, h, _params(args), args.alpha)
+        rep = level_diagnostics(f, g, h, _params(args, f.dim), args.alpha)
         header = "alpha,I1,I2,I3,I4,I5,hull_gap_integral,h_convention"
         line = ",".join(
             [repr(rep.alpha)]
@@ -179,25 +179,25 @@ def main(argv=None) -> int:
 
     if args.cmd == "certify-symdiff":
         f, g, h = load_gfn(args.f), load_gfn(args.g), load_gfn(args.h)
-        rep = certify_symmetric_difference(f, g, h, _params(args))
+        rep = certify_symmetric_difference(f, g, h, _params(args, f.dim))
         return 0 if _report_certificate(rep, args.report) else 1
 
     if args.cmd == "certify-linear":
         f = load_gfn(args.f)
         h = load_gfn(args.h) if args.h else None
-        rep = certify_linear(f, _params(args), h=h, c=args.c, verify=h is not None)
+        rep = certify_linear(f, _params(args, f.dim), h=h, c=args.c, verify=h is not None)
         return 0 if _report_certificate(rep, args.report) else 1
 
     if args.cmd == "certify-main":
         f, g, h = load_gfn(args.f), load_gfn(args.g), load_gfn(args.h)
-        rep = certify_main(f, g, h, _params(args), c=args.c)
+        rep = certify_main(f, g, h, _params(args, f.dim), c=args.c)
         return 0 if _report_certificate(rep, args.report) else 1
 
     if args.cmd == "sweep":
         rows = lab.sweep(
             args.family,
             _parse_delta0(args.delta0),
-            _params(args),
+            _params(args, 1),  # the families are 1-D
             spacing=args.spacing,
             certificates=args.certificates,
             c=args.c,

@@ -214,6 +214,8 @@ def layer_cake_integral(f: GridFunction, n_heights: int | None = None) -> float:
     max(f) * measure(supp f) / n_heights).  With n_heights=None, the exact
     staircase quadrature with knots at the distinct values of f.
     """
+    if n_heights is not None and n_heights < 1:
+        raise ValueError("n_heights must be >= 1")
     m = f.max()
     if m == 0.0:
         return 0.0
@@ -223,8 +225,6 @@ def layer_cake_integral(f: GridFunction, n_heights: int | None = None) -> float:
         knots = np.unique(np.concatenate(([0.0], vals[vals > 0])))
         seg = np.diff(knots) * _count_above(vals, 0.5 * (knots[:-1] + knots[1:])) * cv
         return float(np.add.accumulate(seg)[-1])  # a running total, not pairwise
-    if n_heights < 1:
-        raise ValueError("n_heights must be >= 1")
     ts = (np.arange(n_heights) + 0.5) * (m / n_heights)
     meas = _count_above(vals, ts) * cv
     return float(meas.sum() * (m / n_heights))

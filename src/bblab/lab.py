@@ -156,17 +156,24 @@ def sweep(
     delta0_grid,
     params: MeanParams,
     spacing: float = 1e-4,
-    certificates: str = "symdiff",
+    certificates: str | None = None,
     c: float | None = None,
     seed: int = 0,
     verify: bool = True,
 ) -> list[SweepRow]:
     """Run a scenario family over a deficit grid; rows sorted by delta0.
 
-    families: "sharpness" (delta0 = target deficit of the extremal pair) and
-    "dented" (delta0 = hole width of a dented unit indicator, certified with
-    certify_linear).  certificates: "symdiff" | "linear" | "main".
+    families: "sharpness" (delta0 = target deficit of the extremal pair,
+    certificates "symdiff", the default, or "main") and "dented" (delta0 =
+    hole width of a dented unit indicator, certificates "linear", the
+    default).  Any other family or certificate raises ValueError.
     """
+    runs = {"sharpness": ("symdiff", "main"), "dented": ("linear",)}
+    if family not in runs:
+        raise ValueError(f"unknown family {family!r}")
+    if certificates not in (None,) + runs[family]:
+        raise ValueError(f"family {family!r} runs certificates {runs[family]}, "
+                         f"not {certificates!r}")
     rows = []
     for d0 in sorted(delta0_grid):
         t0 = time.perf_counter()
@@ -177,11 +184,9 @@ def sweep(
                 rep = certify_main(f, g, h, params, c=c, verify=verify)
             else:
                 rep = certify_symmetric_difference(f, g, h, params, verify=verify)
-        elif family == "dented":
+        else:
             f = _dented_scenario(d0, spacing)
             rep = certify_linear(f, params, c=c)
-        else:
-            raise ValueError(f"unknown family {family!r}")
         ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             SweepRow(

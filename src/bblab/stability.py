@@ -351,17 +351,14 @@ def _materialize(cands: tuple, lo: int, hi: int, shape: tuple, p: float) -> np.n
 
 
 def _half_line_masses(cur: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """(prefix, suffix): the sums over the row of the 1-D states cur on
-    i <= k and cur on i >= k, for each k of ks, bit for bit those of the
-    materialized states (shave's removed), by blocks of about 2^20 cells."""
-    i = np.arange(cur.size)
-    out = np.empty((2, len(ks)))
-    rows = max(1, (1 << 20) // cur.size)
-    for a in range(0, len(ks), rows):
-        k = ks[a : a + rows, None]
-        out[0, a : a + rows] = np.where(i <= k, cur, 0.0).sum(axis=1)
-        out[1, a : a + rows] = np.where(i >= k, cur, 0.0).sum(axis=1)
-    return out
+    """(prefix, suffix): the masses that the 1-D states cur on i <= k and
+    cur on i >= k remove from the row cur, sum_{i > k} cur_i and
+    sum_{i < k} cur_i, for each k of ks, from one cumulative sum each way:
+    exactly 0 where the state keeps all of cur's support."""
+    n = cur.size
+    head = np.concatenate([[0.0], np.cumsum(cur)])  # head[k] = sum_{i < k}
+    tail = np.concatenate([np.cumsum(cur[::-1])[::-1], [0.0]])  # tail[k] = sum_{i >= k}
+    return np.stack([tail[np.clip(ks + 1, 0, n)], head[np.clip(ks, 0, n)]])
 
 
 def shave(f: GridFunction, params: MeanParams, c: float | None = None):
@@ -378,8 +375,9 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     being supconv._self_sup_integrals times the cell volume, except the
     half-lines of a full 1-D sweep: the prefixes and suffixes of the
     current state, whose integrals come from one kernel pass grown a cell
-    at a time (supconv._half_line_sup_integrals) and whose masses are the
-    same row sums (_half_line_masses); only the winner is materialized.
+    at a time (supconv._half_line_sup_integrals) and whose removed masses
+    are cumulative sums of the current state (_half_line_masses), O(n) in
+    all; only the winner is materialized.
     A pass after every accept would cost O(n^2), so the windows stay on
     the chunks.  f is shaved as f / 2^e, e from means._scale_exp as in the
     hull and the kernel, and the results are scaled back, so that f' and
@@ -430,7 +428,7 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
         of supconv._half_line_sup_integrals."""
         ks = halfspaces[: len(halfspaces) // 2, 1]
         sups = _half_line_sup_integrals(cur, ks, params) * cv
-        removed = cur_int - _half_line_masses(cur, ks) * cv
+        removed = _half_line_masses(cur, ks) * cv
         return np.where(removed > 0, (cur_sup - sups) - (1.0 + c) * removed, -np.inf).reshape(-1)
 
     def best(lo: int, hi: int):

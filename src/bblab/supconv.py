@@ -21,13 +21,15 @@ from _half_line_sup_integrals instead: one kernel pass grown a cell at a
 time, whose sums are the kernel path's bit for bit.  _lattice_sums has two
 paths: the O(n_f n_g) kernel _max_plus, and in 1-D at lam = 1/2 the slope
 merge _merge_pieces over concave pieces, O(r_g n_f + r_f n_g) for r
-pieces; a cost rule picks one per row.  The caller picks the piece finder.
-On the exact pieces (_exact_pieces, the default), where the float lifts are
-concave in real arithmetic, both paths give the same lattice sums bit for
-bit.  The shaving objective passes the pieces concave up to a slack
-(_concave_pieces), so that rounding kinks do not split its states, and gets
-M* up to rounding.  The kernel alone serves 2-D (the 2-D midpoint test
-included) and lam != 1/2.
+pieces; a cost rule picks one per row.  One piece finder, _exact_pieces,
+splits the rows at a tolerance the caller picks.  At 0 (sup_convolution,
+the hypothesis check, the midpoint test), the float lifts are concave in
+real arithmetic on each piece, and both paths give the same lattice sums
+bit for bit.  The shaving objective passes _SHAVE_SLACK, 2^-46 of a row's
+largest lift, so that rounding kinks do not split its states; its merge
+misses M* by about that much, far below the shave's acceptance threshold.
+The kernel alone serves 2-D (the 2-D midpoint test included) and
+lam != 1/2.
 
 p_mean_arr evaluates the same formula per pair, at the pair's own scale, so
 the two differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
@@ -236,27 +238,26 @@ def _scaled_lifts(fv, gv, params: MeanParams, sym: bool):
 
 
 def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
-                  distinct: bool = False, pieces=None):
+                  distinct: bool = False, slack: float = 0.0):
     """The max-plus half of _sup_cells: (W, e), W (B, *(b*n for n in shape))
     the largest lifted pair sum at each lattice sum (-inf where no pair
     lands) and 2^e the scale.  distinct (with sym) leaves out the pair
     (i, i).
 
     The kernel (_max_plus) forms every pair.  In 1-D at lam = 1/2,
-    _merge_pieces merges the slopes of each pair of concave
-    pieces of f and g, found by pieces(lifts) -> (live, starts, ends);
-    _pieces_cheaper picks the path per row.  On the exact pieces
-    (_exact_pieces, the default) both paths give the same W bit for bit;
-    on the shave's slack pieces (_concave_pieces) the merge gives W up to
-    rounding."""
+    _merge_pieces merges the slopes of each pair of pieces of f and g that
+    _exact_pieces(lifts, slack) finds; _pieces_cheaper picks the path per
+    row.  At slack 0 (the default) the pieces are exactly concave and both
+    paths give the same W bit for bit; at the shave's _SHAVE_SLACK the
+    merge's W is below the kernel's by at most about that slack times the
+    row's largest lift."""
     a, b = _lam_ab(params)
     lf, lg, e = _scaled_lifts(fv, gv, params, sym)
     W = np.empty((len(fv),) + tuple(b * n for n in shape))
     rest = np.arange(len(fv))
     if fv.ndim == 2 and 2 * a == b:
-        pieces = pieces or _exact_pieces
-        live_f, sf, ef = pieces(lf)
-        live_g, sg, eg = (live_f, sf, ef) if sym else pieces(lg)
+        live_f, sf, ef = _exact_pieces(lf, slack)
+        live_g, sg, eg = (live_f, sf, ef) if sym else _exact_pieces(lg, slack)
         r_f, r_g = sf.sum(axis=1), sg.sum(axis=1)
         merge = _pieces_cheaper(r_f, live_f.sum(axis=1), r_g, *_live_box(live_g), sym)
         if merge.any():
@@ -298,7 +299,7 @@ def _max_plus(lf, lg, W, a: int, b: int, base, sym: bool, distinct: bool):
 
 
 def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool,
-               pieces=None) -> np.ndarray:
+               slack: float = 0.0) -> np.ndarray:
     """M*_{lam,p} on output cells for a batch of pairs of grid functions.
 
     fv (B, *nf) and gv (B, *ng) hold row r's f and g on boxes of one
@@ -310,10 +311,10 @@ def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool,
     first and the result is multiplied back; M is 1-homogeneous, so this is
     exact, and the lifts cannot overflow.  sym (fv equals gv and
     lam = 1/2) visits only pairs with j >= i on axis 0: the mirror pair
-    lands on the same s with the same float sum.  pieces: the piece finder
-    of the slope merge (_lattice_sums).
+    lands on the same s with the same float sum.  slack: the slope merge's
+    concavity tolerance (_lattice_sums).
     """
-    W, e = _lattice_sums(fv, gv, params, base, shape, sym, pieces=pieces)
+    W, e = _lattice_sums(fv, gv, params, base, shape, sym, slack=slack)
     b = _lam_ab(params)[1]
     # the max over each cell's block of b^dim sums, over strided slices one
     # axis at a time (numpy reduces a short inner axis about 20 times
@@ -353,10 +354,24 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
     return GridFunction(f.dim, origin, f.spacing, out)
 
 
+# The slope merge's concavity tolerance for the shave's objective, relative
+# to a row's largest lift (_exact_pieces).  Re-lifting a plane cut
+# min(f, unlift(m i + q)) rounds each lift by an ulp or so, so the second
+# differences carry noise of a few times 2^-52 of the largest lift, of
+# either sign; exact pieces would split at every such rounding kink (the
+# shave of a 1000-cell log-concave bump at p = 0 takes 14 s at slack 0 and
+# 0.6 s at 2^-46, 2-vCPU VM).  2^-46 sits above that noise and four orders
+# below the shave's acceptance threshold of 1e-10, so the merge misses M*
+# by about 2^-46 of the largest lift, and the cost rule moves the shave's
+# sums at that level only.  (A run of n cells convex by just under the
+# tolerance at each could drift by n^2/8 times it; rounding noise does not.)
+_SHAVE_SLACK = 2.0 ** -46
+
+
 def _self_sup_integrals(states: np.ndarray, params: MeanParams) -> np.ndarray:
     """sum M*(s, s) over the cells of each state s of the batch (B, *shape),
     dims 1 and 2: one _sup_cells call on the batch's common support box,
-    with the shave's slack pieces (_concave_pieces) for the slope merge."""
+    with the slope merge's pieces concave up to _SHAVE_SLACK."""
     cropped = _crop(states, states.max(axis=0))
     if cropped is None:
         return np.zeros(len(states))
@@ -365,7 +380,7 @@ def _self_sup_integrals(states: np.ndarray, params: MeanParams) -> np.ndarray:
     # on a common box, with s = a*i + (b-a)*j, cell k collects s in
     # [b*k - b//2, b*k - b//2 + b)
     cells = _sup_cells(sub, sub, params, (b // 2,) * (sub.ndim - 1), sub.shape[1:],
-                       2 * a == b, _concave_pieces)
+                       2 * a == b, _SHAVE_SLACK)
     return cells.reshape(len(sub), -1).sum(axis=1)
 
 
@@ -376,11 +391,12 @@ def _half_line_sup_integrals(cur: np.ndarray, ks: np.ndarray, params: MeanParams
     One kernel pass grows the states a cell at a time along cur's support
     box, from the left for the prefixes and from the right for the
     suffixes (_grown_sums).  The lifts and e are _scaled_lifts' on cur,
-    and each state's cells on cur's box are summed as _self_sup_integrals
-    sums them, so each sum equals, bit for bit, _self_sup_integrals' on
-    the kernel path for a batch of such states whose maximum is cur.  The
-    pass forms O(n^2) pairs in all for n cells in the box, where the
-    kernel forms O(n^2) pairs per state."""
+    and each state's cells on cur's box take one pairwise 1-D sum, which
+    is _self_sup_integrals' sum along axis 1, so each sum equals, bit for
+    bit, _self_sup_integrals' on the kernel path for a batch of such states
+    whose maximum is cur.  The pass forms O(n^2) pairs in all for n cells
+    in the box, where the kernel forms O(n^2) pairs per state, and keeps
+    O(n) memory."""
     out = np.zeros((2, len(ks)))
     cropped = _crop(cur)
     if cropped is None:
@@ -409,8 +425,8 @@ def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> n
     of the lattice sums W, one when lg is lf (the mirror pair has the same
     float sum).  W is the running max, so after each cell it is the
     kernel's W of the state, and only the cells whose W rose are unlifted
-    again.  The states' cells are written into a (rows, box) block and
-    summed along axis 1, as _self_sup_integrals sums them."""
+    again.  Each state's cells are summed by one 1-D sum, the same pairwise
+    sum as _self_sup_integrals' reduction along axis 1."""
     a, b = _lam_ab(params)
     step, base = b - a, b // 2
     m = len(lf)
@@ -418,7 +434,6 @@ def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> n
     blocks = W.reshape(m, b)
     cells = np.zeros(m)
     sums = np.empty(len(counts))
-    block = np.empty((max(1, min(len(counts), (1 << 20) // m)), m))
     added = 0
     for r, want in enumerate(counts):
         for t in range(added, want):
@@ -436,10 +451,7 @@ def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> n
             hit = rose // b
             cells[hit] = _unlift(blocks[hit].max(axis=1), params.p, e)
         added = want
-        k = r % len(block)
-        block[k] = cells
-        if k == len(block) - 1 or r == len(counts) - 1:
-            sums[r - k:r + 1] = block[:k + 1].sum(axis=1)
+        sums[r] = cells.sum()
     return sums
 
 
@@ -468,8 +480,8 @@ def _pieces_cheaper(r_f, live_f, r_g, live_g, box_g, sym: bool) -> np.ndarray:
     cells of f, each half of that when sym.  The rows of a batch share each
     slot's and each cell's numpy calls, so a row pays 1/B of their cost.
     On exact pieces both paths give the same W, so the rule moves time
-    only; on the shave's slack pieces it moves the shave's sums within
-    rounding as well."""
+    only; on the shave's pieces, concave up to _SHAVE_SLACK, it moves the
+    shave's sums by at most about 2^-46 of a row's largest lift as well."""
     B = len(r_f)
     half = 0.5 if sym else 1.0
     merge = half * (_MERGE_NS * (r_g * live_f + r_f * live_g) + _SLOT_NS * r_f * r_g / B)
@@ -498,39 +510,25 @@ def _piece_bounds(live: np.ndarray, kink: np.ndarray):
     return starts, ends
 
 
-def _concave_pieces(lv: np.ndarray):
-    """(live, starts, ends) as _exact_pieces gives them, for the shave's
-    objective: runs of finite lifts lv (B, n) broken where the second
-    difference exceeds 1e-9 max(max|lv|, 1) of the row, so that rounding
-    kinks do not split a piece.  The merge over these pieces gives M* up to
-    that slack, not the kernel's W bit for bit."""
-    live = np.isfinite(lv)
-    with np.errstate(invalid="ignore"):  # -inf lifts of zero cells
-        d2 = lv[:, 1:-1] * -2.0
-        d2 += lv[:, :-2]
-        d2 += lv[:, 2:]
-    top = np.maximum(lv.max(axis=1, where=live, initial=1.0),
-                     -lv.min(axis=1, where=live, initial=0.0))
-    slack = 1e-9 * top
-    kink = np.zeros_like(live)
-    kink[:, 1:-1] = live[:, :-2] & live[:, 1:-1] & live[:, 2:] & (d2 > slack[:, None])
-    return (live,) + _piece_bounds(live, kink)
-
-
-def _exact_pieces(lv: np.ndarray):
+def _exact_pieces(lv: np.ndarray, slack: float = 0.0):
     """(live, starts, ends): the finite cells of rows of lifted values lv
-    (B, n) and the first and the last cell of each piece on which lv, read
-    as real numbers, is concave: runs of finite cells, broken at each cell k
-    whose step down lv[k-1] - lv[k] exceeds the next one, lv[k] - lv[k+1].
-    The steps compare exactly: hi = fl(hi + lo) and rounding is monotone,
-    so hi1 > hi2 implies hi1 + lo1 > hi2 + lo2, and equal hi leave lo."""
+    (B, n) and the first and the last cell of each piece on which lv is
+    concave up to slack: runs of finite cells, broken at each cell k whose
+    step down lv[k-1] - lv[k] exceeds the next one, lv[k] - lv[k+1], by
+    more than slack * max(max|lv|, 1) of the row.  The steps are TwoDiff
+    pairs (hi, lo), and a cell is a kink when fl(hi0 - hi1) exceeds the
+    tolerance, or equals it with lo0 > lo1.  At slack 0 the pieces are
+    concave read as real numbers: fl(hi0 - hi1) has the sign of hi0 - hi1,
+    hi = fl(hi + lo) and rounding is monotone, so hi0 > hi1 implies
+    hi0 + lo0 > hi1 + lo1, and equal hi leave lo."""
     live = np.isfinite(lv)
     # the -inf lifts of zero cells are masked, so that no step is invalid
     z = np.where(live, lv, 0.0)
+    tol = slack * np.abs(z).max(axis=1, initial=1.0)[:, None]  # max(max|lv|, 1)
     hi, lo = _two_diff(z[:, :-1], z[:, 1:])
     del z
-    h0, h1, l0, l1 = hi[:, :-1], hi[:, 1:], lo[:, :-1], lo[:, 1:]
-    rise = (h0 > h1) | (h0 == h1) & (l0 > l1)
+    rise = hi[:, :-1] - hi[:, 1:]
+    rise = (rise > tol) | (rise == tol) & (lo[:, :-1] > lo[:, 1:])
     kink = np.zeros_like(live)
     kink[:, 1:-1] = live[:, :-2] & live[:, 1:-1] & live[:, 2:] & rise
     return (live,) + _piece_bounds(live, kink)
@@ -559,8 +557,8 @@ def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool, distinct: bool)
     those of P as steps in P and the rest in Q.  One stable lexsort of the
     exact steps down (hi, lo) per piece-pair slot, over the rows that have
     the slot in blocks, gives the pairs, P's first on ties.  On pieces that
-    are exactly concave in real arithmetic (_exact_pieces) the chosen pair
-    has the largest real sum at its lattice sum, float addition is
+    are exactly concave in real arithmetic (_exact_pieces at slack 0) the
+    chosen pair has the largest real sum at its lattice sum, float addition is
     monotone, and tied steps give equal real sums, so W is _max_plus's W
     bit for bit.  sym (lg is lf, pg is pf): a piece with itself takes the
     balanced pairs (k, k) and (k, k + 1), which fill W from base to

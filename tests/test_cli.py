@@ -144,6 +144,24 @@ def test_sweep_csv(tmp_path):
     assert lines[0].startswith("scenario,delta0")
 
 
+@pytest.mark.parametrize("cmd", ["supconv", "certify-linear"])
+def test_p_checked_against_input_dim(tmp_path, cmd):
+    """p = -0.75 exceeds -1/n only for n = 1: a 2-D input fails the
+    parameter check before any work, and a 1-D input runs."""
+    one = indicator(0.0, 1.0, 0.1)
+    two = GridFunction(2, (0.0, 0.0), 0.1, np.ones((4, 5)))
+    for f, ok in ((one, True), (two, False)):
+        pf = tmp_path / f"f{f.dim}.gfn"
+        dump_gfn(f, pf)
+        argv = [cmd, "--f", str(pf), "--lambda", "1/2", "--p", "-0.75"]
+        argv += ["--g", str(pf), "--out", str(tmp_path / "h.gfn")] if cmd == "supconv" else []
+        if ok:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(ValueError, match="p must exceed"):
+                main(argv)
+
+
 def test_sweep_sharpness_csv(tmp_path):
     out = tmp_path / "sweep2.csv"
     rc = main(["sweep", "--family", "sharpness", "--p", "0", "--lambda", "1/2",

@@ -160,6 +160,14 @@ class TestLayerCake:
         f = GridFunction(1, (0.0,), 0.1, np.zeros(4))
         assert layer_cake_integral(f, 10) == 0.0
 
+    def test_rejects_no_heights(self):
+        """n_heights < 1 raises on a zero function as on any other."""
+        zero = GridFunction(1, (0.0,), 0.1, np.zeros(4))
+        for f in (zero, indicator(0.0, 1.0, 0.1)):
+            for n in (0, -1):
+                with pytest.raises(ValueError):
+                    layer_cake_integral(f, n)
+
     def test_exact_mode_on_staircases(self, rng):
         for _ in range(50):
             f = random_staircase(rng)

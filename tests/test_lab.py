@@ -134,3 +134,12 @@ class TestSweep:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             sweep("nope", [0.1], HALF0)
+
+    @pytest.mark.parametrize("family, certificates", [
+        ("sharpness", "linear"), ("sharpness", "bogus"),
+        ("dented", "symdiff"), ("dented", "main"), ("dented", "bogus")])
+    def test_rejects_certificates_not_run(self, family, certificates):
+        """A certificate the family does not run raises instead of returning
+        rows with nan where that certificate's numbers belong."""
+        with pytest.raises(ValueError, match="runs certificates"):
+            sweep(family, [0.1], HALF0, spacing=0.01, certificates=certificates)

@@ -32,7 +32,7 @@ from bblab import stability, supconv
 from bblab.gridfn import common_grid, normalize
 from bblab.means import _lift, _unlift
 from bblab.stability import _best_shift, _shave_candidates_1d
-from bblab.supconv import _bounding_box, _concave_pieces, _self_sup_integrals
+from bblab.supconv import _SHAVE_SLACK, _bounding_box, _exact_pieces, _self_sup_integrals
 from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
 
 HALF0 = MeanParams(Fraction(1, 2), 0.0)
@@ -734,7 +734,7 @@ def piece_rows(kind, p, rng, n=48, count=25):
 def _piece_counts(rows, p):
     """Concave pieces per row, as _self_sup_integrals splits them."""
     lifts = supconv._scaled_lifts(rows, rows, MeanParams(Fraction(1, 2), p), sym=True)[0]
-    return _concave_pieces(lifts)[1].sum(axis=1)
+    return _exact_pieces(lifts, _SHAVE_SLACK)[1].sum(axis=1)
 
 
 def self_sup_max_plus(rows, params):
@@ -750,6 +750,23 @@ def rule(merge: bool):
     """A _pieces_cheaper that sends every row to the slope merge (True) or
     to the kernel (False)."""
     return lambda r, *_: np.full(len(r), merge)
+
+
+def wiggled_rows(rng, p, count=10, n_max=60):
+    """1-D rows whose lifts are affine or tent-shaped, raised at every k-th
+    cell by r times the largest lift, r in [1e-12, 3e-10]: kinks far above
+    rounding and below a slack of 1e-9, where a merge that took each row as
+    one concave piece would miss M* by up to r."""
+    rows = []
+    for t in range(count):
+        n = int(rng.integers(30, n_max + 1))
+        u = np.linspace(-1.0, 1.0, n)
+        shape = 0.5 * u if t % 2 else -np.abs(u - rng.uniform(-0.5, 0.5))
+        lift = {0.0: shape, 1.0: 1.5 + 0.5 * shape}.get(p, -2.0 + 0.5 * shape)
+        k = int(rng.integers(3, 9))
+        lift[int(rng.integers(0, k))::k] += 10.0 ** rng.uniform(-12.0, -9.5) * np.abs(lift).max()
+        rows.append(_unlift(lift, p))
+    return rows
 
 
 class TestShaveObjective:
@@ -801,6 +818,39 @@ class TestShaveObjective:
             ints = _self_sup_integrals(rows, params)
         np.testing.assert_allclose(ints, self_sup_max_plus(rows, params), rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    def test_merge_misses_rounding_only(self, p, rng, monkeypatch):
+        """On wiggled rows the merge's sums are the kernel's to 1e-12
+        relative: the shave's pieces split at the wiggles."""
+        params = MeanParams(Fraction(1, 2), p)
+        for row in wiggled_rows(rng, p):
+            with monkeypatch.context() as m:
+                m.setattr(supconv, "_pieces_cheaper", rule(True))
+                merged = _self_sup_integrals(row[None], params)[0]
+            with monkeypatch.context() as m:
+                m.setattr(supconv, "_pieces_cheaper", rule(False))
+                ref = _self_sup_integrals(row[None], params)[0]
+            assert merged == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    def test_rule_moves_rounding_only(self, p, rng, monkeypatch):
+        """Shaves of wiggled rows with the cost rule forced each way agree
+        on removed and on the objective within 1e-11 of the mass.  (The
+        accepted moves here gain about 1e-10 of the mass, at the threshold,
+        so rounding alone can move removed by 1e-5 of itself.)"""
+        params = MeanParams(Fraction(1, 2), p)
+        for row in wiggled_rows(rng, p):
+            f = GridFunction(1, (0.0,), 0.01, row)
+            out = []
+            for merge in (True, False):
+                with monkeypatch.context() as m:
+                    m.setattr(supconv, "_pieces_cheaper", rule(merge))
+                    out.append(shave(f, params, 0.05)[1:])
+            (removed, obj), (ref_removed, ref_obj) = out
+            mass = integral(f)
+            assert abs(removed - ref_removed) <= 1e-11 * mass
+            assert abs(obj - ref_obj) <= 1e-11 * mass
+
     def test_rule_takes_both_paths(self, rng, monkeypatch):
         """With the shave's slack pieces, the cost rule sends a dented
         indicator of 1000 cells to the slope merge and a random 24-cell row
@@ -817,7 +867,7 @@ class TestShaveObjective:
             assert _piece_counts(rows, 0.0)[0] >= 2
             calls.clear()
             n = rows.shape[1]
-            supconv._lattice_sums(rows, rows, HALF0, (1,), (n,), True, pieces=_concave_pieces)
+            supconv._lattice_sums(rows, rows, HALF0, (1,), (n,), True, slack=_SHAVE_SLACK)
             assert calls == [path]
 
 
@@ -855,7 +905,8 @@ class TestHalfLinePass:
     def test_matches_kernel(self, seed, p, lam):
         """Bit for bit the kernel path on the materialized prefix and suffix
         states at cur's scale and box, with k also outside cur's box; and
-        their masses are the sums of the states shave materializes."""
+        the masses they remove are cumulative sums of cur, 0 where a state
+        keeps the support, within rounding of the materialized states'."""
         rng = np.random.default_rng(seed)
         params = MeanParams(lam, p)
         n = int(rng.integers(1, 48))
@@ -869,7 +920,16 @@ class TestHalfLinePass:
         halfspaces = np.vstack([np.column_stack([-ones, ks]), np.column_stack([ones, -ks])])
         dictionary = (np.empty(0), halfspaces, np.empty((0, 2)))
         states = np.minimum(cur, stability._materialize(dictionary, 0, 2 * len(ks), (n,), p))
-        assert np.array_equal(stability._half_line_masses(cur, ks).reshape(-1), states.sum(axis=1))
+        removed = stability._half_line_masses(cur, ks)
+        kk = np.clip(ks, -1, n)
+        oracle = np.stack([[cur[k + 1:][::-1].cumsum()[-1] if k + 1 < n else 0.0 for k in kk],
+                           [cur[:k].cumsum()[-1] if k > 0 else 0.0 for k in kk]])
+        assert np.array_equal(removed, oracle)
+        sup = np.flatnonzero(cur > 0)
+        assert np.all(removed[0, ks >= sup[-1]] == 0.0) and np.all(removed[1, ks <= sup[0]] == 0.0)
+        total = cur.sum()
+        assert np.allclose(removed.reshape(-1), total - states.sum(axis=1),
+                           rtol=0.0, atol=n * 2.0 ** -52 * total)
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3)])
     def test_one_support_cell(self, lam):
