@@ -137,7 +137,11 @@ def integral(f: GridFunction) -> float:
     return float(f.values.sum()) * f.cell_volume
 
 
-def _offset_cells(f, g, tol: float = 1e-9):
+# slack in relative spacing and in cell offset within which two grids are one lattice
+_ALIGN_TOL = 1e-9
+
+
+def _offset_cells(f, g):
     """Integer cell offset of g's origin relative to f's, or raise.
 
     f and g are GridFunctions or LevelSets (anything with dim, origin and
@@ -145,13 +149,13 @@ def _offset_cells(f, g, tol: float = 1e-9):
     """
     if f.dim != g.dim:
         raise GeometryMismatchError(f"dim mismatch: {f.dim} vs {g.dim}")
-    if abs(f.spacing - g.spacing) > tol * f.spacing:
+    if abs(f.spacing - g.spacing) > _ALIGN_TOL * f.spacing:
         raise GeometryMismatchError(f"spacing mismatch: {f.spacing} vs {g.spacing}")
     off = []
     for a, b in zip(f.origin, g.origin):
         r = (b - a) / f.spacing
         k = round(r)
-        if abs(r - k) > tol:
+        if abs(r - k) > _ALIGN_TOL:
             raise GeometryMismatchError(
                 f"origins differ by a non-integer number of cells ({r})"
             )

@@ -9,11 +9,16 @@ combinatorics are exact: cell indices are integers, and the exact
 predicates run on the float lifts times one power of two 2^K, as Python
 integers (_dyadic_ints), with the floats' signs.  Exact values stay dyadic
 integers until a single rounding: a 1-D slope and a 2-D plane coefficient
-are each one integer quotient.  In 2-D the gift wrap evaluates its
+are each one integer quotient.  One monotone chain, _upper_chain, serves
+the 1-D hull, both chains of the xy convex hull (_convex_hull_2d) and, by
+_segment_chain, the 1-D envelopes on xy segments that seed the 2-D gift
+wrap and make up a collinear support's planes.  The wrap evaluates its
 orientation predicates in float, for all points at once, with a rigorous
 error bound (a filter in the manner of Shewchuk's adaptive predicates), and
-falls back to the exact predicate only for the signs the bound leaves in
-doubt; its facets are those of an all-Fraction wrap, in the same order.
+falls back to the exact test only for the signs the bound leaves in doubt:
+n . D > gamma on the candidate facet's integer plane (_plane_through,
+_above), the same determinant.  Its facets are those of an all-Fraction
+wrap, in the same order.
 Zero cells never enter the envelope (their lift is -inf); the envelope is
 then evaluated on every cell of the convex hull of the support, which is
 exactly the domain where co_p is defined here.
@@ -129,38 +134,27 @@ def _upper_chain(idx: np.ndarray, w_exact: list) -> list:
 # --------------------------------------------------------------------------
 # exact 2-D upper envelope (gift wrap over the lifted cloud)
 
-def _cross2(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _convex_hull_2d(points: np.ndarray) -> list:
-    """Andrew monotone chain; CCW vertex list of integer points."""
+    """CCW vertex list of integer points, from the lexicographically least:
+    two monotone chains, the lower chain being the upper chain of (x, -y)."""
     pts = sorted({(int(p[0]), int(p[1])) for p in points})
     if len(pts) <= 2:
         return pts
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    x = np.array([p[0] for p in pts])
+    lower = _upper_chain(x, [-p[1] for p in pts])
+    upper = _upper_chain(x, [p[1] for p in pts])
+    return [(a, -b) for a, b in lower[:-1]] + upper[:0:-1]
 
 
-def _orient_above(P, Q, C, D):
-    """det[[Q-P],[C-P],[D-P]], exact on integers or Fractions; positive = D
-    above plane(P,Q,C) when (P,Q,C) is CCW in the xy projection."""
-    a1, a2, a3 = Q[0] - P[0], Q[1] - P[1], Q[2] - P[2]
-    b1, b2, b3 = C[0] - P[0], C[1] - P[1], C[2] - P[2]
-    c1, c2, c3 = D[0] - P[0], D[1] - P[1], D[2] - P[2]
-    return (
-        a1 * (b2 * c3 - b3 * c2)
-        - a2 * (b1 * c3 - b3 * c1)
-        + a3 * (b1 * c2 - b2 * c1)
-    )
+def _segment_chain(X, Y, ints, U, V) -> list:
+    """Indices of the vertices of the upper chain of the lifted points
+    (X, Y, ints) on the xy segment U -> V, in order from U."""
+    ux, uy = V[0] - U[0], V[1] - U[1]
+    t = (X - U[0]) * ux + (Y - U[1]) * uy
+    on = np.flatnonzero(((X - U[0]) * uy == (Y - U[1]) * ux) & (t >= 0) & (t <= ux * ux + uy * uy))
+    on = on[np.argsort(t[on])]
+    keep = {x for x, _ in _upper_chain(t[on], [ints[k] for k in on])}
+    return [int(k) for k in on if t[k] in keep]
 
 
 def _plane_through(P, Q, C):
@@ -174,25 +168,12 @@ def _plane_through(P, Q, C):
     return n1, n2, n3, P[2] * n3 + n1 * P[0] + n2 * P[1]
 
 
-def _collinear_envelope_2d(pts):
-    """Upper envelope (_plane_through's planes) of lifted points on one xy line."""
-    p_lo = min(pts, key=lambda p: (p[0], p[1]))
-    p_hi = max(pts, key=lambda p: (p[0], p[1]))
-    ux, uy = p_hi[0] - p_lo[0], p_hi[1] - p_lo[1]
-    if ux == 0 and uy == 0:
-        return [(0, 0, 1, max(p[2] for p in pts))]
-    g = math.gcd(abs(ux), abs(uy))
-    dirv = (ux // g, uy // g)
-    # with t = <dirv, (x, y)> integer, the chain's segment (t1, w1)-(t2, w2) is the
-    # plane dt w = dw (d0 x + d1 y) + w1 dt - dw t1; evaluation happens on the line
-    t = np.array([dirv[0] * p[0] + dirv[1] * p[1] for p in pts])
-    order = np.argsort(t)
-    chain = _upper_chain(t[order], [pts[i][2] for i in order])
-    planes = []
-    for (t1, w1), (t2, w2) in zip(chain[:-1], chain[1:]):
-        dt, dw = int(t2) - int(t1), w2 - w1
-        planes.append((-dw * dirv[0], -dw * dirv[1], dt, w1 * dt - dw * int(t1)))
-    return planes or [(0, 0, 1, chain[0][1])]
+def _above(plane, D) -> bool:
+    """Whether the integer point D lies strictly above the integer plane:
+    n . D - gamma > 0, which for _plane_through(P, Q, C) is the orientation
+    determinant det[[Q-P],[C-P],[D-P]]."""
+    n1, n2, n3, gamma = plane
+    return n1 * D[0] + n2 * D[1] + n3 * D[2] > gamma
 
 
 # smallest positive subnormal: covers the absolute rounding error of a
@@ -252,19 +233,24 @@ def _integer_envelope_2d(idx: np.ndarray, w: np.ndarray):
     is _plane_through's (n1, n2, n3, gamma), n3 w 2^K = -n1 x - n2 y + gamma;
     the envelope is their pointwise minimum over the xy convex hull.  Every
     returned plane dominates all points (verified exactly), so the minimum
-    never undercuts the envelope.
+    never undercuts the envelope.  On collinear cells the planes are those
+    through consecutive vertices P, Q of the chain on the line, level across
+    it: (-dw dx, -dw dy, dx^2 + dy^2, ...) for (dx, dy, dw) = Q - P.
 
-    Gift wrap: the 1-D envelopes along the xy-hull edges seed a LIFO queue of
-    directed edges (P, Q), and each new edge gets the facet (P, Q, C) with C
-    left of PQ and no point above plane(P, Q, C).  For the first candidate
-    C0, let s(D) = orient(P, Q, C0, D) / cross(P, Q, D): D lies above
-    plane(P, Q, C) iff s(D) > s(C).  Tie rule: C is the first candidate, in
-    point order, that maximizes s, which is where a scan ends that moves C
-    to each later candidate strictly above plane(P, Q, C).
+    Gift wrap: the 1-D envelopes along the xy-hull edges (_segment_chain)
+    seed a LIFO queue of directed edges (P, Q), and each new edge gets the
+    facet (P, Q, C) with C left of PQ and no point above plane(P, Q, C).
+    For the first candidate C0, let s(D) = orient(P, Q, C0, D) /
+    cross(P, Q, D): D lies above plane(P, Q, C) iff s(D) > s(C).  Tie rule:
+    C is the first candidate, in point order, that maximizes s, which is
+    where a scan ends that moves C to each later candidate strictly above
+    plane(P, Q, C).
 
     Filter: every predicate is first evaluated in float for all points at
-    once, with the bound e of _orient_filter, and the exact predicate, on
-    the integers of _dyadic_ints, runs only where the float sign is in doubt.
+    once, with the bound e of _orient_filter, and the exact test runs only
+    where the float sign is in doubt.  It is _above on the integers of
+    _dyadic_ints: n . D > gamma for C's integer plane, computed once per
+    candidate C, and n . D - gamma is orient(P, Q, C, D).
     - Choosing C: s is computed as o/k (k = cross(P, Q, D) >= 1), with
       e_s = e/k + _TINY.  The quotient adds u*|o|/k <= u*m/k, or _TINY/2
       if it underflows, to the 4.01u*m/k error of o/k.  e_s covers that:
@@ -289,22 +275,21 @@ def _integer_envelope_2d(idx: np.ndarray, w: np.ndarray):
     pts = list(zip(X.tolist(), Y.tolist(), ints))
 
     hull_xy = _convex_hull_2d(idx)
-    if len(hull_xy) <= 2:
-        return _collinear_envelope_2d(pts), K
+    if len(hull_xy) <= 2:  # collinear cells
+        verts = _segment_chain(X, Y, ints, hull_xy[0], hull_xy[-1])
+        planes = []
+        for P, Q in zip(verts[:-1], verts[1:]):
+            # through P, Q and P + (Q - P) turned left in xy at P's lift:
+            # (-dw dx, -dw dy, dx^2 + dy^2), level across the line
+            (x, y, z), (x2, y2, _) = pts[P], pts[Q]
+            planes.append(_plane_through(pts[P], pts[Q], (x + y - y2, y + x2 - x, z)))
+        return planes or [(0, 0, 1, ints[verts[0]])], K
 
     planes = []
     seen = set()
     queue = []
     for U, V in zip(hull_xy, hull_xy[1:] + hull_xy[:1]):
-        # 1-D envelope of the points on segment U->V; push its pieces
-        ux, uy = V[0] - U[0], V[1] - U[1]
-        t = (X - U[0]) * ux + (Y - U[1]) * uy
-        on_line = (X - U[0]) * uy == (Y - U[1]) * ux
-        on = np.flatnonzero(on_line & (t >= 0) & (t <= ux * ux + uy * uy))
-        on = on[np.argsort(t[on])]
-        chain = _upper_chain(t[on], [pts[k][2] for k in on])
-        keep = {int(c[0]) for c in chain}
-        verts = [int(k) for k in on if t[k] in keep]
+        verts = _segment_chain(X, Y, ints, U, V)
         queue.extend(zip(verts[:-1], verts[1:]))
 
     guard = 0
@@ -328,18 +313,19 @@ def _integer_envelope_2d(idx: np.ndarray, w: np.ndarray):
         lo = np.where(unsure, -np.inf, s - e_s)
         top = cand[hi >= lo.max()]
         C = int(top[0])
+        plane = _plane_through(pts[P], pts[Q], pts[C])
         o, e, flat = _orient_filter(X, Y, W, P, Q, C, cross)
         for D in top[1:]:
-            if o[D] > e[D] or not (o[D] < -e[D] or flat[D]) and (
-                    _orient_above(pts[P], pts[Q], pts[C], pts[D]) > 0):
+            if o[D] > e[D] or not (o[D] < -e[D] or flat[D]) and _above(plane, pts[D]):
                 C = int(D)
+                plane = _plane_through(pts[P], pts[Q], pts[C])
                 o, e, flat = _orient_filter(X, Y, W, P, Q, C, cross)
         doubt = ~((o < -e) | flat)
         doubt[[P, Q, C]] = False
         for D in np.flatnonzero(doubt):
-            if _orient_above(pts[P], pts[Q], pts[C], pts[D]) > 0:
+            if _above(plane, pts[D]):
                 raise RuntimeError("hull wrap produced a non-supporting facet")
-        planes.append(_plane_through(pts[P], pts[Q], pts[C]))
+        planes.append(plane)
         seen.update(((P, Q), (Q, C), (C, P)))
         for E in ((C, Q), (P, C)):
             if E not in seen:

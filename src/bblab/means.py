@@ -143,8 +143,10 @@ def _lift(x, p: float, e=0) -> np.ndarray:
 
     Zeros of x map to -inf, so a max-plus sum over pairs ignores them and
     concavity checks see the support boundary; a positive x whose z
-    underflows takes the lift's limit at 0.  Four forms, because no single
-    one is accurate for every p:
+    underflows takes the lift's limit at 0, and one whose z overflows takes
+    the limit at +inf, -0.0 (only at p < -1, past the BBL regime, where
+    _scale_exp may scale to a far smaller value).  Four forms, because no
+    single one is accurate for every p:
     - p = 0: log z;
     - 0 < |p| < _SMALL_P: expm1(p log z)/p (Box-Cox), which tends to log z,
       so the means are continuous and monotone through p = 0; the signed
@@ -157,7 +159,8 @@ def _lift(x, p: float, e=0) -> np.ndarray:
     the weights sum to 1.
     """
     x = np.asarray(x, dtype=float)
-    z = np.ldexp(x, -e)
+    with np.errstate(over="ignore"):
+        z = np.ldexp(x, -e)
     pos = x > 0
     every = pos.all()  # else lift the positive values alone
     out, z = (None, z) if every else (np.full(x.shape, -np.inf), z[pos])

@@ -39,9 +39,9 @@ from .gridfn import (
 )
 from .hull import _TINY, _convex_hull_2d, p_concave_hull
 from .means import MeanParams, _lift, _scale_exp, _unlift, exponent_map
-from .supconv import (_crop, _exact_pieces, _fft_correlation, _fft_ns, _half_line_sup_integrals,
-                      _overlap_counts, _self_sup_integrals, deficit, sup_convolution,
-                      verify_bbl_hypothesis)
+from .supconv import (_bounding_box, _crop, _exact_pieces, _fft_correlation, _fft_ns,
+                      _half_line_sup_integrals, _overlap_counts, _self_sup_integrals, deficit,
+                      sup_convolution, verify_bbl_hypothesis)
 
 __all__ = [
     "StabilityReport",
@@ -168,7 +168,8 @@ def _layers_cheaper(k: int, shape: tuple, cells: int) -> bool:
     (supconv._fft_ns), 20 us of mask set-up and 2 ns per shift;
     _direct_scan costs per shift 10 us plus 1 ns per g box cell (measured
     like supconv._fft_ns, in 1-D and 2-D, boxes of 3 to 2000 cells per
-    axis).  Either scan gives the same shift, so the rule moves time only."""
+    axis).  Either scan gives the same v and a dist within rounding (the
+    sums' order differs), so the rule moves time and last bits only."""
     shifts = math.prod(shape)
     return k * (_fft_ns(shape) + 2e4 + 2.0 * shifts) < shifts * (1e4 + cells)
 
@@ -190,8 +191,9 @@ def _best_shift(f: GridFunction, g: GridFunction):
         int |f - g_v| = int_0^inf |{f > t} symdiff ({g > t} + v)| dt,
     one exact mask correlation for each of the K distinct values of f and
     g.  The sharpness pair has K = 2; smooth inputs have K near the cell
-    count and take the direct scan.  Both give the window's distances, so
-    the same (v, dist), bit for bit.
+    count and take the direct scan.  Both give the window's distances, one
+    sum per shift against one per level, so the same v; dist within
+    rounding.
     """
     vf, vg, _, h = common_grid(f, g)
     cv = h ** f.dim
@@ -736,12 +738,12 @@ def cone_equipartition_2d(f: GridFunction, tol_rel: float = 1e-6,
         raise ZeroMassError("equipartition needs positive mass")
     target = total / 3.0
 
-    idx = np.argwhere(f.values > 0)
+    (i_lo, j_lo), (i_hi, j_hi) = _bounding_box(f.values)
     h = f.spacing
-    xlo = f.origin[0] + idx[:, 0].min() * h
-    xhi = f.origin[0] + (idx[:, 0].max() + 1) * h
-    ylo = f.origin[1] + idx[:, 1].min() * h
-    yhi = f.origin[1] + (idx[:, 1].max() + 1) * h
+    xlo = f.origin[0] + i_lo * h
+    xhi = f.origin[0] + (i_hi + 1) * h
+    ylo = f.origin[1] + j_lo * h
+    yhi = f.origin[1] + (j_hi + 1) * h
     span = max(xhi - xlo, yhi - ylo)
 
     cells = _cone_cells(f)

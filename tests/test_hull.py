@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bblab import (
     GridFunction,
@@ -22,12 +24,10 @@ from bblab.gridfn import _cell_centers
 from bblab.hull import (
     HullResult,
     PConcavityReport,
-    _collinear_envelope_2d,
+    _above,
     _convex_hull_2d,
-    _cross2,
     _dyadic_ints,
     _integer_envelope_2d,
-    _orient_above,
     _upper_chain,
     _upper_envelope_2d,
 )
@@ -97,10 +97,66 @@ def plane_through_oracle(P, Q, C):
     return alpha, beta, gamma
 
 
+def cross2_oracle(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull_2d_oracle(points):
+    """Andrew's monotone chain; CCW vertex list of integer points."""
+    pts = sorted({(int(p[0]), int(p[1])) for p in points})
+    if len(pts) <= 2:
+        return pts
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross2_oracle(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross2_oracle(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def orient_above_oracle(P, Q, C, D):
+    """det[[Q-P],[C-P],[D-P]], exact on integers or Fractions; positive = D
+    above plane(P,Q,C) when (P,Q,C) is CCW in the xy projection."""
+    a1, a2, a3 = Q[0] - P[0], Q[1] - P[1], Q[2] - P[2]
+    b1, b2, b3 = C[0] - P[0], C[1] - P[1], C[2] - P[2]
+    c1, c2, c3 = D[0] - P[0], D[1] - P[1], D[2] - P[2]
+    return (
+        a1 * (b2 * c3 - b3 * c2)
+        - a2 * (b1 * c3 - b3 * c1)
+        + a3 * (b1 * c2 - b2 * c1)
+    )
+
+
+def collinear_envelope_2d_oracle(pts):
+    """(alpha, beta, gamma) Fractions of the upper envelope of lifted points
+    on one xy line, along the line's primitive direction."""
+    p_lo = min(pts, key=lambda p: (p[0], p[1]))
+    p_hi = max(pts, key=lambda p: (p[0], p[1]))
+    ux, uy = p_hi[0] - p_lo[0], p_hi[1] - p_lo[1]
+    if ux == 0 and uy == 0:
+        return [(Fraction(0), Fraction(0), max(p[2] for p in pts))]
+    g = math.gcd(abs(ux), abs(uy))
+    dirv = (ux // g, uy // g)
+    # with t = <dirv, (x, y)> integer, the chain's segment (t1, w1)-(t2, w2) is the
+    # plane dt w = dw (d0 x + d1 y) + w1 dt - dw t1; evaluation happens on the line
+    t = np.array([dirv[0] * p[0] + dirv[1] * p[1] for p in pts])
+    order = np.argsort(t)
+    chain = _upper_chain(t[order], [pts[i][2] for i in order])
+    planes = []
+    for (t1, w1), (t2, w2) in zip(chain[:-1], chain[1:]):
+        dt, dw = int(t2) - int(t1), w2 - w1
+        planes.append(read_plane((-dw * dirv[0], -dw * dirv[1], dt, w1 * dt - dw * int(t1))))
+    return planes or [(Fraction(0), Fraction(0), chain[0][1])]
+
+
 def upper_envelope_2d_oracle(pts):
-    hull_xy = _convex_hull_2d(np.array([(p[0], p[1]) for p in pts]))
+    hull_xy = convex_hull_2d_oracle(np.array([(p[0], p[1]) for p in pts]))
     if len(hull_xy) <= 2:
-        return [read_plane(plane) for plane in _collinear_envelope_2d(pts)]
+        return collinear_envelope_2d_oracle(pts)
 
     best = {}
     for p in pts:
@@ -145,15 +201,15 @@ def upper_envelope_2d_oracle(pts):
         if key in seen:
             continue
         seen.add(key)
-        cand = [D for D in pts if _cross2(P, Q, D) > 0]
+        cand = [D for D in pts if cross2_oracle(P, Q, D) > 0]
         if not cand:
             continue
         C = cand[0]
         for D in cand[1:]:
-            if _orient_above(P, Q, C, D) > 0:
+            if orient_above_oracle(P, Q, C, D) > 0:
                 C = D
         for D in pts:
-            if _orient_above(P, Q, C, D) > 0:
+            if orient_above_oracle(P, Q, C, D) > 0:
                 raise RuntimeError("hull wrap produced a non-supporting facet")
         planes.append(plane_through_oracle(P, Q, C))
         for E in ((P, Q), (Q, C), (C, P)):
@@ -174,6 +230,7 @@ def upper_envelope_2d_oracle(pts):
 def assert_envelope_matches_oracle(idx, w):
     pts = [(int(a), int(b), Fraction(v)) for (a, b), v in zip(idx.tolist(), w.tolist())]
     planes, K = _integer_envelope_2d(idx, w)
+    assert all(plane[2] > 0 for plane in planes)  # n3 w 2^K = ..., so n3 > 0
     assert [read_plane(plane, K) for plane in planes] == upper_envelope_2d_oracle(pts)
 
 
@@ -559,7 +616,7 @@ class TestHull2D:
         f = g.with_values(np.minimum(g.values, 0.6))
         assert (f.values == 0.6).sum() == 32
         calls = []
-        monkeypatch.setattr(hull, "_orient_above", lambda *a: calls.append(1) or _orient_above(*a))
+        monkeypatch.setattr(hull, "_above", lambda *a: calls.append(1) or _above(*a))
         res = p_concave_hull(f, -0.25)
         assert 0 < len(calls) < len(res.facets)
         idx = np.argwhere(f.values > 0)
@@ -689,6 +746,22 @@ class TestConvexHullSet:
         co = convex_hull_set(A)
         assert co.measure == pytest.approx(3.0)
         assert hull_deficit(A) == pytest.approx(0.5)  # (3-2)/2
+
+    @settings(max_examples=300, deadline=None)
+    @given(free=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=12),
+           runs=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16),
+                                   st.sampled_from([(0, 1), (1, 0), (1, 1), (1, -1), (2, 1),
+                                                    (0, 3)]),
+                                   st.integers(1, 8)), max_size=3),
+           repeat=st.integers(0, 6))
+    def test_2d_chain_matches_andrew(self, free, runs, repeat):
+        """_convex_hull_2d gives Andrew's vertex list on lattice sets with
+        repeated points, collinear runs and vertical columns."""
+        pts = free + [(x + t * dx, y + t * dy) for x, y, (dx, dy), n in runs for t in range(n)]
+        pts += pts[:repeat]
+        if not pts:
+            pts = [(3, 4)]
+        assert _convex_hull_2d(np.array(pts)) == convex_hull_2d_oracle(pts)
 
     def test_2d_vs_bruteforce(self, rng):
         def point_in_hull_brute(q, pts):

@@ -111,6 +111,20 @@ class TestPMean:
         # the smaller value decides a mean at p < 0, so it sets the scale
         assert p_mean((0.5, -3.0), 1e-200, 1e200) == pytest.approx(1e-200 * 2.0 ** (1 / 3))
 
+    def test_scale_overflows_past_bbl_regime(self):
+        """At these p < -1 (and at q = -9 in the pq switch) the larger
+        value's z overflows under the smaller one's scale and lifts to the
+        limit at +inf, with no RuntimeWarning (an error in this suite)."""
+        for p in (-1.5, -3.0, -5.0):
+            got = p_mean((0.5, p), 1e-300, 1e300)
+            assert got == pytest.approx(mean_reference(0.5, p, 1e-300, 1e300), rel=1e-13)
+        got = p_mean_arr(0.5, -2.0, [1e-300, 1.0], [1e300, 2.0])
+        ref = [mean_reference(0.5, -2.0, 1e-300, 1e300), mean_reference(0.5, -2.0, 1.0, 2.0)]
+        assert got == pytest.approx(ref, rel=1e-13)
+        got = check_pq_switch(0.5, -0.9, 1, 1, 1, 1, 1e-250, 1e250)
+        ref = mean_reference(0.5, -0.9, 1e-250, 1e250) - mean_reference(0.5, -9.0, 1e-250, 1e250)
+        assert got == pytest.approx(ref, rel=1e-13)
+
     def test_array_matches_scalar(self, rng):
         xs = rng.uniform(0.0, 5.0, size=50)
         ys = rng.uniform(0.0, 5.0, size=50)

@@ -303,6 +303,22 @@ class TestBestShift:
                 _best_shift(f, g)
             assert set(taken) == {"_layer_scan" if kind == "indicators" else "_direct_scan"}
 
+    def test_scans_agree_within_rounding(self, monkeypatch):
+        """On mass-normalized sharpness pairs the two scans give the same v
+        and dists that differ by summation order only (up to 5.5e-15
+        relative measured): one sum per shift against one per level."""
+        for delta0 in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2):
+            for spacing in (1e-3, 3e-4, 1e-4):
+                f, g, _ = gen_sharpness_pair(delta0, spacing)
+                fn, gn = normalize(f), normalize(g)
+                got = []
+                for layers in (True, False):
+                    monkeypatch.setattr(stability, "_layers_cheaper", lambda *_: layers)
+                    got.append(_best_shift(fn, gn))
+                (v_layers, d_layers), (v_direct, d_direct) = got
+                assert v_layers == v_direct
+                assert d_layers == pytest.approx(d_direct, rel=1e-13, abs=0.0)
+
     def test_sharpness_pair_takes_layers(self, monkeypatch):
         f, g, _ = gen_sharpness_pair(1e-3, 2.5e-4)
         fn, gn = normalize(f), normalize(g)
