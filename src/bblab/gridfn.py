@@ -53,8 +53,8 @@ class GridFunction:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if vals.ndim != self.dim:
             raise ValueError(f"values must be a {self.dim}-d array")
@@ -67,6 +67,8 @@ class GridFunction:
         origin = tuple(float(o) for o in np.atleast_1d(self.origin))
         if len(origin) != self.dim:
             raise ValueError("origin length must equal dim")
+        if not np.isfinite(origin).all():
+            raise ValueError(f"origin must be finite, got {origin}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "origin", origin)

@@ -209,8 +209,10 @@ def sweep(
 
 def fit_loglog_slope(xs, ys):
     """OLS slope of log y against log x; returns (slope, stderr)."""
-    x = np.log(np.asarray(xs, dtype=float))
-    y = np.log(np.asarray(ys, dtype=float))
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not all(((v > 0) & (v < np.inf)).all() for v in (x, y)):
+        raise ValueError("x and y must be positive and finite")
+    x, y = np.log(x), np.log(y)
     if len(x) < 4:
         raise ValueError("need at least 4 points")
     if np.ptp(x) <= 0:

@@ -65,13 +65,12 @@ class MeanParams:
 
 
 def _rational(lam) -> Fraction:
-    """lam as an exact rational: a Fraction as it is, else the nearest with
-    denominator <= 64, which must lie within 1e-12 of lam, since grid
-    combinations need exactness."""
-    if isinstance(lam, Fraction):
-        return lam
-    frac = Fraction(lam).limit_denominator(64)
-    if abs(float(frac) - float(lam)) > 1e-12:
+    """lam as an exact rational with denominator <= 64: a Fraction as it
+    is, else the nearest such, which must lie within 1e-12 of lam, since
+    grid combinations need exactness and cost b^dim lattice sums a cell
+    at lam = a/b."""
+    frac = lam if isinstance(lam, Fraction) else Fraction(lam).limit_denominator(64)
+    if frac.denominator > 64 or abs(float(frac) - float(lam)) > 1e-12:
         raise ValueError(f"lam={lam} is not commensurate (need a rational with "
                          "denominator <= 64 for grid combinations)")
     return frac

@@ -8,7 +8,7 @@ combined certificate chains the two through k = min(f, translated g).
 
 Shaving maximizes
     integral(M*(f,f) - M*(f',f')) - (1 + c) * integral(f - f')
-over f' = min(f, ell) by greedy ascent on a finite dictionary of p-concave
+over f' = min(f, ell) by steepest ascent on a finite dictionary of p-concave
 caps, held as three blocks of arrays: levels, integer half-space forms,
 and lifted p-plane forms through adjacent support points and the ends of
 the lift's concave pieces (1-D, O(n r) caps for n support cells and r
@@ -16,8 +16,8 @@ pieces) or unit lattice triangles of them (2-D, O(N) caps for N support
 cells).  A move is accepted only on strict gain, so the invariant
     removed <= delta * mass / c
 is inherited from objective(f) = 0.  integral(M*(f', f')) is
-supconv._self_sup_integrals times the cell volume, or, for the half-lines
-of a full 1-D sweep, supconv._half_line_sup_integrals.
+supconv._self_sup_integrals times the cell volume, or, for the 1-D
+half-lines, supconv._half_line_sup_integrals.
 """
 
 from __future__ import annotations
@@ -364,29 +364,24 @@ def _half_line_masses(cur: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 def shave(f: GridFunction, params: MeanParams, c: float | None = None):
-    """Greedy ascent over the shaving dictionary.
+    """Steepest ascent over the shaving dictionary.
 
     Returns (f', removed, objective) where objective is the final value of
-    integral(M*(f,f) - M*(f',f')) - (1+c) integral(f - f').  Moves are
-    accepted only on strict improvement, above 1e-10 of integral(M*(f,f)).
-    Each step takes the first candidate of greatest gain in a range of the
-    dictionary: a full sweep, then, after an accept, the 17 candidates
-    around it, so that monotone families (cap cascades, end cuts) ride the
-    candidate order, and a full sweep again when the ride ends.  The
-    candidates are materialized and evaluated in chunks, integral(M*(s, s))
-    being supconv._self_sup_integrals times the cell volume, except the
-    half-lines of a full 1-D sweep: the prefixes and suffixes of the
-    current state, whose integrals come from one kernel pass grown a cell
-    at a time (supconv._half_line_sup_integrals) and whose removed masses
-    are cumulative sums of the current state (_half_line_masses), O(n) in
-    all; only the winner is materialized.
-    A pass after every accept would cost O(n^2), so the windows stay on
-    the chunks.  f is shaved as f / 2^e, e from means._scale_exp as in the
-    hull and the kernel, and the results are scaled back, so that f' and
-    the ratios do not depend on units.  The dictionary
-    (_shave_candidates_1d, _shave_candidates_2d) decides the quality of f'
-    only: any dictionary keeps removed <= delta * mass / c.  The 1-D
-    planes are a subset of the exhaustive pairs', the tests' oracle.
+    integral(M*(f,f) - M*(f',f')) - (1+c) integral(f - f').  Each step
+    sweeps the whole dictionary and accepts its first candidate of greatest
+    gain, until no gain exceeds 1e-10 of integral(M*(f,f)).  The caps and
+    planes are materialized and evaluated in chunks, integral(M*(s, s))
+    being supconv._self_sup_integrals times the cell volume.  The 1-D
+    half-lines, the prefixes and suffixes of the current state, take one
+    kernel pass grown a cell at a time (supconv._half_line_sup_integrals),
+    and their removed masses are cumulative sums of the current state
+    (_half_line_masses), O(n) in all; only the winner is materialized.
+    f is shaved as f / 2^e, e from means._scale_exp as in the hull and
+    the kernel, and the results are scaled back, so that f' and the ratios
+    do not depend on units.  The dictionary (_shave_candidates_1d,
+    _shave_candidates_2d) decides the quality of f' only: any dictionary
+    keeps removed <= delta * mass / c.  The 1-D planes are a subset of the
+    exhaustive pairs', the tests' oracle.
     """
     if c is None:
         c = 0.1 * params.lam_float
@@ -403,26 +398,25 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     e = int(_scale_exp(pos.max(), pos.min(), p))
     fs = f.with_values(np.ldexp(f.values, -e))
     cands = _shave_candidates_1d(fs, p) if f.dim == 1 else _shave_candidates_2d(fs, p)
-    n_cand = sum(len(block) for block in cands)
     # a chunk of states is one _self_sup_integrals call, whose lattice sums W
     # hold b^dim entries per cell of a state: about 4e6 of them bound its
-    # memory.  A full 1-D sweep chunks the caps and planes only
+    # memory.  In 1-D the chunks hold the caps and planes only
     chunk = max(16, 4 * 10 ** 6 // (f.values.size * params.lam_fraction.denominator ** f.dim))
     caps, halfspaces, planes = cands
 
-    def gains(blocks: tuple, lo: int, hi: int) -> np.ndarray:
-        """The gain of candidates lo .. hi - 1 of the dictionary blocks, -inf
-        where a candidate changes nothing, by chunks of materialized
-        states."""
-        out = np.full(hi - lo, -np.inf)
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
+    def gains(blocks: tuple) -> np.ndarray:
+        """The gain of every candidate of the dictionary blocks, -inf where
+        a candidate changes nothing, by chunks of materialized states."""
+        n = sum(len(block) for block in blocks)
+        out = np.full(n, -np.inf)
+        for a in range(0, n, chunk):
+            b = min(a + chunk, n)
             states = np.minimum(cur, _materialize(blocks, a, b, f.shape, p))
             removed = cur_int - states.reshape(b - a, -1).sum(axis=1) * cv
             changed = removed > 0
             if changed.any():
                 sups = _self_sup_integrals(states[changed], params) * cv
-                out[a - lo : b - lo][changed] = (cur_sup - sups) - (1.0 + c) * removed[changed]
+                out[a:b][changed] = (cur_sup - sups) - (1.0 + c) * removed[changed]
         return out
 
     def half_line_gains() -> np.ndarray:
@@ -433,40 +427,32 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
         removed = _half_line_masses(cur, ks) * cv
         return np.where(removed > 0, (cur_sup - sups) - (1.0 + c) * removed, -np.inf).reshape(-1)
 
-    def best(lo: int, hi: int):
-        """(state, index) of the first candidate in [lo, hi) whose gain is
-        the greatest and above tol_gain, or (None, None).  A full 1-D sweep
-        chunks the caps and planes as one range and takes the half-lines in
-        one pass."""
-        if full and f.dim == 1:
-            g = gains((caps, halfspaces[:0], planes), 0, n_cand - len(halfspaces))
+    def best():
+        """The state of the first candidate whose gain is the greatest and
+        above tol_gain, or None.  In 1-D the caps and planes are chunked as
+        one range and the half-lines take one pass."""
+        if f.dim == 1:
+            g = gains((caps, halfspaces[:0], planes))
             g = np.concatenate([g[: len(caps)], half_line_gains(), g[len(caps) :]])
         else:
-            g = gains(cands, lo, hi)
+            g = gains(cands)
         k = int(np.argmax(g))
         if not g[k] > tol_gain:
-            return None, None
-        return np.minimum(cur, _materialize(cands, lo + k, lo + k + 1, f.shape, p))[0], lo + k
+            return None
+        return np.minimum(cur, _materialize(cands, k, k + 1, f.shape, p))[0]
 
     cur = fs.values.copy()
     m0 = cur_int = float(cur.sum()) * cv
     base_sup = cur_sup = float(_self_sup_integrals(cur[None], params)[0]) * cv
     tol_gain = 1e-10 * base_sup
-    accepts, full, lo, hi = 0, True, 0, n_cand
-    while True:
-        state, at = best(lo, hi)
-        if state is not None:
-            cur = state
-            cur_int = float(cur.sum()) * cv
-            cur_sup = float(_self_sup_integrals(cur[None], params)[0]) * cv
-            accepts += 1
-            full, lo, hi = False, max(at - 8, 0), min(at + 9, n_cand)
-        elif full:
+    for _ in range(10000):
+        if (state := best()) is None:
             break
-        elif accepts > 10000:
-            raise RuntimeError("shave failed to reach a fixpoint")
-        else:
-            full, lo, hi = True, 0, n_cand
+        cur = state
+        cur_int = float(cur.sum()) * cv
+        cur_sup = float(_self_sup_integrals(cur[None], params)[0]) * cv
+    else:
+        raise RuntimeError("shave failed to reach a fixpoint")
 
     objective = (base_sup - cur_sup) - (1.0 + c) * (m0 - cur_int)
     return (f.with_values(np.ldexp(cur, e)), math.ldexp(m0 - cur_int, e),

@@ -144,6 +144,16 @@ def test_sweep_csv(tmp_path):
     assert lines[0].startswith("scenario,delta0")
 
 
+def test_lambda_denominator_limit(tmp_path):
+    """--lambda 0.3333 is 3333/10000, past the denominator limit of 64."""
+    pf = tmp_path / "f.gfn"
+    dump_gfn(indicator(0.0, 0.5, 0.1), pf)
+    argv = ["supconv", "--f", str(pf), "--g", str(pf), "--p", "0", "--out", str(tmp_path / "h.gfn")]
+    assert main(argv + ["--lambda", "1/3"]) == 0
+    with pytest.raises(ValueError, match="not commensurate"):
+        main(argv + ["--lambda", "0.3333"])
+
+
 @pytest.mark.parametrize("cmd", ["supconv", "certify-linear"])
 def test_p_checked_against_input_dim(tmp_path, cmd):
     """p = -0.75 exceeds -1/n only for n = 1: a 2-D input fails the

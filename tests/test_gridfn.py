@@ -68,6 +68,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GridFunction(1, (0.0,), 0.0, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_origin_and_spacing(self, bad):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridFunction(2, (0.0, bad), 0.1, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            GridFunction(1, (0.0,), bad, np.ones(3))
+
     def test_values_immutable(self):
         f = GridFunction(1, (0.0,), 0.1, np.ones(3))
         with pytest.raises(ValueError):
@@ -288,6 +295,16 @@ class TestGfnFormat:
         path = tmp_path / "bad.gfn"
         path.write_text("gfn 1 0.1 0.0 3\n1.0 -2.0 0.5\n")
         with pytest.raises(ValueError):
+            load_gfn(path)
+
+    @pytest.mark.parametrize("header, field", [
+        ("gfn 1 0.1 nan 3", "origin"), ("gfn 1 0.1 inf 3", "origin"),
+        ("gfn 2 0.1 0.0 -inf 1 3", "origin"),
+        ("gfn 1 inf 0.0 3", "spacing"), ("gfn 1 nan 0.0 3", "spacing")])
+    def test_rejects_non_finite_header(self, header, field, tmp_path):
+        path = tmp_path / "bad.gfn"
+        path.write_text(header + "\n1.0 2.0 0.5\n")
+        with pytest.raises(ValueError, match=field):
             load_gfn(path)
 
     def test_rejects_garbage_header(self, tmp_path):

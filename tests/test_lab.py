@@ -107,6 +107,12 @@ class TestSlopeFit:
             fit_loglog_slope([1.0, 1.0, 1.0, 1.0], [1, 2, 3, 4])
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0, 2.0], [1.0, 2.0])
+        x = [1e-3, 3e-3, 1e-2, 3e-2]
+        for bad in (0.0, -0.0023, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                fit_loglog_slope(x, [0.1, 0.2, bad, 0.4])
+            with pytest.raises(ValueError):
+                fit_loglog_slope([bad, 3e-3, 1e-2, 3e-2], [0.1, 0.2, 0.3, 0.4])
 
 
 class TestSweep:

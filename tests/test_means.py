@@ -48,6 +48,8 @@ def test_param_validation():
     with pytest.raises(ValueError):
         MeanParams(0.5, -0.5, n=2)
     MeanParams(0.5, -0.49, n=2)  # fine
+    with pytest.raises(ValueError, match="not commensurate"):
+        MeanParams(Fraction(1, 65), 0.0).lam_fraction  # a Fraction meets the float's limit
 
 
 class TestPMean:

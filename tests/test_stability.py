@@ -483,6 +483,16 @@ class TestShave:
         assert not fp.values[-1] > 0  # the far bump is gone
         assert fp.values[:20].min() > 0  # the unit block stays
 
+    def test_steepest_ascent_on_p1_bump(self):
+        """Every step sweeps the whole dictionary, so on the 40-cell
+        log-concave bump at p = 1 the ascent ends above 0.0512."""
+        f = logconcave_bump(spacing=0.05)
+        params = MeanParams(Fraction(1, 2), 1.0)
+        fp, removed, obj = shave(f, params)
+        assert obj >= 0.0512
+        delta = integral(sup_convolution(f, f, params)) / integral(f) - 1.0
+        assert removed <= delta * integral(f) / (0.1 * 0.5) + 1e-12
+
     def test_hole_never_pays_at_large_c(self):
         # exhaustive scenario on 16 cells: with c above the removal exchange
         # rate, the dictionary leaves a dented indicator untouched
