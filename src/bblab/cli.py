@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     if args.cmd == "certify-linear":
         f = load_gfn(args.f)
         h = load_gfn(args.h) if args.h else None
-        rep = certify_linear(f, _params(args, f.dim), h=h, c=args.c, verify=h is not None)
+        rep = certify_linear(f, _params(args, f.dim), h=h, c=args.c)
         return 0 if _report_certificate(rep, args.report) else 1
 
     if args.cmd == "certify-main":

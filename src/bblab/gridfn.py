@@ -43,6 +43,22 @@ class ZeroMassError(ValueError):
     """Operation needs strictly positive total mass."""
 
 
+def _grid_origin(dim, origin, spacing, array: np.ndarray, name: str) -> tuple:
+    """The origin as floats, once dim, spacing, array.ndim and origin fit a grid."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    if not 0 < spacing < np.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    if array.ndim != dim:
+        raise ValueError(f"{name} must be a {dim}-d array")
+    origin = tuple(float(o) for o in np.atleast_1d(origin))
+    if len(origin) != dim:
+        raise ValueError("origin length must equal dim")
+    if not np.isfinite(origin).all():
+        raise ValueError(f"origin must be finite, got {origin}")
+    return origin
+
+
 @dataclass(frozen=True)
 class GridFunction:
     dim: int
@@ -51,24 +67,14 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not 0 < self.spacing < np.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if vals.ndim != self.dim:
-            raise ValueError(f"values must be a {self.dim}-d array")
+        origin = _grid_origin(self.dim, self.origin, self.spacing, vals, "values")
         if vals.size == 0 or min(vals.shape) < 1:
             raise ValueError("shape components must be >= 1")
         if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
         if (vals < 0).any():
             raise ValueError("values must be nonnegative")
-        origin = tuple(float(o) for o in np.atleast_1d(self.origin))
-        if len(origin) != self.dim:
-            raise ValueError("origin length must equal dim")
-        if not np.isfinite(origin).all():
-            raise ValueError(f"origin must be finite, got {origin}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "origin", origin)
@@ -107,9 +113,10 @@ class LevelSet:
 
     def __post_init__(self):
         mask = np.ascontiguousarray(np.asarray(self.mask, dtype=bool))
+        origin = _grid_origin(self.dim, self.origin, self.spacing, mask, "mask")
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "origin", tuple(float(o) for o in np.atleast_1d(self.origin)))
+        object.__setattr__(self, "origin", origin)
 
     @functools.cached_property
     def cell_count(self) -> int:

@@ -159,14 +159,14 @@ def sweep(
     certificates: str | None = None,
     c: float | None = None,
     seed: int = 0,
-    verify: bool = True,
 ) -> list[SweepRow]:
     """Run a scenario family over a deficit grid; rows sorted by delta0.
 
     families: "sharpness" (delta0 = target deficit of the extremal pair,
     certificates "symdiff", the default, or "main") and "dented" (delta0 =
     hole width of a dented unit indicator, certificates "linear", the
-    default).  Any other family or certificate raises ValueError.
+    default).  Any other family or certificate, or an empty grid, raises
+    ValueError.
     """
     runs = {"sharpness": ("symdiff", "main"), "dented": ("linear",)}
     if family not in runs:
@@ -174,16 +174,18 @@ def sweep(
     if certificates not in (None,) + runs[family]:
         raise ValueError(f"family {family!r} runs certificates {runs[family]}, "
                          f"not {certificates!r}")
+    grid = sorted(delta0_grid)
+    if not grid:
+        raise ValueError("the delta0 grid is empty")
     rows = []
-    for d0 in sorted(delta0_grid):
+    for d0 in grid:
         t0 = time.perf_counter()
-        nan = math.nan
         if family == "sharpness":
             f, g, h = gen_sharpness_pair(d0, spacing)
             if certificates == "main":
-                rep = certify_main(f, g, h, params, c=c, verify=verify)
+                rep = certify_main(f, g, h, params, c=c)
             else:
-                rep = certify_symmetric_difference(f, g, h, params, verify=verify)
+                rep = certify_symmetric_difference(f, g, h, params)
         else:
             f = _dented_scenario(d0, spacing)
             rep = certify_linear(f, params, c=c)

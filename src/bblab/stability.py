@@ -217,15 +217,14 @@ def _best_shift(f: GridFunction, g: GridFunction):
     return v, float(dists[tuple(np.array(v) - v_lo)])
 
 
-def certify_symmetric_difference(
-    f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParams,
-    verify: bool = True,
-) -> StabilityReport:
+def certify_symmetric_difference(f: GridFunction, g: GridFunction, h: GridFunction,
+                                 params: MeanParams) -> StabilityReport:
     """Deficit plus the best-translation L1 distance between f and g.
 
-    Hypothesis violations in a user-supplied h are counted and flagged but
-    do not abort: diagnosing near-miss triples is a primary use case.
-    Distances are reported on the input scale; ratios are scale-free.
+    The hypothesis on (f, g, h) is always checked (supconv.deficit), and
+    hypothesis_valid is that check's verdict.  Violations are counted and
+    flagged but do not abort: diagnosing near-miss triples is a primary use
+    case.  Distances are reported on the input scale; ratios are scale-free.
     """
     mf = integral(f)
     mg = integral(g)
@@ -233,16 +232,13 @@ def certify_symmetric_difference(
         raise ZeroMassError("certify needs positive masses")
     # the hypothesis is a property of the raw triple; distances are taken
     # between the mass-normalized functions
-    rep = deficit(f, g, h, params, verify=verify)
-    fn = normalize(f)
-    gn = normalize(g)
-    shift, dist = _best_shift(fn, gn)
-    delta = rep.delta
+    rep = deficit(f, g, h, params)
+    shift, dist = _best_shift(normalize(f), normalize(g))
     return StabilityReport(
-        delta=delta,
+        delta=rep.delta,
         best_shift=shift,
         symdiff_distance=dist * mf,
-        ratio_sqrt=_ratio(dist, math.sqrt(max(delta, 0.0))),
+        ratio_sqrt=_ratio(dist, math.sqrt(max(rep.delta, 0.0))),
         hypothesis_valid=rep.pointwise_violations == 0,
         violations=rep.pointwise_violations,
     )
@@ -459,52 +455,44 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
             math.ldexp(objective, e))
 
 
-def certify_linear(
-    f: GridFunction, params: MeanParams, h: GridFunction | None = None,
-    c: float | None = None, verify: bool = False,
-) -> StabilityReport:
+def certify_linear(f: GridFunction, params: MeanParams, h: GridFunction | None = None,
+                   c: float | None = None) -> StabilityReport:
     """Shave, hull, and measure: the witness is ell = co_p(shaved f).
 
     h defaults to the canonical M*(f, f), for which the hypothesis holds by
-    construction and delta is the self-deficit.
+    construction and delta is the self-deficit; a user-supplied h is always
+    checked against (f, f), and hypothesis_valid is that check's verdict.
     """
     mf = integral(f)
     if mf <= 0:
         raise ZeroMassError("certify_linear needs positive mass")
-    if h is None:
-        h = sup_convolution(f, f, params)
-        rep = deficit(f, f, h, params, verify=False)
-        valid, nviol = True, 0
-    else:
-        rep = deficit(f, f, h, params, verify=verify)
-        valid, nviol = rep.pointwise_violations == 0, rep.pointwise_violations
-    delta = rep.delta
+    rep = deficit(f, f, sup_convolution(f, f, params) if h is None else h, params,
+                  verify=h is not None)
     f_prime, removed, _ = shave(f, params, c)
     if integral(f_prime) <= 0:
         raise ZeroMassError("shaving removed all mass; deficit too large for c")
     ell = p_concave_hull(f_prime, params.p).hull
     gap = l1_distance(f, ell)
     return StabilityReport(
-        delta=delta,
+        delta=rep.delta,
         linear_gap=gap,
-        ratio_linear=_ratio(gap, delta * mf),
+        ratio_linear=_ratio(gap, rep.delta * mf),
         witness=ell,
         shave_removed=removed,
-        hypothesis_valid=valid,
-        violations=nviol,
+        hypothesis_valid=rep.pointwise_violations == 0,
+        violations=rep.pointwise_violations,
     )
 
 
-def certify_main(
-    f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParams,
-    c: float | None = None, verify: bool = True,
-) -> StabilityReport:
+def certify_main(f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParams,
+                 c: float | None = None) -> StabilityReport:
     """Chain: best translation, k = min(f, g shifted), linear certificate on k.
 
     main_distance = int |f - ell| + int |g(shifted) - ell|, reported against
-    sqrt(delta) * mass(f).
+    sqrt(delta) * mass(f).  The hypothesis on (f, g, h) is always checked,
+    as in certify_symmetric_difference, whose verdict is hypothesis_valid.
     """
-    sym = certify_symmetric_difference(f, g, h, params, verify=verify)
+    sym = certify_symmetric_difference(f, g, h, params)
     g_shift = translate(g, sym.best_shift)
     vf, vg, origin, spacing = common_grid(f, g_shift)
     k = GridFunction(f.dim, origin, spacing, np.minimum(vf, vg))
@@ -701,8 +689,11 @@ class EquipartitionResult:
     converged: bool
 
 
-def cone_equipartition_2d(f: GridFunction, tol_rel: float = 1e-6,
-                          max_expand: int = 60) -> EquipartitionResult:
+_EQUI_TOL_REL = 1e-6  # converged: residual <= _EQUI_TOL_REL * mass
+_EQUI_MAX_EXPAND = 60  # widenings of a root's bracket by the support's span
+
+
+def cone_equipartition_2d(f: GridFunction) -> EquipartitionResult:
     """Apex a with int_{a + C_i} f = mass/3 for the three 120-degree cones.
 
     Nested continuity root-finding: for fixed apex_y, the difference of the
@@ -747,7 +738,7 @@ def cone_equipartition_2d(f: GridFunction, tol_rel: float = 1e-6,
             return m[1] - m[2]
 
         lo, hi = xlo - span, xhi + span
-        for _ in range(max_expand):
+        for _ in range(_EQUI_MAX_EXPAND):
             if gdiff(lo) != 0 and np.sign(gdiff(lo)) != np.sign(gdiff(hi)):
                 break
             lo -= span
@@ -760,20 +751,16 @@ def cone_equipartition_2d(f: GridFunction, tol_rel: float = 1e-6,
         return masses(ax, ay)[0] - target, ax
 
     lo, hi = ylo - span, yhi + span
-    flo = outer(lo)[0]
-    fhi = outer(hi)[0]
-    expand = 0
-    while np.sign(flo) == np.sign(fhi) and expand < max_expand:
+    for _ in range(_EQUI_MAX_EXPAND):
+        if np.sign(outer(lo)[0]) != np.sign(outer(hi)[0]):
+            break
         lo -= span
         hi += span
-        flo = outer(lo)[0]
-        fhi = outer(hi)[0]
-        expand += 1
     ay = brentq(lambda y: outer(y)[0], lo, hi, xtol=1e-11 * max(span, 1.0))
     ax = inner(ay)
     m = masses(ax, ay)
     residual = max(abs(mi - target) for mi in m)
-    return EquipartitionResult((ax, ay), m, residual, residual <= tol_rel * total)
+    return EquipartitionResult((ax, ay), m, residual, residual <= _EQUI_TOL_REL * total)
 
 
 # ---------------------------------------------------------------------------

@@ -791,9 +791,9 @@ def deficit(f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParam
     With verify=True, pointwise_violations counts the grid pairs (x, y) with
     M(f(x), g(y)) > h(lam x + (1-lam) y) + tol, tol = 1e-9 * max(h), in 1-D
     and 2-D alike.  The check compares h with M*(f, g) cell by cell and
-    enumerates pairs only on the cells where M*(f, g) exceeds h + tol.  Pass
-    verify=False to skip it (delta only), e.g. in timing-sensitive sweeps
-    where only the mass ratio is needed.
+    enumerates pairs only on the cells where M*(f, g) exceeds h + tol.
+    verify=False gives delta alone, for an h that satisfies the hypothesis
+    by construction, as stability.certify_linear's canonical M*(f, f).
     """
     mf, mg, mh = integral(f), integral(g), integral(h)
     if mf <= 0:

@@ -98,7 +98,7 @@ def test_criterion_4_equality_collapse():
         ]
         for f in shapes:
             h = sup_convolution(f, f, params)
-            rep = certify_main(f, f, h, params, verify=False)
+            rep = certify_main(f, f, h, params)
             assert rep.delta <= 4 * f.spacing, (p, rep.delta)
             assert rep.main_distance <= 8 * f.spacing * integral(f), (p, rep.main_distance)
     _report(4, "equality collapse on 3 shapes x 3 exponents", t0, 30)

@@ -144,6 +144,16 @@ def test_sweep_csv(tmp_path):
     assert lines[0].startswith("scenario,delta0")
 
 
+@pytest.mark.parametrize("grid", ["1e-3:1e-2:0", "1e-3:1e-2:log0"])
+def test_sweep_rejects_empty_grid(tmp_path, grid):
+    """A zero-point grid raises and writes no CSV: a sweep of no rows would
+    pass vacuously."""
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="delta0 grid is empty"):
+        main(["sweep", "--family", "sharpness", "--delta0", grid, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_lambda_denominator_limit(tmp_path):
     """--lambda 0.3333 is 3333/10000, past the denominator limit of 64."""
     pf = tmp_path / "f.gfn"

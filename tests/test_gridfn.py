@@ -126,6 +126,27 @@ class TestL1:
 
 
 class TestLevelSet:
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0.0, np.ones(5, bool), (0.0,), 0.1), "dim must be 1, 2 or 3"),
+        ((4, 0.0, np.ones((1, 1, 1, 1), bool), (0.0,) * 4, 0.1), "dim must be 1, 2 or 3"),
+        ((2, 0.0, np.ones(5, bool), (0.0, 0.0), 0.1), "mask must be a 2-d array"),
+        ((1, 0.0, np.ones((5, 1), bool), (0.0,), 0.1), "mask must be a 1-d array"),
+        ((1, 0.0, np.ones(5, bool), (0.0, 0.0), 0.1), "origin length must equal dim"),
+        ((2, 0.0, np.ones((2, 2), bool), (0.0,), 0.1), "origin length must equal dim"),
+        ((1, 0.0, np.ones(5, bool), (np.nan,), 0.1), "origin must be finite"),
+        ((2, 0.0, np.ones((2, 2), bool), (0.0, np.inf), 0.1), "origin must be finite"),
+        ((1, 0.0, np.ones(5, bool), (0.0,), -1.0), "spacing must be positive and finite"),
+        ((1, 0.0, np.ones(5, bool), (0.0,), 0.0), "spacing must be positive and finite"),
+        ((1, 0.0, np.ones(5, bool), (0.0,), np.inf), "spacing must be positive and finite"),
+        ((1, 0.0, np.ones(5, bool), (0.0,), np.nan), "spacing must be positive and finite"),
+    ])
+    def test_rejects_inconsistent_grid(self, args, message):
+        """The grid checks of GridFunction, with its messages: unchecked, a
+        negative spacing gives a negative measure, and a 1-D mask with dim 2
+        an IndexError deep in the convex hull."""
+        with pytest.raises(ValueError, match=message):
+            LevelSet(*args)
+
     def test_above_max_empty(self, rng):
         f = random_staircase(rng)
         assert level_set(f, f.max()).cell_count == 0

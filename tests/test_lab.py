@@ -137,6 +137,12 @@ class TestSweep:
             assert r.linear_gap == pytest.approx(r.delta0, abs=2 * 0.002)
             assert r.ratio_linear <= 10.0
 
+    @pytest.mark.parametrize("family", ["sharpness", "dented"])
+    def test_rejects_empty_grid(self, family):
+        """No rows would make "every row passes" hold vacuously."""
+        with pytest.raises(ValueError, match="delta0 grid is empty"):
+            sweep(family, [], HALF0)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             sweep("nope", [0.1], HALF0)

@@ -1092,6 +1092,17 @@ class TestCertifyLinear:
         naive = p_concave_hull(f, 0.0).gap_mass
         assert naive > 10 * eps * 50.0
 
+    def test_user_h_always_checked(self):
+        """h = 1/2 on f's 20 cells falls short of M(1, 1) = 1 at every pair:
+        certify_linear and certify_main both check it and flag all 400."""
+        f = GridFunction(1, (0.0,), 0.05, np.ones(20))
+        h = f.with_values(np.full(20, 0.5))
+        for rep in (certify_linear(f, HALF0, h=h), certify_main(f, f, h, HALF0)):
+            assert not rep.hypothesis_valid
+            assert rep.violations == 400
+        canonical = certify_linear(f, HALF0)
+        assert canonical.hypothesis_valid and canonical.violations == 0
+
     def test_witness_is_p_concave(self, rng):
         for p in (-0.25, 0.0, 1.0):
             f = random_staircase(rng, n_min=8, n_max=14)
@@ -1113,7 +1124,7 @@ class TestCertifyMain:
             pconcave_bump(p, width=2.0, height=1.0, spacing=0.01),
         ):
             h = sup_convolution(f, f, params)
-            rep = certify_main(f, f, h, params, verify=False)
+            rep = certify_main(f, f, h, params)
             assert rep.delta <= 4 * f.spacing
             assert rep.main_distance <= 8 * f.spacing * integral(f)
 
@@ -1124,7 +1135,7 @@ class TestCertifyMain:
         vals[10:15] *= 0.7
         g = f.with_values(vals * (integral(f) / (vals.sum() * f.spacing)))
         h = sup_convolution(f, g, HALF1)
-        rep = certify_main(f, g, h, HALF1, verify=False)
+        rep = certify_main(f, g, h, HALF1)
         assert rep.main_distance < math.inf
         assert rep.ratio_main < 60.0
 
@@ -1139,7 +1150,6 @@ class TestCertifyMain:
             HALF0,
             spacing=1e-4,
             certificates="main",
-            verify=False,
         )
         slope, se = fit_loglog_slope(
             [r.delta for r in rows], [r.main_distance for r in rows]
@@ -1342,6 +1352,18 @@ class TestEquipartition:
             m = Cone2D.simplex(res.apex).sector_masses(f)
             for mi in m:
                 assert abs(mi - total / 3) <= 1e-6 * total
+
+    def test_one_row_widens_inner_bracket(self):
+        """One row of cells, x = 0.45: at the outer bracket's low end,
+        apex (-0.5, -0.9), both lower sectors are empty, so the inner
+        bracket widens before it brackets a root, and the solve converges."""
+        vals = np.zeros((9, 9))
+        vals[4, :] = 1.0
+        f = GridFunction(2, (0.0, 0.0), 0.1, vals)
+        res = cone_equipartition_2d(f)
+        assert res.converged
+        for m in res.masses:
+            assert abs(m - integral(f) / 3) <= 1e-12
 
     def test_uniform_square_verified(self):
         # for a uniform square the equipartition apex exists but is NOT the
