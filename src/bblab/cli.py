@@ -9,7 +9,8 @@
     bblab sweep          --family sharpness --p 0 --lambda 1/2 --delta0 1e-4:1e-2:log8 --spacing 1e-4 --out sweep.csv
     bblab equipartition  --f A.gfn
 
-Exit code 0 iff every validity flag passes (and the equipartition converges).
+Exit code 0 iff every validity flag passes (and the equipartition converges),
+1 if one fails, and 2 on an input the library refuses.
 """
 
 from __future__ import annotations
@@ -142,7 +143,14 @@ def main(argv=None) -> int:
     sp.add_argument("--f", required=True)
 
     args = ap.parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:  # a refused input exits 2, as argparse's own errors do
+        print(f"bblab: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.cmd == "supconv":
         f, g = load_gfn(args.f), load_gfn(args.g)
         dump_gfn(sup_convolution(f, g, _params(args, f.dim)), args.out)

@@ -516,7 +516,7 @@ def hull_deficit(A: LevelSet) -> float:
     return (co.measure - A.measure) / A.measure
 
 
-def tail_ratio(g: GridFunction, p: float, check: bool = True) -> float:
+def tail_ratio(g: GridFunction, p: float) -> float:
     """Mass fraction carried by S = {g >= max(g)/2}.
 
     For p-concave g the ratio is bounded below by tail_lower_bound(p, dim);
@@ -526,7 +526,7 @@ def tail_ratio(g: GridFunction, p: float, check: bool = True) -> float:
     m = g.max()
     if m <= 0:
         raise ZeroMassError("tail_ratio needs max g > 0")
-    if check and not is_p_concave(g, p, tol=1e-9 * m):
+    if not is_p_concave(g, p, tol=1e-9 * m):
         warnings.warn("tail_ratio input is not p-concave on the grid", stacklevel=2)
     mask = g.values >= m / 2.0
     return float(g.values[mask].sum() / g.values.sum())

@@ -29,6 +29,8 @@ __all__ = [
 
 
 def _cells(length: float, spacing: float) -> int:
+    if not 0 < spacing < math.inf:
+        raise ValueError("spacing must be positive and finite")
     return int(round(length / spacing))
 
 
@@ -69,7 +71,8 @@ def gen_sharpness_pair(delta0: float, spacing: float = 1e-4):
 
 def gen_dented(base: GridFunction, holes) -> GridFunction:
     """Remove dents from a p-concave base: holes are (position, width, depth)
-    triples in position units; depth is subtracted (floored at 0)."""
+    triples in position units; depth, positive and finite, is subtracted
+    (floored at 0).  A hole must cover at least one cell."""
     if base.dim != 1:
         raise ValueError("gen_dented is 1-D")
     vals = base.values.copy()
@@ -79,6 +82,10 @@ def gen_dented(base: GridFunction, holes) -> GridFunction:
     for pos, width, depth in holes:
         i0 = int(round((pos - base.origin[0]) / h))
         i1 = i0 + _cells(width, h)
+        if i1 <= i0:
+            raise ValueError(f"hole width {width} covers no cell")
+        if not 0 < depth < math.inf:
+            raise ValueError("hole depth must be positive and finite")
         if i0 < sup.min() or i1 > sup.max() + 1:
             raise ValueError(f"hole [{pos}, {pos + width}] leaves the support")
         for a, b in used:

@@ -41,7 +41,7 @@ from .hull import _TINY, _convex_hull_2d, p_concave_hull
 from .means import MeanParams, _lift, _scale_exp, _unlift, exponent_map
 from .supconv import (_bounding_box, _crop, _exact_pieces, _fft_correlation, _fft_ns,
                       _half_line_sup_integrals, _overlap_counts, _self_sup_integrals, deficit,
-                      sup_convolution, verify_bbl_hypothesis)
+                      verify_bbl_hypothesis)
 
 __all__ = [
     "StabilityReport",
@@ -69,8 +69,11 @@ class StabilityReport:
     ratio_main: float = math.nan
     witness: GridFunction | None = field(default=None, repr=False)
     shave_removed: float = math.nan
-    hypothesis_valid: bool = True
     violations: int = 0
+
+    @property
+    def hypothesis_valid(self) -> bool:
+        return self.violations == 0
 
 
 def _ratio(dist: float, scale: float) -> float:
@@ -221,10 +224,10 @@ def certify_symmetric_difference(f: GridFunction, g: GridFunction, h: GridFuncti
                                  params: MeanParams) -> StabilityReport:
     """Deficit plus the best-translation L1 distance between f and g.
 
-    The hypothesis on (f, g, h) is always checked (supconv.deficit), and
-    hypothesis_valid is that check's verdict.  Violations are counted and
-    flagged but do not abort: diagnosing near-miss triples is a primary use
-    case.  Distances are reported on the input scale; ratios are scale-free.
+    The hypothesis on (f, g, h) is always checked (supconv.deficit); its
+    count is violations, and hypothesis_valid means it is 0.  Violations
+    are flagged but do not abort: diagnosing near-miss triples is a primary
+    use case.  Distances are on the input scale; ratios are scale-free.
     """
     mf = integral(f)
     mg = integral(g)
@@ -239,7 +242,6 @@ def certify_symmetric_difference(f: GridFunction, g: GridFunction, h: GridFuncti
         best_shift=shift,
         symdiff_distance=dist * mf,
         ratio_sqrt=_ratio(dist, math.sqrt(max(rep.delta, 0.0))),
-        hypothesis_valid=rep.pointwise_violations == 0,
         violations=rep.pointwise_violations,
     )
 
@@ -461,13 +463,12 @@ def certify_linear(f: GridFunction, params: MeanParams, h: GridFunction | None =
 
     h defaults to the canonical M*(f, f), for which the hypothesis holds by
     construction and delta is the self-deficit; a user-supplied h is always
-    checked against (f, f), and hypothesis_valid is that check's verdict.
+    checked against (f, f).  Both are supconv.deficit(f, f, h, params).
     """
     mf = integral(f)
     if mf <= 0:
         raise ZeroMassError("certify_linear needs positive mass")
-    rep = deficit(f, f, sup_convolution(f, f, params) if h is None else h, params,
-                  verify=h is not None)
+    rep = deficit(f, f, h, params)
     f_prime, removed, _ = shave(f, params, c)
     if integral(f_prime) <= 0:
         raise ZeroMassError("shaving removed all mass; deficit too large for c")
@@ -479,7 +480,6 @@ def certify_linear(f: GridFunction, params: MeanParams, h: GridFunction | None =
         ratio_linear=_ratio(gap, rep.delta * mf),
         witness=ell,
         shave_removed=removed,
-        hypothesis_valid=rep.pointwise_violations == 0,
         violations=rep.pointwise_violations,
     )
 
@@ -490,7 +490,7 @@ def certify_main(f: GridFunction, g: GridFunction, h: GridFunction, params: Mean
 
     main_distance = int |f - ell| + int |g(shifted) - ell|, reported against
     sqrt(delta) * mass(f).  The hypothesis on (f, g, h) is always checked,
-    as in certify_symmetric_difference, whose verdict is hypothesis_valid.
+    as in certify_symmetric_difference, whose count is violations.
     """
     sym = certify_symmetric_difference(f, g, h, params)
     g_shift = translate(g, sym.best_shift)
@@ -513,7 +513,6 @@ def certify_main(f: GridFunction, g: GridFunction, h: GridFunction, params: Mean
         ratio_main=_ratio(main, math.sqrt(max(sym.delta, 0.0)) * mf),
         witness=ell,
         shave_removed=lin.shave_removed,
-        hypothesis_valid=sym.hypothesis_valid,
         violations=sym.violations,
     )
 
@@ -690,7 +689,7 @@ class EquipartitionResult:
 
 
 _EQUI_TOL_REL = 1e-6  # converged: residual <= _EQUI_TOL_REL * mass
-_EQUI_MAX_EXPAND = 60  # widenings of a root's bracket by the support's span
+_EQUI_MAX_EXPAND = 60  # widenings of the inner root's bracket by the support's span
 
 
 def cone_equipartition_2d(f: GridFunction) -> EquipartitionResult:
@@ -743,20 +742,17 @@ def cone_equipartition_2d(f: GridFunction) -> EquipartitionResult:
                 break
             lo -= span
             hi += span
-        ax = brentq(gdiff, lo, hi, xtol=1e-11 * max(span, 1.0))
-        return ax
+        return brentq(gdiff, lo, hi, xtol=1e-11 * max(span, 1.0))
 
     def outer(ay):
-        ax = inner(ay)
-        return masses(ax, ay)[0] - target, ax
+        return masses(inner(ay), ay)[0] - target
 
-    lo, hi = ylo - span, yhi + span
-    for _ in range(_EQUI_MAX_EXPAND):
-        if np.sign(outer(lo)[0]) != np.sign(outer(hi)[0]):
-            break
-        lo -= span
-        hi += span
-    ay = brentq(lambda y: outer(y)[0], lo, hi, xtol=1e-11 * max(span, 1.0))
+    # The first bracket straddles the root.  At yhi + span no cell meets the
+    # upper sector, so m0 = 0.  At ylo - span a cell of either lower sector
+    # lies at least sqrt(3) span beside the apex, and the support is at most
+    # span wide, so the two cannot both hold mass: the inner root leaves
+    # both about empty, and m0 ~ mass > mass/3.  brentq raises otherwise.
+    ay = brentq(outer, ylo - span, yhi + span, xtol=1e-11 * max(span, 1.0))
     ax = inner(ay)
     m = masses(ax, ay)
     residual = max(abs(mi - target) for mi in m)

@@ -109,8 +109,8 @@ class DeficitReport:
     """Masses, delta = mass(h)/mass(f) - 1 and the hypothesis check.
 
     pointwise_violations is the number of grid pairs (x, y) with
-    M(f(x), g(y)) > h(lam x + (1-lam) y) + tol; verified says whether the
-    (exact) check ran, and the count is 0 when it did not.
+    M(f(x), g(y)) > h(lam x + (1-lam) y) + tol, 0 for the canonical h =
+    M*(f, g), which holds by construction; the hypothesis holds iff it is 0.
     """
 
     mass_f: float
@@ -119,11 +119,10 @@ class DeficitReport:
     delta: float
     pointwise_violations: int
     tol: float
-    verified: bool
 
     @property
     def hypothesis_ok(self) -> bool:
-        return self.verified and self.pointwise_violations == 0
+        return self.pointwise_violations == 0
 
 
 def _lam_ab(params: MeanParams) -> tuple[int, int]:
@@ -784,22 +783,23 @@ def _violations(f, g, h, params, tol, collect):
     return count, found
 
 
-def deficit(f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParams,
-            verify: bool = True) -> DeficitReport:
+def deficit(f: GridFunction, g: GridFunction, h: GridFunction | None,
+            params: MeanParams) -> DeficitReport:
     """Deficit delta = mass(h)/mass(f) - 1, plus an exact hypothesis check.
 
-    With verify=True, pointwise_violations counts the grid pairs (x, y) with
+    h=None is the canonical h = M*(f, g), which satisfies the hypothesis by
+    construction: no check runs and the count is 0.  A given h is always
+    checked: pointwise_violations counts the grid pairs (x, y) with
     M(f(x), g(y)) > h(lam x + (1-lam) y) + tol, tol = 1e-9 * max(h), in 1-D
     and 2-D alike.  The check compares h with M*(f, g) cell by cell and
     enumerates pairs only on the cells where M*(f, g) exceeds h + tol.
-    verify=False gives delta alone, for an h that satisfies the hypothesis
-    by construction, as stability.certify_linear's canonical M*(f, f).
     """
-    mf, mg, mh = integral(f), integral(g), integral(h)
+    mf, mg = integral(f), integral(g)
     if mf <= 0:
         raise ZeroMassError("deficit needs mass(f) > 0")
-    tol = 1e-9 * max(h.max(), 1e-300)
-    count = _violations(f, g, h, params, tol, collect=False)[0] if verify else 0
+    hh = sup_convolution(f, g, params) if h is None else h
+    mh, tol = integral(hh), 1e-9 * max(hh.max(), 1e-300)
+    count = 0 if h is None else _violations(f, g, h, params, tol, collect=False)[0]
     return DeficitReport(
         mass_f=mf,
         mass_g=mg,
@@ -807,7 +807,6 @@ def deficit(f: GridFunction, g: GridFunction, h: GridFunction, params: MeanParam
         delta=mh / mf - 1.0,
         pointwise_violations=count,
         tol=tol,
-        verified=verify,
     )
 
 

@@ -64,7 +64,7 @@ def test_criterion_2_sharpness_deficit_value():
     t0 = time.perf_counter()
     spacing = 1e-4
     f, g, h = gen_sharpness_pair(0.01, spacing=spacing)
-    rep = deficit(f, g, h, MeanParams(Fraction(1, 2), 0.0), verify=False)
+    rep = deficit(f, g, h, MeanParams(Fraction(1, 2), 0.0))
     expected = (1.1 + 1.0 / 1.1) / 2.0 - 1.0
     assert rep.delta == pytest.approx(expected, abs=2 * spacing)
     _report(2, f"sharpness deficit {rep.delta:.7f} vs {expected:.7f}", t0, 1)

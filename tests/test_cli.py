@@ -145,27 +145,28 @@ def test_sweep_csv(tmp_path):
 
 
 @pytest.mark.parametrize("grid", ["1e-3:1e-2:0", "1e-3:1e-2:log0"])
-def test_sweep_rejects_empty_grid(tmp_path, grid):
-    """A zero-point grid raises and writes no CSV: a sweep of no rows would
+def test_sweep_rejects_empty_grid(tmp_path, capsys, grid):
+    """A zero-point grid exits 2 and writes no CSV: a sweep of no rows would
     pass vacuously."""
     out = tmp_path / "sweep.csv"
-    with pytest.raises(ValueError, match="delta0 grid is empty"):
-        main(["sweep", "--family", "sharpness", "--delta0", grid, "--out", str(out)])
+    assert main(["sweep", "--family", "sharpness", "--delta0", grid, "--out", str(out)]) == 2
+    assert "bblab: error: the delta0 grid is empty" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_lambda_denominator_limit(tmp_path):
+def test_lambda_denominator_limit(tmp_path, capsys):
     """--lambda 0.3333 is 3333/10000, past the denominator limit of 64."""
     pf = tmp_path / "f.gfn"
     dump_gfn(indicator(0.0, 0.5, 0.1), pf)
     argv = ["supconv", "--f", str(pf), "--g", str(pf), "--p", "0", "--out", str(tmp_path / "h.gfn")]
     assert main(argv + ["--lambda", "1/3"]) == 0
-    with pytest.raises(ValueError, match="not commensurate"):
-        main(argv + ["--lambda", "0.3333"])
+    assert main(argv + ["--lambda", "0.3333"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bblab: error: ") and "not commensurate" in err
 
 
 @pytest.mark.parametrize("cmd", ["supconv", "certify-linear"])
-def test_p_checked_against_input_dim(tmp_path, cmd):
+def test_p_checked_against_input_dim(tmp_path, capsys, cmd):
     """p = -0.75 exceeds -1/n only for n = 1: a 2-D input fails the
     parameter check before any work, and a 1-D input runs."""
     one = indicator(0.0, 1.0, 0.1)
@@ -178,8 +179,9 @@ def test_p_checked_against_input_dim(tmp_path, cmd):
         if ok:
             assert main(argv) == 0
         else:
-            with pytest.raises(ValueError, match="p must exceed"):
-                main(argv)
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("bblab: error: ") and "p must exceed" in err
 
 
 def test_sweep_sharpness_csv(tmp_path):

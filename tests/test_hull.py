@@ -825,12 +825,12 @@ class TestTail:
             assert 0.0 < bound <= 1.0
             f = hat(width=2.0, height=1.0, spacing=0.01)
             hull = p_concave_hull(f, p).hull
-            assert tail_ratio(hull, p, check=False) >= bound - 1e-9
+            assert tail_ratio(hull, p) >= bound - 1e-9
 
     def test_2d_bound(self):
         assert 0.0 < tail_lower_bound(-0.3, 2) < 1.0
         assert 0.0 < tail_lower_bound(0.0, 2) < 1.0
         vals = np.ones((10, 10))
         f = GridFunction(2, (0.0, 0.0), 0.1, vals)
-        assert tail_ratio(f, 0.0, check=False) == pytest.approx(1.0)
+        assert tail_ratio(f, 0.0) == pytest.approx(1.0)
         assert 1.0 >= tail_lower_bound(1.0, 2) > 0.0

@@ -71,6 +71,18 @@ class TestGenDented:
         with pytest.raises(ValueError):
             gen_dented(base, [(0.95, 0.2, 1.0)])
 
+    @pytest.mark.parametrize("width", [0.0, -0.05, 0.004])
+    def test_hole_covering_no_cell_rejected(self, width):
+        """A hole under half a cell wide would change nothing."""
+        with pytest.raises(ValueError, match="covers no cell"):
+            gen_dented(indicator(0.0, 1.0, 0.01), [(0.4, width, 1.0)])
+
+    @pytest.mark.parametrize("depth", [0.0, -0.5, np.nan, np.inf])
+    def test_depth_not_positive_finite_rejected(self, depth):
+        """A negative depth would add mass instead of removing it."""
+        with pytest.raises(ValueError, match="depth must be positive and finite"):
+            gen_dented(indicator(0.0, 1.0, 0.01), [(0.4, 0.1, depth)])
+
 
 class TestTwoBump:
     def test_eps_zero_is_block(self):
@@ -142,6 +154,17 @@ class TestSweep:
         """No rows would make "every row passes" hold vacuously."""
         with pytest.raises(ValueError, match="delta0 grid is empty"):
             sweep(family, [], HALF0)
+
+    @pytest.mark.parametrize("family", ["sharpness", "dented"])
+    @pytest.mark.parametrize("spacing", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejects_bad_spacing(self, family, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            sweep(family, [0.1], HALF0, spacing=spacing)
+
+    def test_rejects_negative_dent_width(self):
+        """A negative width would give an undented row with delta = 0."""
+        with pytest.raises(ValueError, match="covers no cell"):
+            sweep("dented", [-0.1], HALF0, spacing=0.01)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

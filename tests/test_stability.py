@@ -11,6 +11,7 @@ from bblab import (
     Cone2D,
     GridFunction,
     MeanParams,
+    StabilityReport,
     certify_linear,
     certify_main,
     certify_symmetric_difference,
@@ -455,6 +456,13 @@ class TestCertifySymdiff:
         rep = certify_symmetric_difference(f, f, h, HALF0)
         assert not rep.hypothesis_valid
         assert rep.violations > 0
+
+    def test_validity_is_the_count(self):
+        """hypothesis_valid is read off violations; it cannot be set apart."""
+        assert not StabilityReport(delta=0.0, violations=3).hypothesis_valid
+        assert StabilityReport(delta=0.0).hypothesis_valid
+        with pytest.raises(TypeError):
+            StabilityReport(delta=0.0, violations=3, hypothesis_valid=True)
 
 
 class TestShave:

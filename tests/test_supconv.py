@@ -582,14 +582,40 @@ class TestDeficit:
 
     def test_sharpness_value(self):
         f, g, h = gen_sharpness_pair(0.01, spacing=1e-3)
-        rep = deficit(f, g, h, HALF, verify=False)
+        rep = deficit(f, g, h, HALF)
         assert rep.delta == pytest.approx((1.1 + 1 / 1.1) / 2 - 1, abs=2e-3)
 
     def test_scaled(self, rng):
         f = random_staircase(rng)
         h = f.with_values(1.05 * f.values)
-        rep = deficit(f, f, h, MeanParams(Fraction(1, 2), 1.0), verify=False)
+        rep = deficit(f, f, h, MeanParams(Fraction(1, 2), 1.0))
         assert rep.delta == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_canonical_h_is_none(self, rng, monkeypatch, dim):
+        """h=None is M*(f, g): the same delta and tol bit for bit, and a
+        count of 0 from no check at all."""
+        pairs = []
+        for p in (-0.25, 0.0, 1.0):
+            params = MeanParams(Fraction(1, 2), p, n=dim)
+            for _ in range(3):
+                if dim == 1:
+                    f, g = random_staircase(rng), random_staircase(rng)
+                else:
+                    f, g = random_blob_2d(rng), random_blob_2d(rng)
+                pairs.append((f, g, params, sup_convolution(f, g, params)))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the canonical h was checked")
+
+        checked = [deficit(f, g, h, params) for f, g, params, h in pairs]
+        monkeypatch.setattr(supconv, "_violations", boom)
+        for (f, g, params, h), ref in zip(pairs, checked):
+            rep = deficit(f, g, None, params)
+            assert (rep.delta, rep.tol, rep.mass_h) == (ref.delta, ref.tol, ref.mass_h)
+            assert rep.pointwise_violations == 0 and rep.hypothesis_ok
+        with pytest.raises(AssertionError, match="was checked"):
+            deficit(f, g, h, params)
 
     def test_zero_mass_rejected(self):
         z = GridFunction(1, (0.0,), 0.1, np.zeros(3))
