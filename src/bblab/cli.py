@@ -10,7 +10,8 @@
     bblab equipartition  --f A.gfn
 
 Exit code 0 iff every validity flag passes (and the equipartition converges),
-1 if one fails, and 2 on an input the library refuses.
+1 if one fails, and 2 on an input the library refuses or a file it cannot
+read or write.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:  # a refused input exits 2, as argparse's own errors do
+    except (ValueError, OSError) as exc:  # exits 2, as argparse's own errors do
         print(f"bblab: error: {exc}", file=sys.stderr)
         return 2
 
@@ -220,8 +221,6 @@ def _run(args) -> int:
         res = cone_equipartition_2d(f)
         print(f"apex={res.apex!r} masses={res.masses!r} residual={res.residual!r}")
         return 0 if res.converged else 1
-
-    return 2
 
 
 if __name__ == "__main__":

@@ -301,6 +301,8 @@ def load_gfn(path) -> GridFunction:
         tokens = fh.readline().split()
         if not tokens or tokens[0] != "gfn":
             raise ValueError("not a GFN1 file (missing 'gfn' header)")
+        if len(tokens) < 2:
+            raise ValueError("malformed GFN1 header")
         dim = int(tokens[1])
         if dim not in (1, 2, 3):
             raise ValueError(f"unsupported dim {dim}")

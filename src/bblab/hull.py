@@ -406,9 +406,9 @@ def _midpoint_means(fv: np.ndarray, p: float) -> np.ndarray:
 
     i + j is even exactly when i and j have the same parity c on every
     axis, and then i = 2i' + c, j = 2j' + c and k = i' + j' + c.  So the
-    2^dim parity classes of fv go through _lattice_sums as one batch, sym
-    and distinct, and class c's lattice sum i' + j' lands on k: the odd
-    sums are never formed.
+    2^dim parity classes of fv go through _lattice_sums as one batch with
+    g = f (the symmetric pass) and distinct, and class c's lattice sum
+    i' + j' lands on k: the odd sums are never formed.
     """
     classes = list(itertools.product((0, 1), repeat=fv.ndim))
     half = tuple((n + 1) // 2 for n in fv.shape)
@@ -417,7 +417,7 @@ def _midpoint_means(fv: np.ndarray, p: float) -> np.ndarray:
         part = fv[tuple(slice(a, None, 2) for a in c)]
         sub[(r,) + tuple(slice(0, n) for n in part.shape)] = part
     W, e = _lattice_sums(sub, sub, MeanParams(Fraction(1, 2), p), (0,) * fv.ndim, half,
-                         sym=True, distinct=True)
+                         distinct=True)
     top = np.full(fv.shape, -np.inf)
     for r, c in enumerate(classes):
         at = top[tuple(slice(a, None) for a in c)]

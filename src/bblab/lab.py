@@ -17,6 +17,7 @@ import numpy as np
 from .gridfn import GridFunction, integral
 from .means import MeanParams
 from .stability import certify_linear, certify_main, certify_symmetric_difference
+from .supconv import _reach
 
 __all__ = [
     "gen_sharpness_pair",
@@ -31,6 +32,8 @@ __all__ = [
 def _cells(length: float, spacing: float) -> int:
     if not 0 < spacing < math.inf:
         raise ValueError("spacing must be positive and finite")
+    if not math.isfinite(length / spacing):
+        raise ValueError(f"length {length} at spacing {spacing} is not a finite cell count")
     return int(round(length / spacing))
 
 
@@ -48,8 +51,8 @@ def gen_sharpness_pair(delta0: float, spacing: float = 1e-4):
     otherwise be quantized in whole cells, which at small delta0 distorts
     the scaling exponent the family exists to exhibit.
     """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
+    if not 0 < delta0 < math.inf:
+        raise ValueError("delta0 must be positive and finite")
     s = math.sqrt(delta0)
     nf = _cells(1.0 + s, spacing)
     ng = _cells(1.0 / (1.0 + s), spacing)
@@ -59,11 +62,9 @@ def gen_sharpness_pair(delta0: float, spacing: float = 1e-4):
     hg = 1.0 + s
     f = GridFunction(1, (0.0,), spacing, np.full(nf, hf))
     g = GridFunction(1, (0.0,), spacing, np.full(ng, hg))
-    # combination support: cells snap((i+j+1)//2) for i < nf, j < ng
-    if (nf + ng) % 2 == 0:
-        hv = np.ones((nf + ng) // 2)
-    else:
-        hv = np.ones((nf + ng) // 2 + 1)
+    # the cells of the midpoint combination of the supports
+    hv = np.ones(_reach(0, nf, ng, 1, 2)[2])
+    if (nf + ng) % 2:
         hv[-1] = 0.5
     h = GridFunction(1, (0.0,), spacing, hv)
     return f, g, h
@@ -98,10 +99,10 @@ def gen_dented(base: GridFunction, holes) -> GridFunction:
 
 def gen_two_bump(eps: float, v: float, spacing: float = 0.01) -> GridFunction:
     """Indicator block on [0,1] plus a far bump of height eps on [v, v+1]."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if v <= 2:
-        raise ValueError("need v > 2")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be nonnegative and finite")
+    if not 2 < v < math.inf:
+        raise ValueError("need 2 < v < inf")
     n1 = _cells(1.0, spacing)
     i0 = _cells(v, spacing)
     n = i0 + n1

@@ -8,7 +8,8 @@ a cell boundary or interior point, and we assign it to the cell containing
 it, resolving boundary ties upward: k = (2s + b) // (2b).  All index math is
 integer, so tie handling is exact.  This floor-snap convention makes the
 indicator law M*(1_A, 1_B) = 1_{lam A + (1-lam) B} hold cell-for-cell and
-gives the discrete Minkowski combination measure >= min(|A|, |B|).
+gives the discrete Minkowski combination measure >= min(|A|, |B|).  _reach
+places the pairs of two boxes on their cells.
 
 Lifted kernel.  M_{lam,p}(x, y) = L^-1(lam L(x) + (1-lam) L(y)) for the
 increasing lift L of means._lift, so M* is a max-plus convolution of
@@ -29,7 +30,8 @@ bit for bit.  The shaving objective passes _SHAVE_SLACK, 2^-46 of a row's
 largest lift, so that rounding kinks do not split its states; its merge
 misses M* by about that much, far below the shave's acceptance threshold.
 The kernel alone serves 2-D (the 2-D midpoint test included) and
-lam != 1/2.
+lam != 1/2.  lg is lf (_scaled_lifts: lam = 1/2 and g = f by value) marks
+the symmetric pass, which skips the mirror pairs, on every path.
 
 p_mean_arr evaluates the same formula per pair, at the pair's own scale, so
 the two differ by rounding (at most 2^-35 relative, proven at _MARGIN); the
@@ -135,6 +137,24 @@ def _snap(s, b: int):
     return (2 * s + b) // (2 * b)
 
 
+def _reach(s0, nf, ng, a: int, b: int):
+    """(k0, base, n): the cells that the pairs (i, j) of boxes of nf and ng
+    cells feed at lam = a/b, per axis and elementwise over arrays.
+
+    Pair (i, j) lands on the lattice sum s0 + a*i + (b-a)*j, and cell k
+    collects s in [b*k - b//2, b*k - b//2 + b) (_snap).  The pairs reach
+    the cells k0 .. k0 + n - 1, and base, in [0, b), is the offset of s0 in
+    their lattice array of b*n sums.  Boxes that are intervals reach every
+    one of those cells: the chain from (0, 0) to (nf - 1, ng - 1) that
+    raises i or j by one at a time moves s by a or by b - a, at most b, so
+    the snap moves by 0 or 1 cell at each step, and the snap, nondecreasing
+    in s, sends no sum outside them.
+    """
+    k0 = _snap(s0, b)
+    n = _snap(s0 + a * (nf - 1) + (b - a) * (ng - 1), b) - k0 + 1
+    return k0, s0 - (b * k0 - b // 2), n
+
+
 def _bounding_box(values: np.ndarray):
     """(lo, hi) inclusive index bounds of the positive cells, or None."""
     pos = np.argwhere(values > 0)
@@ -222,26 +242,31 @@ def _fft_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return np.fft.irfftn(spec, pad, axes)[tuple(slice(0, n) for n in shape)]
 
 
-def _scaled_lifts(fv, gv, params: MeanParams, sym: bool):
+def _scaled_lifts(fv, gv, params: MeanParams):
     """(lam L(f / sigma), (1 - lam) L(g / sigma), e), sigma = 2^e from
     means._scale_exp on the largest and smallest positive values of f and g,
-    as p_mean_arr scales each pair.  sym: g is f and lam = 1/2."""
+    as p_mean_arr scales each pair.  The second is the first, one array,
+    exactly when lam = 1/2 and g has f's values (gv is fv, or the same shape
+    and values): the mirror pair (j, i) then has the sum of (i, j)."""
     lo = min(fv.min(where=fv > 0, initial=np.inf), gv.min(where=gv > 0, initial=np.inf))
     e = int(_scale_exp(max(fv.max(), gv.max()), lo, params.p))
     # weights that sum to exactly 1 in real arithmetic (1 - c is exact for
     # c >= 1/2): only then does the -1/p of the Box-Cox lift cancel
     c = 1.0 - params.lam_float
     lf = (1.0 - c) * _lift(fv, params.p, e)
-    lg = lf if sym else c * _lift(gv, params.p, e)
+    same = 2 * params.lam_fraction == 1 and (
+        gv is fv or gv.shape == fv.shape and np.array_equal(fv, gv))
+    lg = lf if same else c * _lift(gv, params.p, e)
     return lf, lg, e
 
 
-def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
-                  distinct: bool = False, slack: float = 0.0):
+def _lattice_sums(fv, gv, params: MeanParams, base, shape, distinct: bool = False,
+                  slack: float = 0.0):
     """The max-plus half of _sup_cells: (W, e), W (B, *(b*n for n in shape))
     the largest lifted pair sum at each lattice sum (-inf where no pair
-    lands) and 2^e the scale.  distinct (with sym) leaves out the pair
-    (i, i).
+    lands) and 2^e the scale, pair (i, j) at a*i + (b-a)*j + base.  Both
+    paths take the symmetric pass when lg is lf (_scaled_lifts), and then
+    distinct leaves out the pair (i, i).
 
     The kernel (_max_plus) forms every pair.  In 1-D at lam = 1/2,
     _merge_pieces merges the slopes of each pair of pieces of f and g that
@@ -251,33 +276,33 @@ def _lattice_sums(fv, gv, params: MeanParams, base, shape, sym: bool,
     merge's W is below the kernel's by at most about that slack times the
     row's largest lift."""
     a, b = _lam_ab(params)
-    lf, lg, e = _scaled_lifts(fv, gv, params, sym)
+    lf, lg, e = _scaled_lifts(fv, gv, params)
     W = np.empty((len(fv),) + tuple(b * n for n in shape))
     rest = np.arange(len(fv))
     if fv.ndim == 2 and 2 * a == b:
         live_f, sf, ef = _exact_pieces(lf, slack)
-        live_g, sg, eg = (live_f, sf, ef) if sym else _exact_pieces(lg, slack)
+        live_g, sg, eg = (live_f, sf, ef) if lg is lf else _exact_pieces(lg, slack)
         r_f, r_g = sf.sum(axis=1), sg.sum(axis=1)
-        merge = _pieces_cheaper(r_f, live_f.sum(axis=1), r_g, *_live_box(live_g), sym)
+        merge = _pieces_cheaper(r_f, live_f.sum(axis=1), r_g, *_live_box(live_g), lg is lf)
         if merge.any():
-            _merge_pieces(lf, lg, (sf, ef, r_f), (sg, eg, r_g), int(base[0]), W, merge, sym,
-                          distinct)
+            _merge_pieces(lf, lg, (sf, ef, r_f), (sg, eg, r_g), int(base[0]), W, merge, distinct)
         rest = np.flatnonzero(~merge)
     if len(rest) == len(fv):
         W.fill(-np.inf)
-        _max_plus(lf, lg, W, a, b, base, sym, distinct)
+        _max_plus(lf, lg, W, a, b, base, distinct)
     elif len(rest):
         sub = np.full((len(rest),) + W.shape[1:], -np.inf)
-        _max_plus(lf[rest], lg[rest], sub, a, b, base, sym, distinct)
+        lf_rest = lf[rest]  # one array for both, so that lg is lf still holds
+        _max_plus(lf_rest, lf_rest if lg is lf else lg[rest], sub, a, b, base, distinct)
         W[rest] = sub
     return W, e
 
 
-def _max_plus(lf, lg, W, a: int, b: int, base, sym: bool, distinct: bool):
+def _max_plus(lf, lg, W, a: int, b: int, base, distinct: bool):
     """The O(n_f n_g) kernel of _lattice_sums, into W in place: for each
     live cell i of f, one add of lf[i] to every lg[j] and one max into
-    W[a*i + (b-a)*j + base] for all rows.  sym visits only j >= i on axis
-    0; distinct leaves out j = i."""
+    W[a*i + (b-a)*j + base] for all rows.  When lg is lf only j >= i on
+    axis 0 is visited; distinct leaves out j = i."""
     step = b - a
     B, dim = len(lf), lf.ndim - 1
     buf = np.empty(lg.shape)
@@ -285,7 +310,7 @@ def _max_plus(lf, lg, W, a: int, b: int, base, sym: bool, distinct: bool):
     live = np.isfinite(lf).reshape(B, -1).any(axis=0)
     for flat in np.flatnonzero(live):
         i = np.unravel_index(flat, lf.shape[1:])
-        j0 = (int(i[0]) if sym else 0,) + (0,) * (dim - 1)
+        j0 = (int(i[0]) if lg is lf else 0,) + (0,) * (dim - 1)
         rows = (slice(None),) + tuple(slice(j, None) for j in j0)
         t = buf[rows]
         np.add(lf[(slice(None),) + i].reshape((B,) + (1,) * dim), lg[rows], out=t)
@@ -297,31 +322,31 @@ def _max_plus(lf, lg, W, a: int, b: int, base, sym: bool, distinct: bool):
         np.maximum(seg, t, out=seg)
 
 
-def _sup_cells(fv, gv, params: MeanParams, base, shape, sym: bool,
-               slack: float = 0.0) -> np.ndarray:
-    """M*_{lam,p} on output cells for a batch of pairs of grid functions.
+def _sup_cells(fv, gv, params: MeanParams, s0, slack: float = 0.0):
+    """M*_{lam,p} on output cells for a batch of pairs of grid functions:
+    (cells, k0), cells (B, *n) on the cells k0 .. k0 + n - 1 per axis.
 
     fv (B, *nf) and gv (B, *ng) hold row r's f and g on boxes of one
-    lattice; returns (B, *shape).  Pair (i, j) lands on the lattice sum
-    s = a*i + (b-a)*j + base (per axis, 0 <= base < b), and output cell k
-    collects s in [b*k, b*k + b).  _lattice_sums takes the largest lifted
-    pair sum at each s, by the kernel or a slope merge; each cell costs one
-    unlift.  f and g are divided by the power of two sigma of _scaled_lifts
-    first and the result is multiplied back; M is 1-homogeneous, so this is
-    exact, and the lifts cannot overflow.  sym (fv equals gv and
-    lam = 1/2) visits only pairs with j >= i on axis 0: the mirror pair
-    lands on the same s with the same float sum.  slack: the slope merge's
-    concavity tolerance (_lattice_sums).
+    lattice, and pair (0, 0) lands on the lattice sum s0 (per axis);
+    _reach places the pairs on cells.  _lattice_sums takes the largest
+    lifted pair sum at each lattice sum, by the kernel or a slope merge, in
+    the symmetric pass when g has f's values at lam = 1/2 (_scaled_lifts);
+    each cell costs one unlift.  f and g are divided by the power of two
+    sigma of _scaled_lifts first and the result is multiplied back; M is
+    1-homogeneous, so this is exact, and the lifts cannot overflow.  slack:
+    the slope merge's concavity tolerance (_lattice_sums).
     """
-    W, e = _lattice_sums(fv, gv, params, base, shape, sym, slack=slack)
-    b = _lam_ab(params)[1]
+    a, b = _lam_ab(params)
+    k0, base, n = _reach(np.full(fv.ndim - 1, s0), np.array(fv.shape[1:]),
+                         np.array(gv.shape[1:]), a, b)
+    W, e = _lattice_sums(fv, gv, params, base, tuple(int(x) for x in n), slack=slack)
     # the max over each cell's block of b^dim sums, over strided slices one
     # axis at a time (numpy reduces a short inner axis about 20 times
     # slower); rebinding W frees the lattice sums before the unlift
     for d in range(1, W.ndim):
         at = (slice(None),) * d
         W = functools.reduce(np.maximum, (W[at + (slice(k, None, b),)] for k in range(b)))
-    return _unlift(W, params.p, e)
+    return _unlift(W, params.p, e), k0
 
 
 def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> GridFunction:
@@ -340,17 +365,9 @@ def sup_convolution(f: GridFunction, g: GridFunction, params: MeanParams) -> Gri
         return GridFunction(f.dim, f.origin, f.spacing, np.zeros((1,) * f.dim))
 
     (fv, flo), (gv, glo) = cf, cg
-    s_lo = a * flo + (b - a) * (glo + off_g)
-    k_lo = _snap(s_lo, b)
-    k_hi = _snap(s_lo + a * (np.array(fv.shape) - 1) + (b - a) * (np.array(gv.shape) - 1), b)
-    # pair (i, j) of the boxes lands on s_lo + a*i + (b-a)*j, so at lam = 1/2
-    # equal boxes make the mirror pair (j, i) land on the same sum
-    sym = 2 * a == b and fv.shape == gv.shape and np.array_equal(fv, gv)
-    # cell k collects s in [b*k - b//2, b*k - b//2 + b)
-    out = _sup_cells(fv[None], gv[None], params, s_lo - (b * k_lo - b // 2),
-                     tuple(int(n) for n in k_hi - k_lo + 1), sym)[0]
-    origin = tuple(o + int(k) * f.spacing for o, k in zip(f.origin, k_lo))
-    return GridFunction(f.dim, origin, f.spacing, out)
+    out, k0 = _sup_cells(fv[None], gv[None], params, a * flo + (b - a) * (glo + off_g))
+    origin = tuple(o + int(k) * f.spacing for o, k in zip(f.origin, k0))
+    return GridFunction(f.dim, origin, f.spacing, out[0])
 
 
 # The slope merge's concavity tolerance for the shave's objective, relative
@@ -375,11 +392,7 @@ def _self_sup_integrals(states: np.ndarray, params: MeanParams) -> np.ndarray:
     if cropped is None:
         return np.zeros(len(states))
     sub = cropped[0]
-    a, b = _lam_ab(params)
-    # on a common box, with s = a*i + (b-a)*j, cell k collects s in
-    # [b*k - b//2, b*k - b//2 + b)
-    cells = _sup_cells(sub, sub, params, (b // 2,) * (sub.ndim - 1), sub.shape[1:],
-                       2 * a == b, _SHAVE_SLACK)
+    cells = _sup_cells(sub, sub, params, 0, _SHAVE_SLACK)[0]
     return cells.reshape(len(sub), -1).sum(axis=1)
 
 
@@ -402,11 +415,9 @@ def _half_line_sup_integrals(cur: np.ndarray, ks: np.ndarray, params: MeanParams
         return out
     sub, (lo,) = cropped
     m = len(sub)
-    a, b = _lam_ab(params)
-    sym = 2 * a == b
-    lf, lg, e = _scaled_lifts(sub[None], sub[None], params, sym)
-    lf = lf[0]
-    lg = lf if sym else lg[0]
+    rows, lg_rows, e = _scaled_lifts(sub[None], sub[None], params)
+    lf = rows[0]
+    lg = lf if lg_rows is rows else lg_rows[0]  # row 0, keeping lg is lf
     at = np.asarray(ks) - int(lo)
     # cells of the box each state keeps: its first ones, or its last ones
     out[0] = _grown_sums(lf, lg, np.clip(at + 1, 0, m), params, e, False)
@@ -417,7 +428,7 @@ def _half_line_sup_integrals(cur: np.ndarray, ks: np.ndarray, params: MeanParams
 def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> np.ndarray:
     """sum M*(s, s) over the box's cells of the states s made of the first
     counts[r] cells of the box (the last ones when backward), counts
-    nondecreasing, from the lifts lf and lg (lg is lf when lam = 1/2).
+    nondecreasing, from the lifts lf and lg of _scaled_lifts.
 
     Adding cell t adds the pairs that contain it: (t, j) over the kept
     cells j, t included, and (i, t) over the others, two strided segments
@@ -427,8 +438,8 @@ def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> n
     again.  Each state's cells are summed by one 1-D sum, the same pairwise
     sum as _self_sup_integrals' reduction along axis 1."""
     a, b = _lam_ab(params)
-    step, base = b - a, b // 2
     m = len(lf)
+    step, base = b - a, _reach(0, m, m, a, b)[1]
     W = np.full(b * m, -np.inf)
     blocks = W.reshape(m, b)
     cells = np.zeros(m)
@@ -541,7 +552,7 @@ def _live_box(live: np.ndarray):
     return count, np.where(count > 0, last - first + 1, 0)
 
 
-def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool, distinct: bool):
+def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, distinct: bool):
     """Lattice sums of 1-D rows at lam = 1/2 from their pieces, into W
     (B, m) on the rows of the mask rows: pf = (starts, ends, counts) of the
     pieces of f (a kink cell is both) and pg of g; W[r, s] is the largest
@@ -559,23 +570,23 @@ def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool, distinct: bool)
     are exactly concave in real arithmetic (_exact_pieces at slack 0) the
     chosen pair has the largest real sum at its lattice sum, float addition is
     monotone, and tied steps give equal real sums, so W is _max_plus's W
-    bit for bit.  sym (lg is lf, pg is pf): a piece with itself takes the
-    balanced pairs (k, k) and (k, k + 1), which fill W from base to
-    base + 2 nf - 2, adjacent live cells share a piece, and only the slots
-    P < Q are merged, so rows of one piece need no slot.  distinct (with
-    sym) leaves out the pairs (i, i): the balanced pair at base + 2k is then
-    (k - 1, k + 1), by concavity a piece's largest distinct pair there (-inf
-    at the row's ends); and no slot P < Q picks a pair (k, k), for P and Q
-    share at most the kink cell k, where P's last step down exceeds Q's
-    first (_exact_pieces), so the merge takes Q's first step before P's
-    last and reaches i = k only with j > k.  Costs
+    bit for bit.  The symmetric pass, when lg is lf (and pg is pf): a piece
+    with itself takes the balanced pairs (k, k) and (k, k + 1), which fill W
+    from base to base + 2 nf - 2, adjacent live cells share a piece, and
+    only the slots P < Q are merged, so rows of one piece need no slot.
+    distinct (in that pass) leaves out the pairs (i, i): the balanced pair
+    at base + 2k is then (k - 1, k + 1), by concavity a piece's largest
+    distinct pair there (-inf at the row's ends); and no slot P < Q picks a
+    pair (k, k), for P and Q share at most the kink cell k, where P's last
+    step down exceeds Q's first (_exact_pieces), so the merge takes Q's
+    first step before P's last and reaches i = k only with j > k.  Costs
     O(r_g n_f + r_f n_g) per row of r pieces, against about n_f n_g pairs
     in the kernel.
     """
     B, nf = lf.shape
     ng = lg.shape[1]
     m = W.shape[1]
-    if sym:
+    if lg is lf:
         d = int(distinct)
         W[rows, :base + d] = -np.inf
         W[rows, base + 2 * nf - 1 - d:] = -np.inf
@@ -586,7 +597,7 @@ def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool, distinct: bool)
     else:
         W[rows] = -np.inf
     rf, rg = pf[2] * rows, pg[2] * rows
-    if sym:
+    if lg is lf:
         slots = list(itertools.combinations(range(rf.max(initial=0)), 2))
     else:
         slots = list(itertools.product(range(rf.max(initial=0)), range(rg.max(initial=0))))
@@ -595,7 +606,7 @@ def _merge_pieces(lf, lg, pf, pg, base: int, W, rows, sym: bool, distinct: bool)
     # per side: the first and the last cell of every piece, and each row's
     # offset into them
     sides = [(np.nonzero(starts)[1], np.nonzero(ends)[1], np.cumsum(r) - r)
-             for starts, ends, r in ((pf,) if sym else (pf, pg))]
+             for starts, ends, r in ((pf,) if lg is lf else (pf, pg))]
     (sf, ef, of), (sg, eg, og) = sides[0], sides[-1]
     flat_W = W.reshape(-1)
     for u, w in slots:
@@ -643,7 +654,8 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     s = a*i + (b-a)*j, so the sums that some pair reaches are the support of
     the convolution of A dilated by a with B dilated by b - a: one exact
     _overlap_counts call (with B flipped), then the floor snap of each
-    reached s to its cell.
+    reached s to its cell.  The crops are bounding boxes, so the corner
+    pairs are reached, and the cells span _reach's box.
     """
     frac = _rational(lam)
     if not 0 <= frac <= 1:
@@ -655,35 +667,13 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     if ca is None or cb is None:
         empty = np.zeros((1,) * A.dim, dtype=bool)
         return LevelSet(A.dim, 0.0, empty, A.origin, A.spacing)
-    step = b - a
-    counts = _overlap_counts(_dilate(ca[0], a), np.flip(_dilate(cb[0], step)))
-    s = np.argwhere(counts > 0) + a * ca[1] + step * (cb[1] + off)
-    k = _snap(s, b)
-    k_lo = k.min(axis=0)
-    k_hi = k.max(axis=0)
-    mask = np.zeros(tuple(int(h - l + 1) for l, h in zip(k_lo, k_hi)), dtype=bool)
-    rel = k - k_lo
-    mask[tuple(rel.T)] = True
-    origin = tuple(o + int(l) * A.spacing for o, l in zip(A.origin, k_lo))
+    s0 = a * ca[1] + (b - a) * (cb[1] + off)
+    k0, _, n = _reach(s0, np.array(ca[0].shape), np.array(cb[0].shape), a, b)
+    counts = _overlap_counts(_dilate(ca[0], a), np.flip(_dilate(cb[0], b - a)))
+    mask = np.zeros(tuple(int(x) for x in n), dtype=bool)
+    mask[tuple((_snap(np.argwhere(counts > 0) + s0, b) - k0).T)] = True
+    origin = tuple(o + int(l) * A.spacing for o, l in zip(A.origin, k0))
     return LevelSet(A.dim, 0.0, mask, origin, A.spacing)
-
-
-def _minkowski_interval_count(l1, r1, l2, r2, a: int, b: int):
-    """Cell counts of minkowski_combination for lam = a/b and 1-D cell
-    intervals [l1, r1] and [l2, r2] (inclusive, on one lattice, nonempty),
-    elementwise over arrays of bounds.
-
-    The pair reaches the lattice sums s = a*i + (b - a)*j,
-    l1 <= i <= r1, l2 <= j <= r2.  The chain from (l1, l2) to (r1, r2) that
-    raises i or j by one at a time reaches the least and the greatest of
-    them, and each step moves s by a or by b - a, at most b, so the snap
-    moves by 0 or 1 cell: the chain meets every cell from
-    snap(a*l1 + (b-a)*l2) to snap(a*r1 + (b-a)*r2), and the snap,
-    nondecreasing in s, sends no sum outside them.  So the combination is
-    that one interval.
-    """
-    c = b - a
-    return _snap(a * r1 + c * r2, b) - _snap(a * l1 + c * l2, b) + 1
 
 
 def _margin_covers(pos: np.ndarray, p: float) -> bool:

@@ -18,8 +18,7 @@ from .gridfn import (GridFunction, ZeroMassError, _count_above, _offset_cells, i
                      level_set, normalize)
 from .hull import convex_hull_set, hull_deficit
 from .means import MeanParams, p_mean_arr
-from .supconv import (_crop, _minkowski_interval_count, _overlap_counts, minkowski_combination,
-                      sup_convolution)
+from .supconv import _crop, _overlap_counts, _reach, minkowski_combination, sup_convolution
 
 __all__ = [
     "MassMismatchError",
@@ -251,7 +250,7 @@ def _run_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
 
     A level set on f's lattice is a list of runs of cells.  co(A) is
     [first cell, last cell], the Minkowski combination of two runs is one
-    run (_minkowski_interval_count) and two runs overlap best in the
+    run, every cell that _reach gives, and two runs overlap best in the
     shorter length, so the hull deficits and criterion 5 everywhere, and
     criteria 3 and 4 where each set is one run, are closed forms over all
     intervals at once.  Intervals where a set has several runs go to
@@ -270,7 +269,8 @@ def _run_measures(fn, gn, hn, lam, levels, counts) -> np.ndarray:
     # measures as LevelSet.measure gives them: cells * spacing ** 1
     np.divide(coF * hf - nF * hf, nF * hf, out=out[0], where=live)
     np.divide(coG * hg - nG * hg, nG * hg, out=out[1], where=hasG)
-    out[2] = _minkowski_interval_count(loF, hiF, loG, hiG, lam.numerator, lam.denominator) * hf
+    a, b = lam.numerator, lam.denominator
+    out[2] = _reach(a * loF + (b - a) * loG, coF, coG, a, b)[2] * hf
     out[3] = (nF + nH - 2.0 * np.minimum(nF, nH)) * hf
     out[4] = (coF + coG - 2.0 * np.minimum(coF, coG)) * hf
     several = (hasG & ((rF > 1) | (rG > 1))) | (hasH & ((rF > 1) | (rH > 1)))
@@ -320,9 +320,9 @@ def level_diagnostics(
         hn = h.with_values(h.values / integral(f))
         h_convention = "user"
 
-    T = height_transport(fn, gn)
     kf, cf = _height_cdf(fn)
     kg, cg = _height_cdf(gn)
+    T = _match(kf, cf, kg, cg, "height", integral(fn), integral(gn))  # height_transport(fn, gn)
     lam, p, n = params.lam_float, params.p, fn.dim
 
     # knots where any of |F_t|, |G_T(t)|, |H_M(t,T(t))| can change

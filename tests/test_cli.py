@@ -184,6 +184,33 @@ def test_p_checked_against_input_dim(tmp_path, capsys, cmd):
             assert err.startswith("bblab: error: ") and "p must exceed" in err
 
 
+def test_unreadable_or_unwritable_file_exits_2(files, capsys):
+    """A missing input, an output in a missing directory and a GFN header of
+    'gfn' alone are refused with exit 2 and a message, not a traceback."""
+    tmp, pf, pg, _ = files
+    headless = tmp / "headless.gfn"
+    headless.write_text("gfn\n1.0\n")
+    cases = [("missing.gfn", str(tmp / "H.gfn"), "missing.gfn"),
+             (str(pf), str(tmp / "no-such-dir" / "H.gfn"), "no-such-dir"),
+             (str(headless), str(tmp / "H.gfn"), "malformed GFN1 header")]
+    for f, out, said in cases:
+        argv = ["supconv", "--f", f, "--g", str(pg), "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bblab: error: ") and said in err
+    assert not (tmp / "H.gfn").exists()
+
+
+def test_sweep_rejects_tiny_spacing(tmp_path, capsys):
+    """--spacing 1e-320 makes the cell count overflow: refused with exit 2."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "sharpness", "--delta0", "1e-3", "--spacing", "1e-320",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "bblab: error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_sharpness_csv(tmp_path):
     out = tmp_path / "sweep2.csv"
     rc = main(["sweep", "--family", "sharpness", "--p", "0", "--lambda", "1/2",

@@ -11,6 +11,8 @@ from bblab import (
     gen_sharpness_pair,
     gen_two_bump,
     integral,
+    level_set,
+    minkowski_combination,
     p_concave_hull,
     shave,
     sweep,
@@ -40,6 +42,26 @@ class TestSharpnessPair:
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             gen_sharpness_pair(0.01, spacing=0.2)
+
+    @pytest.mark.parametrize("delta0", [0.0, float("nan"), float("inf")])
+    def test_delta0_not_positive_finite_rejected(self, delta0):
+        with pytest.raises(ValueError, match="delta0 must be positive and finite"):
+            gen_sharpness_pair(delta0, 1e-3)
+
+    def test_overflowing_cell_count_rejected(self):
+        with pytest.raises(ValueError, match="not a finite cell count"):
+            gen_sharpness_pair(0.01, 1e-320)
+
+    @pytest.mark.parametrize("delta0", [1e-6, 1e-3, 0.01, 0.3])
+    @pytest.mark.parametrize("spacing", [1e-2, 3e-3, 1e-3])
+    def test_h_on_the_midpoint_combination(self, delta0, spacing):
+        """h = 1 on the midpoint combination of the supports, its last cell
+        1/2 when nf + ng is odd."""
+        f, g, h = gen_sharpness_pair(delta0, spacing)
+        combo = minkowski_combination(level_set(f, 0.0), level_set(g, 0.0), Fraction(1, 2))
+        assert h.origin == combo.origin and np.array_equal(h.values > 0, combo.mask)
+        last = 0.5 if (f.shape[0] + g.shape[0]) % 2 else 1.0
+        assert np.array_equal(h.values, np.r_[np.ones(h.shape[0] - 1), last])
 
 
 class TestGenDented:
@@ -100,6 +122,16 @@ class TestTwoBump:
         f = gen_two_bump(eps, 50.0, spacing=0.05)
         _, removed, _ = shave(f, HALF0)
         assert removed == pytest.approx(eps, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-6])
+    def test_eps_not_finite_nonnegative_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+            gen_two_bump(eps, 3.0)
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), 2.0])
+    def test_v_outside_range_rejected(self, v):
+        with pytest.raises(ValueError, match="need 2 < v < inf"):
+            gen_two_bump(1e-6, v)
 
 
 class TestSlopeFit:

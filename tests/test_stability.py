@@ -767,16 +767,16 @@ def piece_rows(kind, p, rng, n=48, count=25):
 
 def _piece_counts(rows, p):
     """Concave pieces per row, as _self_sup_integrals splits them."""
-    lifts = supconv._scaled_lifts(rows, rows, MeanParams(Fraction(1, 2), p), sym=True)[0]
+    lifts = supconv._scaled_lifts(rows, rows, MeanParams(Fraction(1, 2), p))[0]
     return _exact_pieces(lifts, _SHAVE_SLACK)[1].sum(axis=1)
 
 
 def self_sup_max_plus(rows, params):
     """sum M*(g, g) over the cells of 1-D rows g at lam = 1/2, by _max_plus
     alone."""
-    lf, _, e = supconv._scaled_lifts(rows, rows, params, sym=True)
+    lf, _, e = supconv._scaled_lifts(rows, rows, params)
     W = np.full((len(rows), 2 * rows.shape[1]), -np.inf)
-    supconv._max_plus(lf, lf, W, 1, 2, (1,), True, False)
+    supconv._max_plus(lf, lf, W, 1, 2, (1,), False)
     return _unlift(np.maximum(W[:, 0::2], W[:, 1::2]), params.p, e).sum(axis=1)
 
 
@@ -901,7 +901,7 @@ class TestShaveObjective:
             assert _piece_counts(rows, 0.0)[0] >= 2
             calls.clear()
             n = rows.shape[1]
-            supconv._lattice_sums(rows, rows, HALF0, (1,), (n,), True, slack=_SHAVE_SLACK)
+            supconv._lattice_sums(rows, rows, HALF0, (1,), (n,), slack=_SHAVE_SLACK)
             assert calls == [path]
 
 

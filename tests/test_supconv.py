@@ -21,7 +21,7 @@ from bblab import (
     translate,
     verify_bbl_hypothesis,
 )
-from bblab import supconv
+from bblab import hull, supconv
 from bblab.gridfn import _offset_cells
 from bblab.supconv import _exact_pieces, _lattice_sums, _margin_covers, _overlap_counts, _snap
 from conftest import hat, indicator, logconcave_bump, random_blob_2d, random_staircase
@@ -373,7 +373,7 @@ class TestPiecePath:
                                         piece_values(kinds[1], p, ng, rng))
         fv, gv = f.values[None], g.values[None]
         shape = ((fv.shape[1] + gv.shape[1]) // 2 + 1,)
-        (W1, e1), (W2, e2) = both_paths(lambda: _lattice_sums(fv, gv, params, (1,), shape, same))
+        (W1, e1), (W2, e2) = both_paths(lambda: _lattice_sums(fv, gv, params, (1,), shape))
         assert e1 == e2 and np.array_equal(W1, W2)
         h1, h2 = both_paths(lambda: sup_convolution(f, g, params))
         assert h1.origin == h2.origin and np.array_equal(h1.values, h2.values)
@@ -386,7 +386,7 @@ class TestPiecePath:
                              for kind in ("bump", "flat", "hat", "dented") * 4])
             params = MeanParams(Fraction(1, 2), p)
             (W1, _), (W2, _) = both_paths(
-                lambda: _lattice_sums(rows, rows, params, (1,), (30,), True))
+                lambda: _lattice_sums(rows, rows, params, (1,), (30,)))
             assert np.array_equal(W1, W2)
 
     def test_float_slope_tie(self):
@@ -400,17 +400,16 @@ class TestPiecePath:
         the kernel's value at s = 1, to 1/4 + 2^-54."""
         params = MeanParams(Fraction(1, 2), 1.0)
         row = np.array([[2.0 ** -60, 1.0, 2.0]])
-        lf = supconv._scaled_lifts(row, row, params, sym=True)[0]
+        lf = supconv._scaled_lifts(row, row, params)[0]
         assert lf[0, 1] - lf[0, 0] == lf[0, 2] - lf[0, 1] == 0.25
         assert _exact_pieces(lf)[1].sum() == 2
         f, g = np.array([[2.0 ** -55, 0.5]]), np.array([[2.0 ** -54, 0.5 + 2.0 ** -53]])
-        lf, lg, _ = supconv._scaled_lifts(f, g, params, sym=False)
+        lf, lg, _ = supconv._scaled_lifts(f, g, params)
         assert lf[0, 1] - lf[0, 0] == lg[0, 1] - lg[0, 0] == 0.25
-        (W1, _), (W2, _) = both_paths(lambda: _lattice_sums(f, g, params, (0,), (2,), False))
+        (W1, _), (W2, _) = both_paths(lambda: _lattice_sums(f, g, params, (0,), (2,)))
         assert np.array_equal(W1, W2) and W1[0, 1] == 0.25 + 2.0 ** -54
         for g in (row, np.array([[1.0, 2.0]]), np.array([[2.0 ** -60, 1.0]])):
-            sym = g is row
-            (W1, _), (W2, _) = both_paths(lambda: _lattice_sums(row, g, params, (1,), (4,), sym))
+            (W1, _), (W2, _) = both_paths(lambda: _lattice_sums(row, g, params, (1,), (4,)))
             assert np.array_equal(W1, W2)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -421,9 +420,13 @@ class TestPiecePath:
         f = GridFunction(dim, (0.0,) * dim, SP, rng.uniform(0.1, 2.0, size=shape))
         copy = GridFunction(dim, (0.0,) * dim, SP, f.values.copy())
         seen = []
-        lattice_sums = supconv._lattice_sums
-        monkeypatch.setattr(supconv, "_lattice_sums",
-                            lambda *a, **k: seen.append(a[5]) or lattice_sums(*a, **k))
+        scaled_lifts = supconv._scaled_lifts
+
+        def record(*a):
+            lf, lg, e = scaled_lifts(*a)
+            seen.append(lg is lf)
+            return lf, lg, e
+        monkeypatch.setattr(supconv, "_scaled_lifts", record)
         for p in (-0.25, 0.0, 1.0):
             params = MeanParams(Fraction(1, 2), p, n=dim)
             ref, got = sup_convolution(f, f, params), sup_convolution(f, copy, params)
@@ -436,6 +439,42 @@ class TestPiecePath:
         changed.flat[3] *= 1.5
         assert_matches_supconv_oracle(f, copy.with_values(changed), Fraction(1, 2), 0.0, n=dim)
         assert seen[6:] == [True, False, False]
+
+    def test_callers_reach_kernels_symmetric(self, rng, monkeypatch):
+        """At lam = 1/2 with g = f, every M* caller hands each kernel it runs
+        one array for both lifts (lg is lf, the symmetric pass over half the
+        pairs); at lam = 1/3 none does.  Losing the pass would double the
+        kernels' work and change no output, so only this test sees it."""
+        seen = []
+        for name in ("_max_plus", "_merge_pieces", "_grown_sums"):
+            fn = getattr(supconv, name)
+            monkeypatch.setattr(supconv, name, lambda lf, lg, *a, fn=fn, name=name: (
+                seen.append((name, lg is lf)) or fn(lf, lg, *a)))
+        # one row for the slope merge and one for the kernel, in one batch
+        rows = np.ones((2, 300))
+        rows[0, 140:160] = 0.0
+        rows[1] = rng.uniform(0.1, 2.0, 300)
+        line = GridFunction(1, (0.0,), SP, rows[1])
+        blob = random_blob_2d(rng, n=9)
+        # per caller: its call, and the kernels it runs at lam = 1/2 and 1/3
+        callers = [
+            (lambda params: supconv._self_sup_integrals(rows, params),
+             {"_merge_pieces", "_max_plus"}, {"_max_plus"}),
+            (lambda params: supconv._half_line_sup_integrals(rows[1], np.arange(0, 300, 7), params),
+             {"_grown_sums"}, {"_grown_sums"}),
+            (lambda params: [sup_convolution(f, f, params) for f in (line, blob)],
+             {"_max_plus"}, {"_max_plus"}),
+            (lambda params: [hull._midpoint_means(v, params.p) for v in (rows[0], blob.values)],
+             {"_merge_pieces", "_max_plus"}, None),  # lam = 1/2 only
+        ]
+        for run, *kernels in callers:
+            for lam, names in zip((Fraction(1, 2), Fraction(1, 3)), kernels):
+                if names is None:
+                    continue
+                seen.clear()
+                run(MeanParams(lam, 0.0))
+                assert {name for name, _ in seen} == names
+                assert {same for _, same in seen} == {lam == Fraction(1, 2)}
 
 
 def distinct_row(kind, n, rng):
@@ -467,7 +506,7 @@ class TestDistinctPieces:
         fv = np.array([distinct_row(kind, n, rng) for _ in range(rows)])
         params = MeanParams(Fraction(1, 2), p)
         (W1, e1), (W2, e2) = both_paths(
-            lambda: _lattice_sums(fv, fv, params, (0,), (n,), True, distinct=True))
+            lambda: _lattice_sums(fv, fv, params, (0,), (n,), distinct=True))
         assert e1 == e2 and np.array_equal(W1, W2)
 
     def test_midpoint_test_takes_merge(self, monkeypatch):

@@ -31,7 +31,7 @@ from bblab import (
 )
 from bblab import transport
 from bblab.means import _mean
-from bblab.supconv import _minkowski_interval_count
+from bblab.supconv import _reach
 from bblab.transport import (_check_masses, _height_cdf, _mean_knots, _min_shift_symdiff,
                              _pl_inverse)
 from conftest import hat, indicator, logconcave_bump, random_staircase
@@ -398,8 +398,8 @@ class TestRunLists:
         ref = int(minkowski_combination(A, B, lam).mask.sum())
         (la, na), (lb, nb) = ia, ib
         lb += off  # B's cells on A's lattice
-        count = _minkowski_interval_count(la, la + na - 1, lb, lb + nb - 1, lam.numerator,
-                                          lam.denominator)
+        a, b = lam.numerator, lam.denominator
+        count = _reach(a * la + (b - a) * lb, na, nb, a, b)[2]
         assert count == ref
 
     @settings(max_examples=300, deadline=None)
