@@ -94,19 +94,16 @@ class GridFunction:
     def max(self) -> float:
         return float(self.values.max())
 
-    def support_mask(self) -> np.ndarray:
-        return self.values > 0
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.dim, self.origin, self.spacing, values)
 
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Strict super-level set {f > t} as a cell mask on f's grid."""
+    """A cell set as a mask on a grid: a strict super-level set {f > t}, or
+    a set made from such sets."""
 
     dim: int
-    threshold: float
     mask: np.ndarray = field(repr=False)
     origin: tuple
     spacing: float
@@ -179,20 +176,19 @@ def _cell_centers(grid, cells: np.ndarray):
     return pos[0] if grid.dim == 1 else list(zip(*pos))
 
 
-def common_grid(f, g):
-    """Embed two commensurate functions (or two level sets) into one
-    bounding grid.
+def common_grid(f: GridFunction, g: GridFunction):
+    """Embed two commensurate functions into one bounding grid.
 
     Returns (values_f, values_g, origin, spacing) with both value arrays on
-    the common grid, zero-padded; level sets give their masks.
+    the common grid, zero-padded.
     """
     off = _offset_cells(f, g)
-    af, ag = (x.mask if isinstance(x, LevelSet) else x.values for x in (f, g))
+    af, ag = f.values, g.values
     lo = [min(0, o) for o in off]
     hi = [max(sf, o + sg) for sf, sg, o in zip(af.shape, ag.shape, off)]
     shape = tuple(h - l for h, l in zip(hi, lo))
-    vf = np.zeros(shape, dtype=af.dtype)
-    vg = np.zeros(shape, dtype=ag.dtype)
+    vf = np.zeros(shape)
+    vg = np.zeros(shape)
     sf = tuple(slice(-l, -l + s) for l, s in zip(lo, af.shape))
     sg = tuple(slice(o - l, o - l + s) for o, l, s in zip(off, lo, ag.shape))
     vf[sf] = af
@@ -211,7 +207,7 @@ def level_set(f: GridFunction, t: float) -> LevelSet:
     """Strict super-level set {f > t}."""
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    return LevelSet(f.dim, t, f.values > t, f.origin, f.spacing)
+    return LevelSet(f.dim, f.values > t, f.origin, f.spacing)
 
 
 def _count_above(values: np.ndarray, t: np.ndarray) -> np.ndarray:

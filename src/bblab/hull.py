@@ -4,7 +4,8 @@ The p-concave hull co_p(f) is computed by lifting positive samples with the
 increasing lift of means._lift (log f at p = 0, sign(p) f^p, or its
 Box-Cox form for small |p|), under which p-concavity is concavity, taking
 the upper concave envelope of the lifted cloud, and mapping back.  The
-lift is of f / 2^e (means._scale_exp), so it cannot overflow.  Hull
+lift is of f / 2^e (means._scale_exp), so it cannot overflow; the facets
+(PPlane) are planes on that lift scale, unlifted by means._unlift.  Hull
 combinatorics are exact: cell indices are integers, and the exact
 predicates run on the float lifts times one power of two 2^K, as Python
 integers (_dyadic_ints), with the floats' signs.  Exact values stay dyadic
@@ -44,7 +45,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .gridfn import GridFunction, LevelSet, ZeroMassError, _cell_centers, integral, level_set
-from .means import _SMALL_P, MeanParams, _lift, _scale_exp, _unlift, p_mean_arr
+from .means import MeanParams, _check_p, _lift, _scale_exp, _unlift, p_mean_arr
 from .supconv import _MARGIN, _crop, _lattice_sums, _margin_covers, _progression_pairs
 
 __all__ = [
@@ -63,41 +64,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PPlane:
-    """The p-concave analogue of an affine function: (<x,y> + d)^(1/p) with a
-    0-branch for p > 0, an infinity-branch for p < 0, and exp(<x,y> + d) at
-    p = 0."""
+    """The p-concave analogue of an affine function: 2^e L^-1(<x, y> + d) at
+    a position x, with L the lift of means._lift and e the hull's scale
+    exponent (f / 2^e is lifted), so <x, y> + d is the facet's lift; below
+    the lift's range it unlifts to 0.  For p < 0 outside L's Box-Cox range
+    near 0, L = -z^p < 0, so the value is 2^e (-(<x, y> + d))^(1/p), and
+    inf where <x, y> + d >= 0."""
 
     p: float
+    e: int
     y: tuple
     d: float
 
 
 def p_plane_eval(plane: PPlane, x) -> float:
-    s = float(np.dot(plane.y, np.atleast_1d(np.asarray(x, dtype=float)))) + plane.d
-    if plane.p == 0.0:
-        return math.exp(s)
-    if s <= 0.0:
-        return 0.0 if plane.p > 0 else math.inf
-    return s ** (1.0 / plane.p)
+    s = np.dot(plane.y, np.atleast_1d(np.asarray(x, dtype=float))) + plane.d
+    return float(_unlift(s, plane.p, plane.e))
 
 
 def _pplanes(f: GridFunction, p: float, e: int, coef: np.ndarray, const: np.ndarray) -> list:
-    """The facets w = <coef[k], index> + const[k] on the lift scale L of
-    z = f / 2^e as PPlanes in position space, on the x^p scale (2^(ep) times
-    sign(p) L, or 1 + p L for Box-Cox; L + e log 2 at p = 0; inf or nan past
-    floats).  coef is (facets, dim); with no columns, a constant, every slope
-    is +0.0."""
-    box_cox = 0.0 < abs(p) < _SMALL_P
-    g = 2.0 ** (e * p) if e * p < 1024 else math.inf
-    scale = g * (p if box_cox else (-1.0 if p < 0 else 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = scale * coef
-        d = scale * const + (g if box_cox else e * math.log(2.0) if p == 0.0 else 0.0)
-        # index -> position: i = (x - origin)/h - 1/2
-        for a, o in zip(y.T, f.origin):
-            d -= a * (o / f.spacing + 0.5)
-        slopes = (y / f.spacing).tolist() if coef.shape[1] else [[0.0] * f.dim] * len(d)
-    return [PPlane(p, tuple(a), c) for a, c in zip(slopes, d.tolist())]
+    """The facets w = <coef[k], index> + const[k] on the lift scale of
+    f / 2^e as PPlanes in position space.  coef is (facets, dim); with no
+    columns, a constant, every slope is +0.0."""
+    d = const.astype(float)
+    # index -> position: i = (x - origin)/h - 1/2
+    for a, o in zip(coef.T, f.origin):
+        d -= a * (o / f.spacing + 0.5)
+    slopes = (coef / f.spacing).tolist() if coef.shape[1] else [[0.0] * f.dim] * len(d)
+    return [PPlane(p, e, tuple(a), c) for a, c in zip(slopes, d.tolist())]
 
 
 def _dyadic_ints(w: np.ndarray):
@@ -347,13 +341,13 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
 
     Support of the hull is exactly the convex hull of supp(f) (cells whose
     centers lie in it, boundary included).  Facets are reported as PPlanes
-    in position space; where their x^p-scale coefficients exceed the float
-    range they read inf or nan, while the hull itself stays correct.
+    in position space, on the lift scale the hull is computed on.
     """
     if f.dim not in (1, 2):
         raise ValueError("p_concave_hull supports dim 1 and 2")
     if not p > -1.0 / f.dim:
         raise ValueError(f"need p > -1/dim = {-1.0/f.dim}, got {p}")
+    _check_p(p)
     if integral(f) <= 0:
         raise ZeroMassError("p_concave_hull needs positive mass")
 
@@ -451,12 +445,13 @@ def is_p_concave(f: GridFunction, p: float, tol: float = 1e-9) -> PConcavityRepo
     """
     if f.dim not in (1, 2):
         raise ValueError("is_p_concave supports dim 1 and 2")
+    _check_p(p)
     cropped = _crop(f.values)
     if cropped is None:
         return PConcavityReport(True, 0.0, None)
     fv, lo = cropped
-    # MeanParams takes p in (-1, inf) at n = 1
-    if -1.0 < p < math.inf and _margin_covers(fv[fv > 0], p):
+    # MeanParams takes p > -1 at n = 1
+    if p > -1.0 and _margin_covers(fv[fv > 0], p):
         suspect = np.argwhere(_midpoint_means(fv, p) * (1.0 + _MARGIN) > fv)
     else:
         suspect = np.argwhere(np.ones(fv.shape, dtype=bool))
@@ -488,11 +483,11 @@ def convex_hull_set(A: LevelSet) -> LevelSet:
         idx = np.flatnonzero(A.mask)
         mask = np.zeros(A.mask.shape, dtype=bool)
         mask[idx.min() : idx.max() + 1] = True
-        return LevelSet(1, A.threshold, mask, A.origin, A.spacing)
+        return LevelSet(1, mask, A.origin, A.spacing)
     idx = np.argwhere(A.mask)
     verts = _convex_hull_2d(2 * idx + 1)  # doubled coords: centers are odd ints
     if len(verts) == 1:
-        return LevelSet(2, A.threshold, A.mask, A.origin, A.spacing)
+        return LevelSet(2, A.mask, A.origin, A.spacing)
     ii, jj = np.mgrid[0 : A.mask.shape[0], 0 : A.mask.shape[1]]
     px, py = 2 * ii + 1, 2 * jj + 1
     if len(verts) == 2:
@@ -505,7 +500,7 @@ def convex_hull_set(A: LevelSet) -> LevelSet:
         mask = np.ones(A.mask.shape, dtype=bool)
         for a, b in zip(verts, verts[1:] + verts[:1]):
             mask &= (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0]) >= 0
-    return LevelSet(2, A.threshold, mask, A.origin, A.spacing)
+    return LevelSet(2, mask, A.origin, A.spacing)
 
 
 def hull_deficit(A: LevelSet) -> float:

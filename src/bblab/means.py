@@ -52,8 +52,7 @@ class MeanParams:
             raise ValueError(f"dimension n must be >= 1, got {self.n}")
         if not self.p > -1.0 / self.n:
             raise ValueError(f"p must exceed -1/n = {-1.0/self.n}, got {self.p}")
-        if not math.isfinite(self.p):
-            raise ValueError("p must be finite")
+        _check_p(self.p)
 
     @property
     def lam_float(self) -> float:
@@ -62,6 +61,13 @@ class MeanParams:
     @property
     def lam_fraction(self) -> Fraction:
         return _rational(self.lam)
+
+
+def _check_p(p: float) -> None:
+    """Reject a p that is not finite or has |p| > _SPAN: past that, z^p of
+    a scaled z in (1/2, 1] can underflow, and the lift loses the values."""
+    if not abs(p) <= _SPAN:
+        raise ValueError(f"p must be finite with |p| <= {_SPAN}, got {p}")
 
 
 def _rational(lam) -> Fraction:
@@ -78,7 +84,7 @@ def _rational(lam) -> Fraction:
 
 def _mean(lam: float, p: float, x: float, y: float) -> float:
     """Scalar M_{lam,p}(x, y) without parameter validation."""
-    if x < 0 or y < 0:
+    if not (x >= 0 and y >= 0):
         raise ValueError("p-mean arguments must be nonnegative")
     return float(p_mean_arr(lam, p, x, y))
 
@@ -103,6 +109,7 @@ def p_mean_arr(lam: float, p: float, x, y):
     argument is 0, x where x = y, else sigma U(w L(x/sigma) + c L(y/sigma))
     with the lift pair L, U, the kernel's weights c = 1 - lam and w = 1 - c,
     and sigma from _scale_exp for each pair."""
+    _check_p(p)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = np.zeros(x.shape)
     pos = (x > 0) & (y > 0)
@@ -238,7 +245,7 @@ def check_pq_switch(
     """Margin of b * M_{lam,p}(u, v) >= M_{lam,q}(a u, c v) with q = p/(1+np).
 
     Requires p in (-1/n, 0) (the Hoelder pairing -pn + p/q = 1 with both
-    exponents positive) and the size constraint
+    exponents positive) with q >= -_SPAN, and the size constraint
     b^(1/n) >= lam a^(1/n) + (1-lam) c^(1/n); all of a..v positive.
     """
     if not 0.0 < lam <= 0.5:

@@ -178,7 +178,8 @@ def _layers_cheaper(k: int, shape: tuple, cells: int) -> bool:
 
 
 def _best_shift(f: GridFunction, g: GridFunction):
-    """Integer-shift search minimizing int |f - g(. - v h)|, exact over the range.
+    """Integer-shift search minimizing int |f - g(. - v h)|, exact over the
+    range, for f and g of positive mass.
 
     Range: per axis, the v in [lo_f - hi_g, hi_f - lo_g] at which the
     support boxes overlap ([lo, hi] the box's index bounds on the common
@@ -200,10 +201,7 @@ def _best_shift(f: GridFunction, g: GridFunction):
     """
     vf, vg, _, h = common_grid(f, g)
     cv = h ** f.dim
-    cf, cg = _crop(vf), _crop(vg)
-    if cf is None or cg is None:
-        return tuple([0] * f.dim), float(np.abs(vf - vg).sum()) * cv
-    (fbox, flo), (gbox, glo) = cf, cg
+    (fbox, flo), (gbox, glo) = _crop(vf), _crop(vg)
     # the scans index v by its full-correlation index v - lo_f + hi_g
     v_lo = flo - (glo + np.array(gbox.shape) - 1)
     levels = np.unique(np.concatenate([fbox[fbox > 0], gbox[gbox > 0]]))

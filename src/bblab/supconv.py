@@ -666,14 +666,14 @@ def minkowski_combination(A: LevelSet, B: LevelSet, lam) -> LevelSet:
     ca, cb = _crop(A.mask), _crop(B.mask)
     if ca is None or cb is None:
         empty = np.zeros((1,) * A.dim, dtype=bool)
-        return LevelSet(A.dim, 0.0, empty, A.origin, A.spacing)
+        return LevelSet(A.dim, empty, A.origin, A.spacing)
     s0 = a * ca[1] + (b - a) * (cb[1] + off)
     k0, _, n = _reach(s0, np.array(ca[0].shape), np.array(cb[0].shape), a, b)
     counts = _overlap_counts(_dilate(ca[0], a), np.flip(_dilate(cb[0], b - a)))
     mask = np.zeros(tuple(int(x) for x in n), dtype=bool)
     mask[tuple((_snap(np.argwhere(counts > 0) + s0, b) - k0).T)] = True
     origin = tuple(o + int(l) * A.spacing for o, l in zip(A.origin, k0))
-    return LevelSet(A.dim, 0.0, mask, origin, A.spacing)
+    return LevelSet(A.dim, mask, origin, A.spacing)
 
 
 def _margin_covers(pos: np.ndarray, p: float) -> bool:
@@ -739,7 +739,7 @@ def _violations(f, g, h, params, tol, collect):
     suspect = vm * (1.0 + _MARGIN) > vh + tol
     if not _margin_covers(np.concatenate([f.values[f.values > 0], g.values[g.values > 0]]), p):
         suspect[...] = True
-    bad = LevelSet(f.dim, 0.0, suspect, origin, spacing)
+    bad = LevelSet(f.dim, suspect, origin, spacing)
     if bad.cell_count == 0:
         return 0, []
     a, b = _lam_ab(params)

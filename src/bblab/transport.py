@@ -176,7 +176,8 @@ class DiagnosticsReport:
 
 
 def _min_shift_symdiff(A, B) -> float:
-    """min over integer cell shifts v of |(v + A) symdiff B| (measure).
+    """min over integer cell shifts v of |(v + A) symdiff B| (measure), for
+    nonempty A and B.
 
     |(v + A) symdiff B| = |A| + |B| - 2 |(v + A) & B|, so the minimum is at
     the largest overlap.  _overlap_counts gives the overlap at every shift
@@ -185,12 +186,8 @@ def _min_shift_symdiff(A, B) -> float:
     its bounding box.
     """
     _offset_cells(A, B)  # one lattice, or raise
-    na, nb = A.cell_count, B.cell_count
-    cv = A.spacing ** A.dim
-    if na == 0 or nb == 0:
-        return (na + nb) * cv
     best_overlap = int(_overlap_counts(_crop(A.mask)[0], _crop(B.mask)[0]).max())
-    return (na + nb - 2.0 * best_overlap) * cv
+    return (A.cell_count + B.cell_count - 2.0 * best_overlap) * A.spacing ** A.dim
 
 
 def _mean_knots(lam: float, p: float, T: TransportMap1D, t_max: float, u: np.ndarray):

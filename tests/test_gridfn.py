@@ -127,18 +127,18 @@ class TestL1:
 
 class TestLevelSet:
     @pytest.mark.parametrize("args, message", [
-        ((0, 0.0, np.ones(5, bool), (0.0,), 0.1), "dim must be 1, 2 or 3"),
-        ((4, 0.0, np.ones((1, 1, 1, 1), bool), (0.0,) * 4, 0.1), "dim must be 1, 2 or 3"),
-        ((2, 0.0, np.ones(5, bool), (0.0, 0.0), 0.1), "mask must be a 2-d array"),
-        ((1, 0.0, np.ones((5, 1), bool), (0.0,), 0.1), "mask must be a 1-d array"),
-        ((1, 0.0, np.ones(5, bool), (0.0, 0.0), 0.1), "origin length must equal dim"),
-        ((2, 0.0, np.ones((2, 2), bool), (0.0,), 0.1), "origin length must equal dim"),
-        ((1, 0.0, np.ones(5, bool), (np.nan,), 0.1), "origin must be finite"),
-        ((2, 0.0, np.ones((2, 2), bool), (0.0, np.inf), 0.1), "origin must be finite"),
-        ((1, 0.0, np.ones(5, bool), (0.0,), -1.0), "spacing must be positive and finite"),
-        ((1, 0.0, np.ones(5, bool), (0.0,), 0.0), "spacing must be positive and finite"),
-        ((1, 0.0, np.ones(5, bool), (0.0,), np.inf), "spacing must be positive and finite"),
-        ((1, 0.0, np.ones(5, bool), (0.0,), np.nan), "spacing must be positive and finite"),
+        ((0, np.ones(5, bool), (0.0,), 0.1), "dim must be 1, 2 or 3"),
+        ((4, np.ones((1, 1, 1, 1), bool), (0.0,) * 4, 0.1), "dim must be 1, 2 or 3"),
+        ((2, np.ones(5, bool), (0.0, 0.0), 0.1), "mask must be a 2-d array"),
+        ((1, np.ones((5, 1), bool), (0.0,), 0.1), "mask must be a 1-d array"),
+        ((1, np.ones(5, bool), (0.0, 0.0), 0.1), "origin length must equal dim"),
+        ((2, np.ones((2, 2), bool), (0.0,), 0.1), "origin length must equal dim"),
+        ((1, np.ones(5, bool), (np.nan,), 0.1), "origin must be finite"),
+        ((2, np.ones((2, 2), bool), (0.0, np.inf), 0.1), "origin must be finite"),
+        ((1, np.ones(5, bool), (0.0,), -1.0), "spacing must be positive and finite"),
+        ((1, np.ones(5, bool), (0.0,), 0.0), "spacing must be positive and finite"),
+        ((1, np.ones(5, bool), (0.0,), np.inf), "spacing must be positive and finite"),
+        ((1, np.ones(5, bool), (0.0,), np.nan), "spacing must be positive and finite"),
     ])
     def test_rejects_inconsistent_grid(self, args, message):
         """The grid checks of GridFunction, with its messages: unchecked, a
@@ -287,8 +287,8 @@ class TestTranslateCapNormalizeRestrict:
         """A level set one cell off the grid, or of another shape, raises."""
         f = random_staircase(rng, n_min=8)
         s = level_set(f, 0.0)
-        off = LevelSet(1, 0.0, s.mask, (f.origin[0] + f.spacing,), f.spacing)
-        short = LevelSet(1, 0.0, s.mask[:-1], f.origin, f.spacing)
+        off = LevelSet(1, s.mask, (f.origin[0] + f.spacing,), f.spacing)
+        short = LevelSet(1, s.mask[:-1], f.origin, f.spacing)
         for bad in (off, short):
             with pytest.raises(GeometryMismatchError):
                 restrict(f, bad)

@@ -239,14 +239,11 @@ def assert_envelope_matches_oracle(idx, w):
 #     p_concave_hull must give the same hull values, gap_mass and facets
 
 def pplane_oracle(f: GridFunction, p: float, e: int, coef, const) -> PPlane:
-    box_cox = 0.0 < abs(p) < _SMALL_P
-    g = 2.0 ** (e * p) if e * p < 1024 else math.inf
-    scale = g * (p if box_cox else (-1.0 if p < 0 else 1.0))
-    y = [scale * float(a) for a in coef]
-    d = scale * float(const) + (g if box_cox else e * math.log(2.0) if p == 0.0 else 0.0)
+    y = [float(a) for a in coef]
+    d = float(const)
     for a, o in zip(y, f.origin):
         d -= a * (o / f.spacing + 0.5)
-    return PPlane(p, tuple(a / f.spacing for a in y), d)
+    return PPlane(p, e, tuple(a / f.spacing for a in y), d)
 
 
 def p_concave_hull_1d_oracle(f: GridFunction, p: float) -> HullResult:
@@ -264,7 +261,7 @@ def p_concave_hull_1d_oracle(f: GridFunction, p: float) -> HullResult:
         m = float((w2 - w1) / Fraction(x2 - x1))
         facets.append(pplane_oracle(f, p, e, (m,), float(w1) - m * x1))
     if not facets:  # one support cell: a constant, slope +0.0 for every p
-        facets.append(PPlane(p, (0.0,), pplane_oracle(f, p, e, (), chain[0][1]).d))
+        facets.append(PPlane(p, e, (0.0,), pplane_oracle(f, p, e, (), chain[0][1]).d))
     hull = f.with_values(np.maximum(hull_vals, f.values))
     return HullResult(hull, integral(hull) - integral(f), facets)
 
@@ -286,12 +283,28 @@ def p_concave_hull_2d_oracle(f: GridFunction, p: float) -> HullResult:
 
 
 def assert_hull_matches_oracle(f: GridFunction, p: float):
-    """Bit for bit: facets are compared by repr, since some read nan."""
+    """Bit for bit: hull values, gap_mass and facets, each compared by repr."""
     got = p_concave_hull(f, p)
     ref = (p_concave_hull_1d_oracle if f.dim == 1 else p_concave_hull_2d_oracle)(f, p)
     assert np.array_equal(got.hull.values, ref.hull.values)
     assert repr(got.gap_mass) == repr(ref.gap_mass)
     assert [repr(pl) for pl in got.facets] == [repr(pl) for pl in ref.facets]
+
+
+def assert_facets_span_hull(f: GridFunction, res: HullResult):
+    """Every facet is finite, and their lower envelope (p_plane_eval) is the
+    hull within 1e-12 relative wherever the hull exceeds f, and exceeds the
+    hull on no cell of its support."""
+    for plane in res.facets:
+        assert np.isfinite(plane.y).all() and math.isfinite(plane.d)
+    cells = np.argwhere(res.hull.values > 0)
+    hull = res.hull.values[tuple(cells.T)]
+    env = np.array([min(p_plane_eval(plane, x) for plane in res.facets)
+                    for x in _cell_centers(f, cells)])
+    above = hull > f.values[tuple(cells.T)]
+    assert above.any()
+    assert env[above] == pytest.approx(hull[above], rel=1e-12)
+    assert np.all(env <= hull)
 
 
 # --- reference midpoint test: every pair of positive cells, in chunks of
@@ -372,21 +385,27 @@ def gaussian_2d(n, spacing=0.2, sigma=0.5):
 
 
 class TestPPlaneEval:
+    """2^e L^-1(<x, y> + d) with the lift L of means._lift."""
+
     def test_constant(self):
-        assert p_plane_eval(PPlane(1.0, (0.0,), 2.0), 3.7) == pytest.approx(2.0)
+        assert p_plane_eval(PPlane(1.0, 0, (0.0,), 2.0), 3.7) == pytest.approx(2.0)
+        assert p_plane_eval(PPlane(1.0, 3, (0.0,), 2.0), 3.7) == pytest.approx(16.0)
 
     def test_infinite_branch(self):
-        assert p_plane_eval(PPlane(-0.5, (1.0,), 0.0), 0.0) == math.inf
-        assert p_plane_eval(PPlane(-0.5, (1.0,), -1.0), 0.5) == math.inf
+        """At p < 0, L = -z^p is negative: a lift >= 0 unlifts to inf, and
+        the lift 0.5 - 1 = -0.5 at p = -1/2 to 0.5^-2 = 4."""
+        assert p_plane_eval(PPlane(-0.5, 0, (1.0,), 0.0), 0.0) == math.inf
+        assert p_plane_eval(PPlane(-0.5, 0, (1.0,), -1.0), 0.5) == pytest.approx(4.0)
 
     def test_zero_branch(self):
-        assert p_plane_eval(PPlane(0.5, (1.0,), -1.0), 0.5) == 0.0
+        assert p_plane_eval(PPlane(0.5, 0, (1.0,), -1.0), 0.5) == 0.0
 
     def test_exp_branch(self):
-        assert p_plane_eval(PPlane(0.0, (0.0,), 0.0), 123.0) == pytest.approx(1.0)
+        assert p_plane_eval(PPlane(0.0, 0, (0.0,), 0.0), 123.0) == pytest.approx(1.0)
+        assert p_plane_eval(PPlane(0.0, -1, (0.0,), 1.0), 123.0) == pytest.approx(math.e / 2)
 
     def test_power_branch_2d(self):
-        pl = PPlane(0.5, (1.0, 1.0), 0.0)
+        pl = PPlane(0.5, 0, (1.0, 1.0), 0.0)
         assert p_plane_eval(pl, (2.0, 2.0)) == pytest.approx(16.0)
 
 
@@ -476,10 +495,13 @@ class TestHull1D:
 
     def test_lift_beyond_float_range(self):
         """1e200 at p = 2: f^p overflows, f / sigma does not.  The middle
-        cell of [1, 0, 1e200] takes ((1 + 1e400) / 2)^(1/2)."""
+        cell of [1, 0, 1e200] takes ((1 + 1e400) / 2)^(1/2), and so do the
+        facets, which live on the same lift scale."""
         f = GridFunction(1, (0.0,), 1.0, np.array([1.0, 0.0, 1e200]))
-        hull = p_concave_hull(f, 2.0).hull.values
+        res = p_concave_hull(f, 2.0)
+        hull = res.hull.values
         assert hull == pytest.approx([1.0, 1e200 * math.sqrt(0.5), 1e200], rel=1e-12)
+        assert_facets_span_hull(f, res)
 
 
     @pytest.mark.parametrize("p", [-0.4, -0.25, -1e-3, -1e-7, 0.0, 1e-9, 1e-4, 0.5, 1.0, 2.0])
@@ -649,12 +671,19 @@ class TestHull2D:
         vals = np.zeros((3, 3))
         vals[::2, ::2] = 1.0
         vals[0, 0] = 1e200
-        res = p_concave_hull(GridFunction(2, (0.0, 0.0), 1.0, vals), 2.0)
+        f = GridFunction(2, (0.0, 0.0), 1.0, vals)
+        res = p_concave_hull(f, 2.0)
         assert res.hull.values[1, 1] == pytest.approx(1e200 * math.sqrt(0.5), rel=1e-12)
         assert np.all(np.isfinite(res.hull.values)) and np.all(res.hull.values >= vals)
+        assert_facets_span_hull(f, res)
 
 
 class TestIsPConcave:
+    def test_zero_function_is_ok(self):
+        for shape in ((7,), (4, 5)):
+            z = GridFunction(len(shape), (0.0,) * len(shape), 0.1, np.zeros(shape))
+            assert is_p_concave(z, 0.0) == PConcavityReport(True, 0.0, None)
+
     def test_indicator_any_p(self):
         f = indicator(0.0, 1.0, 0.1)
         for p in (-0.4, 0.0, 1.0, 3.0):

@@ -12,7 +12,9 @@ from bblab import (
     MeanParams,
     check_holder_derivative,
     check_pq_switch,
+    deficit,
     exponent_map,
+    is_p_concave,
     p_concave_hull,
     p_mean,
     p_mean_arr,
@@ -135,6 +137,42 @@ class TestPMean:
             arr = p_mean_arr(0.3, p, xs, ys)
             for i in range(50):
                 assert arr[i] == pytest.approx(p_mean((0.3, p), xs[i], ys[i]), abs=1e-14)
+
+
+class TestPBound:
+    """Past |p| = 1000 (means._SPAN), z^p of a scaled z in (1/2, 1] can
+    underflow and the lift loses the values: unchecked, p = 2000 would
+    give p_mean(1.1, 1.2) = 0 and a deficit of -1, and p = inf a hull
+    above max f.  Every entry point that lifts rejects such a p."""
+
+    f = GridFunction(1, (0.0,), 1.0, np.array([1.0, 2.0, 0.5, 3.0]))
+
+    def test_p_1000_runs(self):
+        assert p_mean((0.5, 1000.0), 1.1, 1.2) == pytest.approx(1.2 * 0.5 ** 1e-3, rel=1e-12)
+        params = MeanParams(0.5, 1000.0)
+        row = GridFunction(1, (0.0,), 1.0, np.full(5, 1.1))
+        assert sup_convolution(row, row, params).values == pytest.approx(row.values, rel=1e-12)
+        assert deficit(row, row, None, params).delta == pytest.approx(0.0, abs=1e-12)
+        hull = p_concave_hull(self.f, 1000.0).hull.values
+        assert np.all(hull >= self.f.values) and np.all(hull <= self.f.max())
+        assert not is_p_concave(self.f, 1000.0).ok
+
+    @pytest.mark.parametrize("p", [1000.5, 2000.0, math.inf, -2000.0, -math.inf, math.nan])
+    def test_rejects_p_past_span(self, p):
+        for call in (lambda: MeanParams(0.5, p),
+                     lambda: p_mean((0.5, p), 1.1, 1.2),
+                     lambda: p_mean_arr(0.5, p, 1.1, 1.2),
+                     lambda: p_concave_hull(self.f, p),
+                     lambda: is_p_concave(self.f, p)):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_rejects_nan_argument(self):
+        for x, y in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                p_mean((0.5, 1.0), x, y)
+            with pytest.raises(ValueError, match="nonnegative"):
+                p_mean(MeanParams(0.5, 0.0), x, y)
 
 
 class TestExponentMap:

@@ -1272,6 +1272,10 @@ def equipartition_apexes(f: GridFunction, rng, count=12):
 
 
 class TestEquipartition:
+    def test_zero_function_has_zero_sector_masses(self):
+        z = GridFunction(2, (-1.0, -1.0), 0.25, np.zeros((8, 8)))
+        assert Cone2D.simplex((0.1, -0.2)).sector_masses(z) == (0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("cone", ["simplex", "fiber_partition"])
     def test_sector_masses_match_oracle(self, cone, rng):
         make = getattr(Cone2D, cone)

@@ -184,6 +184,15 @@ def overlap_counts_oracle(a, b):
 
 
 class TestSupConvolution:
+    def test_zero_input_gives_one_zero_cell(self, rng):
+        """An all-zero f or g has no pairs: M* is one zero cell at f's origin."""
+        for f in (random_staircase(rng, zero_frac=0.0), random_blob_2d(rng, n=6)):
+            zero = f.with_values(np.zeros(f.shape))
+            for a, b in ((zero, f), (f, zero), (zero, zero)):
+                out = sup_convolution(a, b, HALF)
+                assert out.shape == (1,) * f.dim and out.values.max() == 0.0
+                assert out.origin == a.origin
+
     def test_indicator_same(self):
         f = indicator(0.0, 1.0, 0.1)
         out = sup_convolution(f, f, HALF)
@@ -517,6 +526,13 @@ class TestDistinctPieces:
 
 
 class TestMinkowski:
+    def test_empty_set_gives_empty(self, rng):
+        for f in (indicator(0.0, 1.0, 0.1), random_blob_2d(rng, n=6)):
+            A = level_set(f, 0.0)
+            E = level_set(f, f.max())
+            for X, Y in ((A, E), (E, A), (E, E)):
+                assert minkowski_combination(X, Y, Fraction(1, 3)).cell_count == 0
+
     def test_same_interval(self):
         A = level_set(indicator(0.0, 1.0, 0.1), 0.0)
         C = minkowski_combination(A, A, Fraction(1, 2))

@@ -202,6 +202,13 @@ class TestHeightTransport:
         for t in (0.2, 0.5, 0.8):
             assert T(t) == pytest.approx(2 * t, abs=1e-12)
 
+    def test_pushforward_zero_masses(self):
+        """Two zero-mass functions check trivially, whatever the map."""
+        f = indicator(0.0, 1.0, 0.1)
+        z = f.with_values(np.zeros(f.shape))
+        for T in (height_transport(f, f), spatial_transport(f, f)):
+            assert pushforward_check(T, z, z) == 0.0
+
     def test_pushforward_random(self, rng):
         for _ in range(40):
             f = normalize(random_staircase(rng))
@@ -383,7 +390,7 @@ intervals = st.tuples(st.integers(0, 10), st.integers(1, 30))
 
 def interval_set(first, length, origin):
     cells = np.arange(first + length + 3)
-    return LevelSet(1, 0.0, (first <= cells) & (cells < first + length), (origin,), 0.1)
+    return LevelSet(1, (first <= cells) & (cells < first + length), (origin,), 0.1)
 
 
 class TestRunLists:
