@@ -261,4 +261,7 @@ def check_pq_switch(
             f"size precondition violated: b^(1/n)={lhs_size} < {rhs_size}"
         )
     q = exponent_map(p, n)
+    if q < -_SPAN:
+        raise ValueError(f"q = p/(1+np) = {q} from p={p}, n={n} is below -{_SPAN}; "
+                         f"p must be at least {-_SPAN / (1 + n * _SPAN)}")
     return b * _mean(lam, p, u, v) - _mean(lam, q, a * u, c * v)

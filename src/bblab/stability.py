@@ -369,9 +369,10 @@ def shave(f: GridFunction, params: MeanParams, c: float | None = None):
     planes are materialized and evaluated in chunks, integral(M*(s, s))
     being supconv._self_sup_integrals times the cell volume.  The 1-D
     half-lines, the prefixes and suffixes of the current state, take one
-    kernel pass grown a cell at a time (supconv._half_line_sup_integrals),
-    and their removed masses are cumulative sums of the current state
-    (_half_line_masses), O(n) in all; only the winner is materialized.
+    kernel pass grown in blocks of cells, in memory linear in the row
+    (supconv._half_line_sup_integrals), and their removed masses are
+    cumulative sums of the current state (_half_line_masses), O(n) in all;
+    only the winner is materialized.
     f is shaved as f / 2^e, e from means._scale_exp as in the hull and
     the kernel, and the results are scaled back, so that f' and the ratios
     do not depend on units.  The dictionary (_shave_candidates_1d,

@@ -18,8 +18,8 @@ one unlift per cell.  _sup_cells does this for a batch of rows in dims 1 and
 2; sup_convolution (and so the hypothesis check) and the shaving objective
 (_self_sup_integrals) call it, and hull.is_p_concave calls its max-plus
 half, _lattice_sums.  The shave's full 1-D sweeps take the half-line states
-from _half_line_sup_integrals instead: one kernel pass grown a cell at a
-time, whose sums are the kernel path's bit for bit.  _lattice_sums has two
+from _half_line_sup_integrals instead: one kernel pass grown in blocks
+of cells, whose sums are the kernel path's bit for bit.  _lattice_sums has two
 paths: the O(n_f n_g) kernel _max_plus, and in 1-D at lam = 1/2 the slope
 merge _merge_pieces over concave pieces, O(r_g n_f + r_f n_g) for r
 pieces; a cost rule picks one per row.  One piece finder, _exact_pieces,
@@ -400,15 +400,16 @@ def _half_line_sup_integrals(cur: np.ndarray, ks: np.ndarray, params: MeanParams
     """(prefix, suffix): sum M*(s, s) over the cells of the 1-D states
     s = cur on i <= k and s = cur on i >= k, for each k of ks (ascending).
 
-    One kernel pass grows the states a cell at a time along cur's support
-    box, from the left for the prefixes and from the right for the
-    suffixes (_grown_sums).  The lifts and e are _scaled_lifts' on cur,
-    and each state's cells on cur's box take one pairwise 1-D sum, which
-    is _self_sup_integrals' sum along axis 1, so each sum equals, bit for
-    bit, _self_sup_integrals' on the kernel path for a batch of such states
-    whose maximum is cur.  The pass forms O(n^2) pairs in all for n cells
-    in the box, where the kernel forms O(n^2) pairs per state, and keeps
-    O(n) memory."""
+    One kernel pass grows the states along cur's support box, from the
+    left for the prefixes and from the right for the suffixes, in blocks
+    of up to _GROW_BLOCK cells (_grown_sums).  The lifts and e are
+    _scaled_lifts' on cur, and each state's cells on cur's box take the
+    pairwise sum along axis 1 of _self_sup_integrals, so each sum equals,
+    bit for bit, _self_sup_integrals' on the kernel path for a batch of
+    such states whose maximum is cur.  The pass forms O(n^2) pairs in all
+    for n cells in the box, where the kernel forms O(n^2) pairs per state,
+    with a few dozen numpy calls per block, and keeps O(_GROW_BLOCK b n)
+    memory at lam = a/b."""
     out = np.zeros((2, len(ks)))
     cropped = _crop(cur)
     if cropped is None:
@@ -425,53 +426,121 @@ def _half_line_sup_integrals(cur: np.ndarray, ks: np.ndarray, params: MeanParams
     return out
 
 
+# Cells per block of _grown_sums, and the longest dead stretch that a
+# block's band spans.  A pass's arrays (a block's rows of lattice sums, the
+# cell maxima of its changed cells, its states) peak at about 1.3 (B + 1) b n
+# doubles for n cells in the box at lam = a/b with b = 2, and 2.1 at b = 3
+# (test_memory_linear_in_row): 64 keeps that near 1.4 MB for 1000 cells at
+# b = 2, and spreads a block's few dozen numpy calls over its cells (32 and
+# 128 are slower on the bench rows).
+_GROW_BLOCK = 64
+
+
 def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> np.ndarray:
     """sum M*(s, s) over the box's cells of the states s made of the first
     counts[r] cells of the box (the last ones when backward), counts
     nondecreasing, from the lifts lf and lg of _scaled_lifts.
 
-    Adding cell t adds the pairs that contain it: (t, j) over the kept
-    cells j, t included, and (i, t) over the others, two strided segments
-    of the lattice sums W, one when lg is lf (the mirror pair has the same
-    float sum).  W is the running max, so after each cell it is the
-    kernel's W of the state, and only the cells whose W rose are unlifted
-    again.  Each state's cells are summed by one 1-D sum, the same pairwise
-    sum as _self_sup_integrals' reduction along axis 1."""
+    Adding cell t adds the pairs (t, j) over the kept cells j, t included,
+    and their mirrors (j, t), which have the same float sums when lg is lf
+    and are then left out; a dead cell adds nothing.  The live cells form
+    runs that only a dead stretch longer than _GROW_BLOCK splits, and the
+    pass takes up to _GROW_BLOCK cells of a run at a time.  A block's band
+    is the cells that its pairs reach, one interval per kept run and kind of
+    pair, so a sparse row costs in proportion to its live cells.  Row 0 of
+    the block's array is the lattice sums W on the band, row r the pairs of
+    the block's r-th cell: per kept run and kind one add through a strided
+    view, since row r's pairs start u*r columns on (u the coefficient of t
+    in the lattice sum; back when backward), less the pairs with cells the
+    state does not keep yet.  The max down the rows is W after the block, and only the cells
+    where it beats row 0 can change: their cell maxima per row, by one
+    strided max per offset, a running max down the rows and one unlift, are
+    those of the kernel's W of each state.  A state asked for is the cells
+    before the block with those written in, and the states are summed along
+    axis 1, the same pairwise sum as _self_sup_integrals' reduction, so each
+    sum is the kernel's bit for bit."""
     a, b = _lam_ab(params)
     m = len(lf)
-    step, base = b - a, _reach(0, m, m, a, b)[1]
+    step, base = b - a, int(_reach(0, m, m, a, b)[1])
+    live = np.flatnonzero(lf > -np.inf)
+    runs = [(int(r[0]), int(r[-1]))
+            for r in np.split(live, np.flatnonzero(np.diff(live) > _GROW_BLOCK) + 1)]
+    # the blocks, (first cell's place in grown order, cells), up to the last state
+    grown = [(m - 1 - q1, m - 1 - q0) for q0, q1 in runs[::-1]] if backward else runs
+    last = counts[-1] if len(counts) else 0
+    blocks = [(g, min(_GROW_BLOCK, g1 + 1 - g)) for g0, g1 in grown
+              for g in range(g0, min(g1 + 1, last), _GROW_BLOCK)]
     W = np.full(b * m, -np.inf)
-    blocks = W.reshape(m, b)
     cells = np.zeros(m)
-    sums = np.empty(len(counts))
-    added = 0
-    for r, want in enumerate(counts):
-        for t in range(added, want):
-            t = m - 1 - t if backward else t
-            if lf[t] == -np.inf:
-                continue
-            # the kept cells after t: [t, m) or [0, t]
-            j0, j1 = (t, m) if backward else (0, t + 1)
-            rose = _raise(W, lf[t] + lg[j0:j1], a * t + step * j0 + base, step)
-            if lg is not lf and j1 - j0 > 1:
-                i0, i1 = (t + 1, m) if backward else (0, t)
-                rose = np.concatenate([rose, _raise(W, lf[i0:i1] + lg[t],
-                                                    a * i0 + step * t + base, a)])
-            # the pair (t, t) is a new lattice sum, so some cell always rises
-            hit = rose // b
-            cells[hit] = _unlift(blocks[hit].max(axis=1), params.p, e)
-        added = want
-        sums[r] = cells.sum()
+    sums = np.zeros(len(counts))
+    # the blocks' rows, and a row to spare for the strided views; the
+    # states, in chunks of about 2^16 doubles, which stay in cache
+    rows_buf = np.empty((_GROW_BLOCK + 2) * b * m + _GROW_BLOCK * b)
+    chunk = max(1, (1 << 16) // m)
+    states_buf = np.empty(min(chunk, _GROW_BLOCK + 1) * m)
+    r1 = np.searchsorted(counts, 1)  # the states before any cell sum to 0
+    for g0, n in blocks:
+        lo, hi = (m - g0 - n, m - 1 - g0) if backward else (g0, g0 + n - 1)
+        ts = np.arange(hi, lo - 1, -1) if backward else np.arange(lo, hi + 1)
+        if backward:
+            kept = [(max(q0, lo), q1) for q0, q1 in runs if q1 >= lo]
+        else:
+            kept = [(q0, min(q1, hi)) for q0, q1 in runs if q0 <= hi]
+        # (u, v, q0, q1, mirror): the pairs of t with the kept run q0..q1
+        # sit at u*t + v*j + base for j in the run
+        segs = [(a, step, q0, q1, False) for q0, q1 in kept]
+        if lg is not lf:
+            segs += [(step, a, q0, q1, True) for q0, q1 in kept]
+        # the band's cells, and its lattice sums: column i of the rows holds lat[i]
+        in_band = np.zeros(m, dtype=bool)
+        for u, v, q0, q1, _ in segs:
+            in_band[(u * lo + v * q0 + base) // b:(u * hi + v * q1 + base) // b + 1] = True
+        band = np.flatnonzero(in_band)
+        lat = (b * band[:, None] + np.arange(b)).reshape(-1)
+        L = len(lat)
+        M = rows_buf[:(n + 1) * L].reshape(n + 1, L)
+        M[0] = W[lat]
+        M[1:] = -np.inf
+        # the pairs with the block's own cells that come later in grown order
+        later = np.triu(np.ones((n, n), dtype=bool), 1)[:, ::-1 if backward else 1]
+        for u, v, q0, q1, mirror in segs:
+            # the column of the row's first pair: x + u*r in row r, so in
+            # rows of L + u entries (L - u backward) all start at x
+            x = int(np.searchsorted(lat, u * int(ts[0]) + v * q0 + base))
+            width = L - u if backward else L + u
+            view = rows_buf[L + x:L + x + n * width].reshape(n, width)[:, :v * (q1 - q0) + 1:v]
+            if mirror:  # after every (t, j), which it may meet
+                pairs = lf[q0:q1 + 1] + lg[ts][:, None]
+            else:  # no two pairs (t, j) share a lattice sum
+                pairs = np.add(lf[ts][:, None], lg[q0:q1 + 1], out=view)
+            if (q0 if backward else q1) == ts[-1]:
+                (pairs[:, :n] if backward else pairs[:, -n:])[later] = -np.inf
+            if mirror:
+                np.maximum(view, pairs, out=view)
+        # the band's W after the block, and the cells where it rose
+        top = M[1:].max(axis=0)
+        hot = np.flatnonzero((top > M[0]).reshape(-1, b).any(axis=1))
+        H = M[:, (b * hot[:, None] + np.arange(b)).reshape(-1)]
+        H = functools.reduce(np.maximum, (H[:, k::b] for k in range(b)))
+        np.maximum.accumulate(H, axis=0, out=H)
+        # the states asked for since the last block (those in a dead
+        # stretch before this one are its row 0), and its last one
+        r0, r1 = r1, np.searchsorted(counts, g0 + n + 1)
+        asked = np.maximum(counts[r0:r1] - g0, 0)
+        rows = np.flatnonzero(np.bincount(np.append(asked, n)))
+        U = _unlift(H[rows], params.p, e)
+        cols = band[hot]
+        row_sums = np.empty(len(rows))
+        for i in range(0, len(rows), chunk):
+            S = states_buf[:len(U[i:i + chunk]) * m].reshape(-1, m)
+            S[:] = cells
+            S[:, cols] = U[i:i + chunk]
+            row_sums[i:i + chunk] = S.sum(axis=1)
+        W[lat] = np.maximum(M[0], top)
+        cells[cols] = U[-1]
+        sums[r0:r1] = row_sums[np.searchsorted(rows, asked)]
+    sums[r1:] = cells.sum()  # in the dead stretch after the last block
     return sums
-
-
-def _raise(W, v, s0: int, ds: int) -> np.ndarray:
-    """W at s0, s0 + ds, ... raised to v where v is larger, in place; the
-    lattice sums that rose."""
-    seg = W[s0:s0 + ds * (len(v) - 1) + 1:ds]
-    up = (v > seg).nonzero()[0]
-    seg[up] = v[up]
-    return ds * up + s0
 
 
 # The cost rule's times (ns): per merged slope and per piece-pair slot of

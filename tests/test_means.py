@@ -226,6 +226,13 @@ class TestPqSwitch:
         with pytest.raises(ValueError):
             check_pq_switch(0.5, -0.2, 1, a=4.0, b=1.0, c=4.0, u=1.0, v=1.0)
 
+    def test_rejects_q_past_span(self):
+        """p near -1/n sends q = p/(1+np) past -_SPAN; the error names
+        the derived q and the caller's p, not q as if it were p."""
+        named = r"q = p/\(1\+np\) = -9999\.0+\d* from p=-0\.9999, n=1"
+        with pytest.raises(ValueError, match=named):
+            check_pq_switch(0.5, -0.9999, 1, 1, 1, 1, 1.0, 1.1)
+
     def test_property_sweep(self, rng):
         for _ in range(1000):
             n = int(rng.integers(1, 4))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1003,6 +1004,60 @@ class TestHalfLinePass:
         assert np.all(sums[0, 24:31] == sums[0, 24]) and np.all(sums[1, 25:32] == sums[1, 31])
         monkeypatch.setattr(supconv, "_pieces_cheaper", rule(False))
         assert np.array_equal(sums, half_line_sup_integrals_oracle(cur, ks, params))
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)])
+    @pytest.mark.parametrize("p", [-0.25, 0.0, 1.0])
+    def test_matches_kernel_across_blocks(self, lam, p, rng, monkeypatch):
+        """Rows that span several blocks of B = _GROW_BLOCK cells: B - 1, B,
+        B + 1 and 3B + 5 live cells among a few dead ones, and two-bump
+        rows whose dead stretches are longer than a block (so that the pass
+        splits its runs there) or exactly one block long (so that it does
+        not).  Every k is a state, so some states end a block, and then
+        the k up to the middle of the row, so that on the two-bump rows the
+        last prefix ends in a dead stretch.  Bit for bit the kernel path on
+        the materialized states."""
+        B = supconv._GROW_BLOCK
+        params = MeanParams(lam, p)
+
+        def spread(live):
+            """live positive cells, tied or spread, among live // 8 dead ones."""
+            n = live + live // 8
+            row = np.zeros(n)
+            if rng.random() < 0.5:
+                values = rng.choice([0.5, 1.0, 1.5], live)
+            else:
+                values = rng.uniform(0.1, 2.0, live)
+            row[np.sort(rng.choice(n, live, replace=False))] = values
+            return row
+
+        def bumps(*parts):
+            """Blocks of equal values (width, height), a dead stretch after each."""
+            return np.concatenate([np.r_[np.full(w, h), np.zeros(gap)] for w, h, gap in parts])
+
+        rows = [spread(live) for live in (B - 1, B, B + 1, 3 * B + 5)]
+        rows += [bumps((B + 3, 1.0, B + 1), (B // 2, 1e-6, 0)),
+                 bumps((10, 1.0, 2 * B + 5), (12, 0.5, B), (3, 1.0, B + 1), (B, 2.0, 0))]
+        monkeypatch.setattr(supconv, "_pieces_cheaper", rule(False))
+        for cur in rows:
+            for ks in (np.arange(-1, len(cur) + 1), np.arange(-1, len(cur) // 2)):
+                assert np.array_equal(supconv._half_line_sup_integrals(cur, ks, params),
+                                      half_line_sup_integrals_oracle(cur, ks, params))
+
+    def test_memory_linear_in_row(self):
+        """On a 5000-cell row the pass's peak allocation stays within
+        2 (B + 1) b n doubles, B = _GROW_BLOCK and lam = a/b (about 1.3 of
+        them are used): linear in the row and far below one dense n x n
+        block of doubles, so no quadratic temporary comes back unseen."""
+        n, b = 5000, 2
+        cur = np.exp(-np.linspace(-2.0, 2.0, n) ** 2)
+        tracemalloc.start()
+        try:
+            supconv._half_line_sup_integrals(cur, np.arange(n), HALF0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * (supconv._GROW_BLOCK + 1) * b * n * 8
+        assert peak <= bound < n * n * 8 / 10
 
     def test_full_row_path_changes_nothing(self, rng, monkeypatch):
         """shave with the pass equals shave with the full-row path as its
