@@ -17,6 +17,7 @@ read or write.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -36,15 +37,21 @@ from .supconv import sup_convolution
 from .transport import level_diagnostics
 
 
-def _parse_delta0(text: str):
-    """'a:b:logN' -> N log-spaced values; 'a:b:N' linear; or a comma list."""
-    if ":" in text:
-        a, b, n = text.split(":")
-        lo, hi = float(a), float(b)
-        if n.startswith("log"):
-            return np.geomspace(lo, hi, int(n[3:])).tolist()
-        return np.linspace(lo, hi, int(n)).tolist()
-    return [float(t) for t in text.split(",")]
+def _parse_delta0(text: str) -> list:
+    """--delta0's type: 'a:b:logN' -> N log-spaced values; 'a:b:N' linear;
+    or a comma list.  Any other text is refused with a message that names
+    these forms."""
+    try:
+        if ":" in text:
+            a, b, n = text.split(":")
+            lo, hi = float(a), float(b)
+            if n.startswith("log"):
+                return np.geomspace(lo, hi, int(n[3:])).tolist()
+            return np.linspace(lo, hi, int(n)).tolist()
+        return [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected a:b:logN, a:b:N or a comma list of numbers, got {text!r} ({exc})") from None
 
 
 def _params(args, n: int) -> MeanParams:
@@ -94,7 +101,11 @@ def _report_certificate(rep, path):
     return rep.hypothesis_valid
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later main call in the process: parse_args leaves it unchanged and
+    starts each call from a fresh namespace."""
     ap = argparse.ArgumentParser(prog="bblab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -132,7 +143,8 @@ def main(argv=None) -> int:
     sp.add_argument("--family", required=True, choices=["sharpness", "dented"])
     sp.add_argument("--lambda", dest="lam", default="1/2")
     sp.add_argument("--p", type=float, default=0.0)
-    sp.add_argument("--delta0", required=True, help="a:b:logN, a:b:N, or comma list")
+    sp.add_argument("--delta0", required=True, type=_parse_delta0,
+                    help="a:b:logN, a:b:N, or comma list")
     sp.add_argument("--spacing", type=float, default=1e-4)
     sp.add_argument("--certificates", default=None, choices=["symdiff", "linear", "main"],
                     help="the family's own by default: symdiff (sharpness), linear (dented)")
@@ -142,8 +154,11 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("equipartition", help="2-D cone equipartition apex")
     sp.add_argument("--f", required=True)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (ValueError, OSError) as exc:  # exits 2, as argparse's own errors do
@@ -205,7 +220,7 @@ def _run(args) -> int:
     if args.cmd == "sweep":
         rows = lab.sweep(
             args.family,
-            _parse_delta0(args.delta0),
+            args.delta0,
             _params(args, 1),  # the families are 1-D
             spacing=args.spacing,
             certificates=args.certificates,

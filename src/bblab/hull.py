@@ -9,11 +9,17 @@ lift is of f / 2^e (means._scale_exp), so it cannot overflow; the facets
 combinatorics are exact: cell indices are integers, and the exact
 predicates run on the float lifts times one power of two 2^K, as Python
 integers (_dyadic_ints), with the floats' signs.  Exact values stay dyadic
-integers until a single rounding: a 1-D slope and a 2-D plane coefficient
-are each one integer quotient.  One monotone chain, _upper_chain, serves
-the 1-D hull, both chains of the xy convex hull (_convex_hull_2d) and, by
-_segment_chain, the 1-D envelopes on xy segments that seed the 2-D gift
-wrap and make up a collinear support's planes.  The wrap evaluates its
+integers until a single rounding: a 2-D plane coefficient is one integer
+quotient, and so is a 1-D slope, except where fl(w2 - w1)/dx is already
+that rounding (_chain_slopes: an exact float difference, or dx a power of
+two).  One monotone chain, _upper_chain, serves the 1-D hull, both chains
+of the xy convex hull (_convex_hull_2d) and, by _segment_chain, the 1-D
+envelopes on xy segments that seed the 2-D gift wrap and make up a
+collinear support's planes.  In 1-D, pruning passes over all points at
+once come first (_chain_1d): each drops the points on or below the chord
+of their neighbours, by a float orientation filter with the exact test
+where its sign is in doubt, and the chain runs only on the survivors of a
+pass that stalls.  The wrap evaluates its
 orientation predicates in float, for all points at once, with a rigorous
 error bound (a filter in the manner of Shewchuk's adaptive predicates), and
 falls back to the exact test only for the signs the bound leaves in doubt:
@@ -40,13 +46,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 
 from .gridfn import GridFunction, LevelSet, ZeroMassError, _cell_centers, integral, level_set
 from .means import MeanParams, _check_p, _lift, _scale_exp, _unlift, p_mean_arr
-from .supconv import _MARGIN, _crop, _lattice_sums, _margin_covers, _progression_pairs
+from .supconv import (_MARGIN, _crop, _lattice_sums, _margin_covers, _progression_pairs,
+                      _two_diff)
 
 __all__ = [
     "PPlane",
@@ -62,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PPlane:
+class PPlane(NamedTuple):
     """The p-concave analogue of an affine function: 2^e L^-1(<x, y> + d) at
     a position x, with L the lift of means._lift and e the hull's scale
     exponent (f / 2^e is lifted), so <x, y> + d is the facet's lift; below
@@ -91,7 +98,8 @@ def _pplanes(f: GridFunction, p: float, e: int, coef: np.ndarray, const: np.ndar
     for a, o in zip(coef.T, f.origin):
         d -= a * (o / f.spacing + 0.5)
     slopes = (coef / f.spacing).tolist() if coef.shape[1] else [[0.0] * f.dim] * len(d)
-    return [PPlane(p, e, tuple(a), c) for a, c in zip(slopes, d.tolist())]
+    return list(map(PPlane._make, zip(itertools.repeat(p), itertools.repeat(e),
+                                      map(tuple, slopes), d.tolist())))
 
 
 def _dyadic_ints(w: np.ndarray):
@@ -123,6 +131,94 @@ def _upper_chain(idx: np.ndarray, w_exact: list) -> list:
                 break
         out.append(pt)
     return out
+
+
+# a pruning pass that drops fewer than this share of the points it examines
+# hands the survivors to _upper_chain
+_PRUNE_SHARE = 1 / 8
+
+
+def _prune_pass(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Which middle points of (x, w), x increasing integers, lie on or below
+    the chord of their neighbours: o = (w2 - w1)(x3 - x1) - (w3 - w1)(x2 - x1)
+    <= 0, the test of _upper_chain, for every triple at once.
+
+    Float filter: o < -e proves o < 0, with e = 2^-50 m + _TINY for
+    m = |t1| + |t2| the float sum of the two products, by _orient_filter's
+    proof with two terms in place of three (the x differences are exact).
+    m = 0 means w1 = w2 = w3, so o = 0 exactly; o > e proves o > 0.  The
+    exact test runs on the triple's _dyadic_ints elsewhere: where |o| <= e,
+    or where the evaluation overflowed."""
+    x1, x2, x3 = x[:-2], x[1:-1], x[2:]
+    w1 = w[:-2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        t1 = (w[1:-1] - w1) * (x3 - x1)
+        t2 = (w[2:] - w1) * (x2 - x1)
+        o = t1 - t2
+        m = np.abs(t1) + np.abs(t2)
+        e = m * 2.0 ** -50 + _TINY
+        drop = (o < -e) | (m == 0.0)
+    doubt = np.flatnonzero(~(drop | (o > e)))
+    if len(doubt):
+        tri = doubt[:, None] + np.arange(3)
+        at, pos = np.unique(tri, return_inverse=True)
+        ints, _ = _dyadic_ints(w[at])
+        drop[doubt] = [(ints[b] - ints[a]) * (u3 - u1) <= (ints[c] - ints[a]) * (u2 - u1)
+                       for (a, b, c), (u1, u2, u3) in zip(pos.reshape(-1, 3).tolist(),
+                                                          x[tri].tolist())]
+    return drop
+
+
+def _chain_1d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Positions in x of the vertices of the upper concave chain of the
+    points (x, w), x increasing integers and w finite floats: those of
+    _upper_chain(x, _dyadic_ints(w)[0]).
+
+    Pruning passes (_prune_pass) drop every middle point that lies on or
+    below the chord of its current neighbours.  Such a point is no strict
+    vertex of the survivors' chain, so dropping it, or all of them at once,
+    leaves the chain as it was.  A pass that drops nothing leaves a strictly
+    concave sequence, which is its own chain.  Passes repeat while each
+    drops at least _PRUNE_SHARE of its points; then the survivors go to
+    _upper_chain, so a row that loses a few points a pass (a valley between
+    two bumps erodes by about one point a side) costs one pass more than
+    the chain alone."""
+    keep = np.arange(len(x))
+    while len(keep) > 2:
+        drop = _prune_pass(x[keep], w[keep])
+        dropped = int(drop.sum())
+        if dropped == 0:
+            return keep
+        keep = keep[np.concatenate(([True], ~drop, [True]))]
+        if dropped < _PRUNE_SHARE * len(drop):
+            ints, _ = _dyadic_ints(w[keep])
+            chain = _upper_chain(x[keep], ints)
+            return keep[np.searchsorted(x[keep], [a for a, _ in chain])]
+    return keep
+
+
+def _chain_slopes(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(w[i+1] - w[i]) / (x[i+1] - x[i]) for increasing integers x, each
+    rounded once from the exact quotient.
+
+    Where the float difference is exact (supconv._two_diff's low part is 0)
+    or dx is a power of two, fl(w2 - w1)/dx is that rounding when it is
+    normal (or 0, for w1 = w2): the division of exact operands, or a scaling
+    by 2^-k that is exact and commutes with the one rounding.  Everywhere
+    else the slope is a quotient of the _dyadic_ints of the two lifts."""
+    dx = np.diff(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        hi, lo = _two_diff(w[1:], w[:-1])
+        m = hi / dx
+        ok = (lo == 0.0) | (dx & (dx - 1) == 0)
+        ok &= (hi == 0.0) | np.isfinite(m) & (np.abs(m) >= np.finfo(float).tiny)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        at, pos = np.unique(np.concatenate([rest, rest + 1]), return_inverse=True)
+        ints, K = _dyadic_ints(w[at])
+        a, b = pos[:len(rest)].tolist(), pos[len(rest):].tolist()
+        m[rest] = [(ints[j] - ints[i]) / (d << K) for i, j, d in zip(a, b, dx[rest].tolist())]
+    return m
 
 
 # --------------------------------------------------------------------------
@@ -355,19 +451,16 @@ def p_concave_hull(f: GridFunction, p: float) -> HullResult:
     if f.dim == 1:
         idx = np.flatnonzero(f.values > 0)
         w = _lift(f.values[idx], p, e)
-        ints, K = _dyadic_ints(w)
-        chain = _upper_chain(idx, ints)
-        x = np.array([a for a, _ in chain])
-        v = np.searchsorted(idx, x)  # the vertices' lifts are w[v]
+        v = _chain_1d(idx, w)
+        x, wv = idx[v], w[v]
         domain = np.arange(idx.min(), idx.max() + 1)
         hull_vals = np.zeros(f.shape)
-        hull_vals[domain] = _unlift(np.interp(domain.astype(float), x.astype(float), w[v]), p, e)
-        if len(chain) == 1:  # one support cell: a constant
-            facets = _pplanes(f, p, e, np.empty((1, 0)), w[v])
-        else:  # each slope is a quotient of integers, rounded once
-            m = np.array([(b - a) / ((x2 - x1) << K)
-                          for (x1, a), (x2, b) in zip(chain[:-1], chain[1:])])
-            facets = _pplanes(f, p, e, m[:, None], w[v[:-1]] - m * x[:-1])
+        hull_vals[domain] = _unlift(np.interp(domain.astype(float), x.astype(float), wv), p, e)
+        if len(v) == 1:  # one support cell: a constant
+            facets = _pplanes(f, p, e, np.empty((1, 0)), wv)
+        else:
+            m = _chain_slopes(x, wv)
+            facets = _pplanes(f, p, e, m[:, None], wv[:-1] - m * x[:-1])
     else:
         idx = np.argwhere(f.values > 0)
         planes = np.array(_upper_envelope_2d(idx, _lift(f.values[tuple(idx.T)], p, e)),

@@ -571,44 +571,50 @@ def _clip_halfplane(px, py, cnt, nx, ny, off):
     Each row carries its own half-plane, so one call clips the cells of all
     three sectors; a row's output does not depend on the other rows.  A
     polygon with every vertex at d >= 0 comes back unchanged, vertices in
-    order, and one with every vertex at d < 0 comes back empty."""
+    order, and one with every vertex at d < 0 comes back empty.
+
+    Every vertex of every row is clipped in one pass.  Vertex i emits
+    itself when d_i >= 0, then the point t = d_i/(d_i - d_j) of the way to
+    its successor j when the edge crosses the line; an emission's output
+    slot is the count of the row's emissions before it (a cumsum over the
+    (vertex, kept or cut) pairs), and one scatter writes them all.  The
+    output is that of a vertex-by-vertex loop, bit for bit: the same float
+    operations on the same operands, written to the same slots."""
     N, V = px.shape
-    ox = np.zeros((N, V + 1))
-    oy = np.zeros((N, V + 1))
-    oc = np.zeros(N, dtype=np.int64)
+    col = np.arange(V)
+    nxt = np.where(col + 1 < cnt[:, None], col + 1, 0)
     d = nx[:, None] * px + ny[:, None] * py - off[:, None]
-    rows = np.arange(N)
-    for i in range(V):
-        valid = i < cnt
-        nxt = np.where(i + 1 < cnt, i + 1, 0)
-        di = d[rows, i]
-        dj = d[rows, nxt]
-        xi, yi = px[rows, i], py[rows, i]
-        xj, yj = px[rows, nxt], py[rows, nxt]
-        keep = valid & (di >= 0.0)
-        r = np.flatnonzero(keep)
-        ox[r, oc[r]] = xi[r]
-        oy[r, oc[r]] = yi[r]
-        oc[r] += 1
-        crossing = valid & ((di >= 0.0) != (dj >= 0.0))
-        r = np.flatnonzero(crossing)
-        if len(r):
-            t = di[r] / (di[r] - dj[r])
-            ox[r, oc[r]] = xi[r] + t * (xj[r] - xi[r])
-            oy[r, oc[r]] = yi[r] + t * (yj[r] - yi[r])
-            oc[r] += 1
-    return ox, oy, oc
+    dj = d[np.arange(N)[:, None], nxt]
+    valid = col < cnt[:, None]
+    emit = np.empty((N, V, 2), dtype=bool)
+    emit[:, :, 0] = valid & (d >= 0.0)
+    emit[:, :, 1] = valid & ((d >= 0.0) != (dj >= 0.0))
+    vals = np.empty((2, N, V, 2))
+    vals[0, :, :, 0], vals[1, :, :, 0] = px, py
+    r, i = np.nonzero(emit[:, :, 1])
+    if len(r):
+        di, j = d[r, i], nxt[r, i]
+        t = di / (di - dj[r, i])
+        vals[0, r, i, 1] = px[r, i] + t * (px[r, j] - px[r, i])
+        vals[1, r, i, 1] = py[r, i] + t * (py[r, j] - py[r, i])
+    emit = emit.reshape(N, 2 * V)
+    slot = np.cumsum(emit, axis=1)
+    rows, at = np.nonzero(emit)
+    out = np.zeros((2, N, V + 1))
+    out[:, rows, slot[rows, at] - 1] = vals.reshape(2, N, 2 * V)[:, rows, at]
+    return out[0], out[1], slot[:, -1]
 
 
 def _poly_areas(px, py, cnt):
-    N, V = px.shape
-    area = np.zeros(N)
-    rows = np.arange(N)
-    for i in range(V):
-        valid = i < cnt
-        nxt = np.where(i + 1 < cnt, i + 1, 0)
-        term = px[rows, i] * py[rows, nxt] - px[rows, nxt] * py[rows, i]
-        area += np.where(valid, term, 0.0)
+    """Shoelace areas of the polygons of _clip_halfplane's layout: every
+    term at once, then summed per row in vertex order."""
+    col = np.arange(px.shape[1])
+    nxt = (np.arange(len(px))[:, None], np.where(col + 1 < cnt[:, None], col + 1, 0))
+    term = px * py[nxt] - px[nxt] * py
+    term[col >= cnt[:, None]] = 0.0
+    area = np.zeros(len(px))
+    for t in term.T:
+        area += t
     return 0.5 * np.abs(area)
 
 

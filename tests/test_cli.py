@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bblab import GridFunction, dump_gfn, integral, load_gfn, sup_convolution, MeanParams
+from bblab import cli
 from bblab.cli import main
 from bblab.gridfn import _cell_centers
 from conftest import hat, indicator
@@ -152,6 +153,38 @@ def test_sweep_rejects_empty_grid(tmp_path, capsys, grid):
     assert main(["sweep", "--family", "sharpness", "--delta0", grid, "--out", str(out)]) == 2
     assert "bblab: error: the delta0 grid is empty" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["1e-3:1e-2", "1e-3,,2e-3", "1e-3:1e-2:logx", "a:b:4"])
+def test_sweep_rejects_malformed_delta0(tmp_path, capsys, grid):
+    """A --delta0 in none of the accepted forms exits 2 with a message that
+    names them, as argparse's own errors do."""
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "sharpness", "--delta0", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --delta0: expected a:b:logN, a:b:N or a comma list of numbers, got {grid!r}" in err
+    assert not out.exists()
+
+
+def test_parser_built_once_without_leaks(monkeypatch):
+    """Back-to-back main calls share one parser, and an option one call gives
+    is back at its default in the next."""
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args)) or 0)
+    main(["hull", "--f", "a.gfn", "--p", "2", "--out", "o.gfn", "--report", "r.csv"])
+    main(["hull", "--f", "b.gfn", "--out", "o.gfn"])
+    main(["sweep", "--family", "dented", "--lambda", "1/3", "--p", "1", "--delta0", "0.1,0.2",
+          "--spacing", "0.01", "--certificates", "main", "--c", "0.5", "--seed", "3", "--out", "a.csv"])
+    main(["sweep", "--family", "sharpness", "--delta0", "1e-3:1e-2:log2", "--out", "b.csv"])
+    assert seen[0] == {"cmd": "hull", "f": "a.gfn", "p": 2.0, "out": "o.gfn", "report": "r.csv"}
+    assert seen[1] == {"cmd": "hull", "f": "b.gfn", "p": 0.0, "out": "o.gfn", "report": None}
+    assert seen[2]["delta0"] == [0.1, 0.2] and seen[2]["c"] == 0.5
+    assert seen[3] == {"cmd": "sweep", "family": "sharpness", "lam": "1/2", "p": 0.0,
+                       "delta0": np.geomspace(1e-3, 1e-2, 2).tolist(), "spacing": 1e-4,
+                       "certificates": None, "c": None, "seed": 0, "out": "b.csv"}
+    assert cli._parser() is cli._parser()
 
 
 def test_lambda_denominator_limit(tmp_path, capsys):

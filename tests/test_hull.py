@@ -19,7 +19,7 @@ from bblab import (
     tail_lower_bound,
     tail_ratio,
 )
-from bblab import hull
+from bblab import hull, supconv
 from bblab.gridfn import _cell_centers
 from bblab.hull import (
     HullResult,
@@ -523,6 +523,130 @@ class TestHull1D:
         for vals in rows:
             for origin, spacing in (((0.0,), 0.1), ((-3.7,), 0.013)):
                 assert_hull_matches_oracle(GridFunction(1, origin, spacing, vals), p)
+
+
+def two_bump(n):
+    """Two log-concave bumps of n/2 cells each, side by side (a zero gap):
+    each pruning pass drops about one point a side of the valley."""
+    return np.concatenate([logconcave_bump(spacing=4.0 / n).values] * 2)
+
+
+def chain_row(kind, rng):
+    """(values, p) for the pruned 1-D chain."""
+    n = int(rng.integers(3, 300))
+    p = float(rng.choice([-0.4, 0.0, 1e-9, 0.5, 1.0, 2.0]))
+    if kind == "bump":  # p-concave (log-concave near p = 0): few or no drops
+        bump = (pconcave_bump(p, spacing=2.0 / n) if abs(p) >= _SMALL_P
+                else logconcave_bump(spacing=2.0 / n))
+        return bump.values, p
+    if kind == "two-bump":
+        return two_bump(2 * (n // 2) + 2), p
+    if kind == "plateau":  # runs of equal values
+        runs = n // 4 + 1
+        return np.repeat(rng.choice([0.5, 1.0, 2.0], size=runs), rng.integers(1, 9, size=runs)), p
+    if kind == "convex":  # every middle point below its chord: the ends are left
+        x = np.linspace(-1.0, 1.0, n)
+        return np.exp(rng.uniform(0.5, 5.0) * x ** 2 + rng.uniform(-1, 1) * x), 0.0
+    if kind == "collinear":  # lifts on a line, give or take an ulp: the exact test decides
+        vals = 1.0 + rng.uniform(0.1, 3.0) * np.arange(n)
+        return vals * (1.0 + rng.integers(-2, 3, size=n) * 2.0 ** -52), 1.0
+    if kind == "spread":
+        return 10.0 ** rng.uniform(-150.0, 150.0, n), p
+    k = 1 if kind == "one" else 2  # support cells
+    vals = np.zeros(n)
+    vals[rng.choice(n, size=k, replace=False)] = rng.uniform(0.1, 2.0, k)
+    return vals, p
+
+
+class TestChain1D:
+    """The pruned chain (_chain_1d) and the slope rule (_chain_slopes)
+    against _upper_chain and integer quotients over all points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["bump", "two-bump", "plateau", "convex", "collinear", "spread",
+                                 "one", "two"]))
+    def test_matches_upper_chain(self, seed, kind):
+        """Vertex positions, slope bits and facet reprs."""
+        vals, p = chain_row(kind, np.random.default_rng(seed))
+        idx = np.flatnonzero(vals > 0)
+        e = int(_scale_exp(vals.max(), vals[idx].min(), p))
+        w = _lift(vals[idx], p, e)
+        ints, K = _dyadic_ints(w)
+        chain = _upper_chain(idx, ints)
+        v = hull._chain_1d(idx, w)
+        assert idx[v].tolist() == [x for x, _ in chain]
+        if len(chain) > 1:
+            ref = np.array([(b - a) / ((x2 - x1) << K)
+                            for (x1, a), (x2, b) in zip(chain[:-1], chain[1:])])
+            assert np.array_equal(hull._chain_slopes(idx[v], w[v]).view(np.int64), ref.view(np.int64))
+        assert_hull_matches_oracle(GridFunction(1, (-3.7,), 0.013, vals), p)
+
+    def test_collinear_takes_exact_test(self, monkeypatch):
+        """Lifts exactly on a line leave every float orientation in doubt."""
+        calls = []
+        monkeypatch.setattr(hull, "_dyadic_ints", lambda w: calls.append(len(w)) or _dyadic_ints(w))
+        p_concave_hull(GridFunction(1, (0.0,), 0.1, 1.0 + np.arange(50.0)), 1.0)
+        assert calls and calls[0] == 50
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_finisher_runs_only_when_pruning_stalls(self, p, monkeypatch):
+        """A 5000-cell two-bump row loses a few points a pass, so its
+        survivors go to _upper_chain; a bump loses none in its first pass
+        and never gets there."""
+        calls = []
+        monkeypatch.setattr(hull, "_upper_chain", lambda x, w: calls.append(len(x)) or _upper_chain(x, w))
+        for vals, runs in ((two_bump(5000), True), (pconcave_bump(p, spacing=2.0 / 5000).values, False)):
+            calls.clear()
+            f = GridFunction(1, (0.0,), 0.1, vals)
+            res = p_concave_hull(f, p)
+            assert bool(calls) == runs and (not runs or 0 < calls[0] < 5000)
+            ref = p_concave_hull_1d_oracle(f, p)
+            assert [repr(pl) for pl in res.facets] == [repr(pl) for pl in ref.facets]
+
+    def test_slopes_round_once_near_underflow(self):
+        """Lifts near the bottom of the normal range, gaps up to 2^40, half
+        of them powers of two: every slope is the Fraction quotient rounded
+        once, also where fl(w2 - w1) / dx would round twice (a subnormal
+        quotient of an inexact difference)."""
+        rng = np.random.default_rng(0)
+        n = 2000
+        # the last pair: fl(5 2^-1015 + 2^-1100) / 2^60 is a tie, 2.5 2^-1074,
+        # which rounds to even; the exact quotient rounds up to 3 2^-1074
+        w = np.append(np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1000, -940, n)),
+                      [-2.0 ** -1100, 5 * 2.0 ** -1015])
+        dx = np.append(np.where(rng.random(n) < 0.5, 2 ** rng.integers(0, 40, n),
+                                rng.integers(1, 2 ** 40, n)), 2 ** 60)
+        x = np.concatenate([[0], np.cumsum(dx)])
+        ref = np.array([float((Fraction(b) - Fraction(a)) / d)
+                        for a, b, d in zip(w[:-1].tolist(), w[1:].tolist(), dx.tolist())])
+        assert np.array_equal(hull._chain_slopes(x, w).view(np.int64), ref.view(np.int64))
+        pow2 = dx & (dx - 1) == 0
+        assert np.any(pow2 & ((w[1:] - w[:-1]) / dx != ref))
+
+    @pytest.mark.parametrize("p, vals", [
+        (0.0, np.exp([-40.3, -15.1, -1.2, -5.7, -40.9])),  # lifts log z
+        (-0.4, np.array([0.9, 0.3, 0.01, 0.1, 0.8]) ** -2.5)])  # lifts -z^-0.4
+    def test_slopes_fall_back_to_integers(self, p, vals, rng, monkeypatch):
+        """Vertex gaps of 3, 5, 6 and 7 cells with inexact float differences
+        (neighbouring lifts more than a factor 2 apart, jittered mantissas):
+        each slope is an integer quotient, and the facets are the Fraction
+        oracle's.  Gaps of 1, 2 and 4 cells take no integer."""
+        calls = []
+        monkeypatch.setattr(hull, "_dyadic_ints", lambda w: calls.append(len(w)) or _dyadic_ints(w))
+        for gaps, fallback in (((3, 5, 6, 7), True), ((1, 2, 4, 4), False)):
+            cells = np.concatenate([[0], np.cumsum(gaps)])
+            row = np.zeros(cells[-1] + 1)
+            row[cells] = vals * (1.0 + 1e-3 * rng.random(len(vals)))
+            e = int(_scale_exp(row.max(), row[cells].min(), p))
+            w = _lift(row[cells], p, e)
+            assert hull._chain_1d(cells, w).tolist() == list(range(len(cells)))
+            if fallback:
+                assert np.all(supconv._two_diff(w[1:], w[:-1])[1] != 0.0)
+            calls.clear()
+            assert_hull_matches_oracle(GridFunction(1, (0.0,), 0.1, row), p)
+            assert calls[:1] == ([len(cells)] if fallback else [])
+
 
 class TestHull2D:
     def _lp_oracle(self, f, p):

@@ -1251,6 +1251,19 @@ def clip_halfplane_oracle(px, py, cnt, nx, ny, off):
     return ox, oy, oc
 
 
+def poly_areas_oracle(px, py, cnt):
+    """The shoelace one vertex at a time (the loop `_poly_areas` replaces)."""
+    N, V = px.shape
+    area = np.zeros(N)
+    rows = np.arange(N)
+    for i in range(V):
+        valid = i < cnt
+        nxt = np.where(i + 1 < cnt, i + 1, 0)
+        term = px[rows, i] * py[rows, nxt] - px[rows, nxt] * py[rows, i]
+        area += np.where(valid, term, 0.0)
+    return 0.5 * np.abs(area)
+
+
 def sector_masses_oracle(f: GridFunction, cone: Cone2D) -> tuple:
     """Sector masses by clipping every positive cell against both
     half-planes of each sector (the path `_sector_masses` replaces)."""
@@ -1269,9 +1282,65 @@ def sector_masses_oracle(f: GridFunction, cone: Cone2D) -> tuple:
     for (hp0, hp1) in cone.sector_halfplanes():
         cx, cy, cc = clip_halfplane_oracle(px, py, cnt0, *hp0)
         cx, cy, cc = clip_halfplane_oracle(cx, cy, cc, *hp1)
-        areas = stability._poly_areas(cx, cy, cc)
+        areas = poly_areas_oracle(cx, cy, cc)
         masses.append(float((vals * areas).sum()))
     return tuple(masses)
+
+
+def convex_polygons(rng, rows):
+    """Convex 3- to 8-gons, counter-clockwise, padded to 8 columns with
+    values the clip must ignore, and per row a half-plane (nx, ny, off):
+    random, through a vertex (d = 0 there, as the clip computes d) or
+    along an edge; a quarter of the rows are axis-aligned squares, cut
+    through a corner as the cone's rays cut cells."""
+    cnt = rng.integers(3, 9, size=rows)
+    px, py = rng.normal(size=(2, rows, 8)) * 1e3
+    normal = rng.normal(size=(rows, 2))
+    nx, ny, off = normal[:, 0], normal[:, 1], rng.normal(size=rows)
+    for r in range(rows):
+        n = cnt[r]
+        if r % 4 == 0:
+            n = cnt[r] = 4
+            x0, y0, h = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.01, 1)
+            px[r, :4], py[r, :4] = [x0, x0 + h, x0 + h, x0], [y0, y0, y0 + h, y0 + h]
+        else:
+            t = np.sort(rng.uniform(0, 2 * math.pi, n))
+            c, rad = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4), 10.0 ** rng.uniform(-3, 3)
+            px[r, :n], py[r, :n] = c[0] + rad * np.cos(t), c[1] + rad * np.sin(t)
+        k, how = int(rng.integers(n)), r % 3
+        if how == 2:  # along the edge k -> k + 1: its inward normal
+            j = (k + 1) % n
+            nx[r], ny[r] = py[r, k] - py[r, j], px[r, j] - px[r, k]
+        if how:
+            off[r] = nx[r] * px[r, k] + ny[r] * py[r, k]
+        else:
+            off[r] = nx[r] * px[r, :n].mean() + ny[r] * py[r, :n].mean() + off[r]
+    return px, py, cnt, nx, ny, off
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestClip:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 24))
+    def test_matches_oracle(self, seed, rows):
+        """_clip_halfplane gives the vertex-by-vertex clip's output bit for
+        bit, padding included, once and twice over, and _poly_areas the
+        per-vertex shoelace's areas."""
+        px, py, cnt, nx, ny, off = convex_polygons(np.random.default_rng(seed), rows)
+        got = stability._clip_halfplane(px, py, cnt, nx, ny, off)
+        again = stability._clip_halfplane(*got, ny, -nx, off)
+        for r in range(rows):
+            ref = clip_halfplane_oracle(px[r:r + 1], py[r:r + 1], cnt[r:r + 1], nx[r], ny[r], off[r])
+            twice = clip_halfplane_oracle(*ref, ny[r], -nx[r], off[r])
+            for out, oracle in ((got, ref), (again, twice)):
+                assert all(np.array_equal(_bits(a[r:r + 1]), _bits(b)) for a, b in zip(out, oracle))
+        for out in (got, again):
+            assert np.array_equal(_bits(stability._poly_areas(*out)), _bits(poly_areas_oracle(*out)))
+        assert np.array_equal(_bits(stability._poly_areas(px, py, cnt)),
+                              _bits(poly_areas_oracle(px, py, cnt)))
 
 
 def _gaussian_2d(n, spacing, sigma=0.6, center=(0.0, 0.0)):
