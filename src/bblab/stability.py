@@ -726,6 +726,18 @@ def cone_equipartition_2d(f: GridFunction) -> EquipartitionResult:
     ylo = f.origin[1] + j_lo * h
     yhi = f.origin[1] + (j_hi + 1) * h
     span = max(xhi - xlo, yhi - ylo)
+    # The clip and the shoelace work on absolute coordinates, so far from
+    # the origin their size swamps a cell's area.  A support more than its
+    # span away is solved moved by whole cells to near the origin, and the
+    # apex moved back.  One nearer stays put, bit for bit: its coordinates
+    # are within two spans, as a moved one's are within one.  So does one
+    # too far for m / h to be finite.
+    shift = [round(m / h) if span < abs(m) < 1e300 * h else 0
+             for m in ((xlo + xhi) / 2, (ylo + yhi) / 2)]
+    if shift != [0, 0]:
+        res = cone_equipartition_2d(translate(f, [-k for k in shift]))
+        apex = tuple(x + k * h for x, k in zip(res.apex, shift))
+        return EquipartitionResult(apex, res.masses, res.residual, res.converged)
 
     cells = _cone_cells(f)
     memo = {}

@@ -22,13 +22,16 @@ from _half_line_sup_integrals instead: one kernel pass grown in blocks
 of cells, whose sums are the kernel path's bit for bit.  _lattice_sums has two
 paths: the O(n_f n_g) kernel _max_plus, and in 1-D at lam = 1/2 the slope
 merge _merge_pieces over concave pieces, O(r_g n_f + r_f n_g) for r
-pieces; a cost rule picks one per row.  One piece finder, _exact_pieces,
-splits the rows at a tolerance the caller picks.  At 0 (sup_convolution,
-the hypothesis check, the midpoint test), the float lifts are concave in
-real arithmetic on each piece, and both paths give the same lattice sums
-bit for bit.  The shaving objective passes _SHAVE_SLACK, 2^-46 of a row's
-largest lift, so that rounding kinks do not split its states; its merge
-misses M* by about that much, far below the shave's acceptance threshold.
+pieces; a cost rule picks one per row.  The kernel takes f's cells in
+blocks along its last axis, a few numpy calls a block, and forms each pair
+by the float add of a per-cell loop, so its W is that loop's bit for bit.
+One piece finder, _exact_pieces, splits the rows at a tolerance the
+caller picks.  At 0 (sup_convolution, the hypothesis check, the midpoint
+test), the float lifts are concave in real arithmetic on each piece, and
+both paths give the same lattice sums bit for bit.  The shaving objective
+passes _SHAVE_SLACK, 2^-46 of a row's largest lift, so that rounding kinks
+do not split its states; its merge misses M* by about that much, far below
+the shave's acceptance threshold.
 The kernel alone serves 2-D (the 2-D midpoint test included) and
 lam != 1/2.  lg is lf (_scaled_lifts: lam = 1/2 and g = f by value) marks
 the symmetric pass, which skips the mirror pairs, on every path.
@@ -274,9 +277,12 @@ def _lattice_sums(fv, gv, params: MeanParams, base, shape, distinct: bool = Fals
     row.  At slack 0 (the default) the pieces are exactly concave and both
     paths give the same W bit for bit; at the shave's _SHAVE_SLACK the
     merge's W is below the kernel's by at most about that slack times the
-    row's largest lift."""
+    row's largest lift.  distinct without the symmetric pass raises
+    ValueError: (i, i) is a pair of f with itself."""
     a, b = _lam_ab(params)
     lf, lg, e = _scaled_lifts(fv, gv, params)
+    if distinct and lg is not lf:
+        raise ValueError("distinct pairs need the symmetric pass: lam = 1/2 and g = f")
     W = np.empty((len(fv),) + tuple(b * n for n in shape))
     rest = np.arange(len(fv))
     if fv.ndim == 2 and 2 * a == b:
@@ -298,28 +304,99 @@ def _lattice_sums(fv, gv, params: MeanParams, base, shape, distinct: bool = Fals
     return W, e
 
 
+# A _max_plus block's array M, in doubles (1 MB), and its most cells.  On the
+# 40x40 Gaussian pair, a 4000-cell row at lam = 1/3 and the 2-D shave's 7x7
+# batches, 2^16 to 2^18 doubles ran about alike, and 2^15 up to twice and
+# 2^13 up to three times as slow (2-vCPU VM, numpy 2.4).
+_BLOCK_DOUBLES = 1 << 17
+_BLOCK_CELLS = 64
+
+
+def _max_plus_blocks(live, step: int, size: int):
+    """(line, c, q0, n): _max_plus's blocks over live (lines, n), the live
+    cells of f per line.  A block is the cells c + step*q, q0 <= q < q0 + n,
+    of one residue c mod step on one line, up to size of them, within one
+    run of the class's live cells that no dead stretch longer than size
+    splits."""
+    for c in range(step):
+        lines, q = np.nonzero(live[:, c::step])
+        if len(q) == 0:
+            continue
+        cut = np.flatnonzero((np.diff(lines) != 0) | (np.diff(q) > size)) + 1
+        first, last = np.append(0, cut), np.append(cut, len(q)) - 1
+        for line, q0, q1 in zip(lines[first].tolist(), q[first].tolist(), q[last].tolist()):
+            for s in range(q0, q1 + 1, size):
+                yield line, c, s, min(size, q1 + 1 - s)
+
+
 def _max_plus(lf, lg, W, a: int, b: int, base, distinct: bool):
-    """The O(n_f n_g) kernel of _lattice_sums, into W in place: for each
-    live cell i of f, one add of lf[i] to every lg[j] and one max into
-    W[a*i + (b-a)*j + base] for all rows.  When lg is lf only j >= i on
-    axis 0 is visited; distinct leaves out j = i."""
+    """The O(n_f n_g) kernel of _lattice_sums, into W in place: the largest
+    lf[i] + lg[j] at each lattice sum a*i + (b-a)*j + base, over all rows.
+    When lg is lf, 2-D keeps the pairs with j >= i on axis 0 and 1-D those
+    with j from the first cell of i's block; distinct leaves out j = i.
+
+    A line of f is its cells at one index on every axis but the last, and
+    g's rows are its lines likewise (one of each in 1-D).  The blocks of
+    _max_plus_blocks take a line's cells i = c + (b-a) q, q0 <= q < q0 + n,
+    at a time.  Pair (i, j) lands on the last axis at a c + (b-a)(a q + j)
+    + base, so the pairs of the block's q-th cell with a row of g start
+    a q columns (of stride b - a) after its first cell's: one add through a
+    view of a flat buffer at pitch S + a, S the size of a (B, rows of g, L)
+    slab, writes all of a block's pairs into the (K, B, rows of g, L) array
+    M, slab q's skewed by a q.  One max down M's axis 0 folds the block and
+    one strided max puts it into W.  The buffer is filled with -inf once;
+    every slot that no pair fills stays -inf.  In 2-D g's rows are padded
+    with -inf to L columns, so that the add runs over all of a batch row's
+    rows of g at once, and the padding falls on those slots.  In 1-D the
+    add writes the pairs alone, and the symmetric pass's rows, shorter by
+    the block's first cell, leave columns that are reset to -inf.
+
+    W is the per-cell kernel's bit for bit (max_plus_oracle in the tests):
+    each pair's sum is the same float add, max is exact and indifferent to
+    order, and the pairs a 1-D symmetric block adds, (i, j) with j < i in
+    one block, are mirrors (j, i) of kept pairs at the same lattice sum,
+    with the same float sum since lg is lf."""
     step = b - a
-    B, dim = len(lf), lf.ndim - 1
-    buf = np.empty(lg.shape)
-    ng = lg.shape[1:]
-    live = np.isfinite(lf).reshape(B, -1).any(axis=0)
-    for flat in np.flatnonzero(live):
-        i = np.unravel_index(flat, lf.shape[1:])
-        j0 = (int(i[0]) if lg is lf else 0,) + (0,) * (dim - 1)
-        rows = (slice(None),) + tuple(slice(j, None) for j in j0)
-        t = buf[rows]
-        np.add(lf[(slice(None),) + i].reshape((B,) + (1,) * dim), lg[rows], out=t)
-        if distinct:
-            t[(slice(None), 0) + i[1:]] = -np.inf
-        seg = W[(slice(None),) + tuple(
-            slice(a * i[d] + step * j0[d] + base[d], a * i[d] + step * n + base[d], step)
-            for d, n in enumerate(ng))]
-        np.maximum(seg, t, out=seg)
+    sym = lg is lf
+    B, nfl, dim = len(lf), lf.shape[-1], lf.ndim - 1
+    lines = lf.reshape(B, -1, nfl)
+    G, ngl = lg.reshape(B, -1, lg.shape[-1]).shape[1:]
+    W3 = W.reshape(B, -1, W.shape[-1])
+    base0 = int(base[0]) if dim == 2 else 0
+    live = np.isfinite(lines).any(axis=0)
+    # K cells a block, and M within _BLOCK_DOUBLES
+    K = min(_BLOCK_CELLS, -(-nfl // step))
+    K = max(1, min(K, _BLOCK_DOUBLES // (B * G) // (a * (K - 1) + ngl)))
+    L = a * (K - 1) + ngl
+    S = B * G * L
+    buf = np.full(K * (S + a), -np.inf)
+    M = buf[:K * S].reshape(K, B, G, L)
+    skew = buf.reshape(K, S + a)[:, :S].reshape(K, B, G, L)
+    if dim == 2:
+        rows = np.full((B, G, L), -np.inf)
+        rows[..., :ngl] = lg
+    else:
+        rows = lg[:, None]
+    wide = ngl  # slab rows hold -inf from column `wide` on
+    for line, c, q0, n in _max_plus_blocks(live, step, K):
+        i = c + step * q0
+        r0 = line if sym and dim == 2 else 0
+        j0 = i if sym and dim == 1 else 0
+        src = rows[None, :, r0:, j0:]
+        w = src.shape[-1]
+        if w < wide:
+            skew[..., w:wide] = -np.inf
+        wide = w
+        lf_q = lines[:, line, i:i + step * n:step].T[:, :, None, None]
+        np.add(lf_q, src, out=skew[:n, :, r0:, :w])
+        if distinct:  # slab q's (i + q, i + q): g's row `line`, column i + q - j0
+            q = np.arange(n)
+            skew[q, :, line if dim == 2 else 0, i + q - j0] = -np.inf
+        span = a * (n - 1) + ngl - j0
+        top = M[:n, :, r0:, :span].max(axis=0)
+        at = a * i + step * j0 + base[-1]
+        seg = W3[:, a * line + step * r0 + base0::step, at:at + step * span:step][:, :G - r0]
+        np.maximum(seg, top, out=seg)
 
 
 def _sup_cells(fv, gv, params: MeanParams, s0, slack: float = 0.0):
@@ -544,9 +621,9 @@ def _grown_sums(lf, lg, counts, params: MeanParams, e: int, backward: bool) -> n
 
 
 # The cost rule's times (ns): per merged slope and per piece-pair slot of
-# _merge_pieces, per pair and per live cell of f of _max_plus (fitted on a
-# 2-vCPU VM, numpy 2.4, rows of 50 to 4000 cells with 1 to 12 pieces in
-# batches of 1 to 512 rows)
+# _merge_pieces, per pair and per live cell of f of the per-cell kernel that
+# _max_plus replaced (fitted on a 2-vCPU VM, numpy 2.4, rows of 50 to 4000
+# cells with 1 to 12 pieces in batches of 1 to 512 rows)
 _MERGE_NS, _SLOT_NS = 30.0, 9e4
 _PAIR_NS, _CELL_NS = 2.0, 1e4
 
@@ -560,7 +637,10 @@ def _pieces_cheaper(r_f, live_f, r_g, live_g, box_g, sym: bool) -> np.ndarray:
     slot's and each cell's numpy calls, so a row pays 1/B of their cost.
     On exact pieces both paths give the same W, so the rule moves time
     only; on the shave's pieces, concave up to _SHAVE_SLACK, it moves the
-    shave's sums by at most about 2^-46 of a row's largest lift as well."""
+    shave's sums by at most about 2^-46 of a row's largest lift as well.
+    So the kernel's constants stay the per-cell kernel's, though the
+    blocked _max_plus is faster: a re-fit would move which rows the shave
+    merges, and so its sums at the slack's level."""
     B = len(r_f)
     half = 0.5 if sym else 1.0
     merge = half * (_MERGE_NS * (r_g * live_f + r_f * live_g) + _SLOT_NS * r_f * r_g / B)

@@ -1501,6 +1501,17 @@ class TestEquipartition:
         for m in res.masses:
             assert abs(m - integral(f) / 3) <= 1e-12
 
+    def test_far_from_origin(self):
+        """A 3x3 grid of ones at origin (1e12, 1e12), where the clip's
+        absolute coordinates swamp a cell's area, is solved moved by whole
+        cells to origin (-2, -2): masses 3 each, and that solve's apex moved
+        back."""
+        ones = np.ones((3, 3))
+        res = cone_equipartition_2d(GridFunction(2, (1e12, 1e12), 1.0, ones))
+        near = cone_equipartition_2d(GridFunction(2, (-2.0, -2.0), 1.0, ones))
+        assert res.converged and res.masses == near.masses == (3.0, 3.0, 3.0)
+        assert res.apex == tuple(x + (10 ** 12 + 2) for x in near.apex)
+
     def test_uniform_square_verified(self):
         # for a uniform square the equipartition apex exists but is NOT the
         # center: the three 120-degree window integrals of the square's

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -523,6 +524,134 @@ class TestDistinctPieces:
         f = logconcave_bump(spacing=2.0 / 5000)
         monkeypatch.setattr(supconv, "_max_plus", None)  # must not run
         assert is_p_concave(f, 0.0).ok
+
+
+def max_plus_oracle(lf, lg, W, a, b, base, distinct):
+    """The per-cell max-plus kernel, into W in place: for each live cell i
+    of f, one add of lf[i] to every lg[j] and one max into
+    W[a*i + (b-a)*j + base] for all rows.  When lg is lf only j >= i on
+    axis 0 is visited; distinct leaves out j = i."""
+    step = b - a
+    B, dim = len(lf), lf.ndim - 1
+    buf = np.empty(lg.shape)
+    ng = lg.shape[1:]
+    live = np.isfinite(lf).reshape(B, -1).any(axis=0)
+    for flat in np.flatnonzero(live):
+        i = np.unravel_index(flat, lf.shape[1:])
+        j0 = (int(i[0]) if lg is lf else 0,) + (0,) * (dim - 1)
+        rows = (slice(None),) + tuple(slice(j, None) for j in j0)
+        t = buf[rows]
+        np.add(lf[(slice(None),) + i].reshape((B,) + (1,) * dim), lg[rows], out=t)
+        if distinct:
+            t[(slice(None), 0) + i[1:]] = -np.inf
+        seg = W[(slice(None),) + tuple(
+            slice(a * i[d] + step * j0[d] + base[d], a * i[d] + step * n + base[d], step)
+            for d, n in enumerate(ng))]
+        np.maximum(seg, t, out=seg)
+
+
+def holey_lifts(rng, B, shape, hole_frac, dead_lines, gap):
+    """Random lifts (B, *shape) with -inf holes, dead lines (2-D) and, in
+    1-D, a dead stretch of gap cells."""
+    lv = rng.normal(size=(B,) + shape)
+    lv[rng.random(lv.shape) < hole_frac] = -np.inf
+    if len(shape) == 2:
+        lv[:, rng.random(shape[0]) < dead_lines] = -np.inf
+    elif gap:
+        at = int(rng.integers(0, max(1, shape[0] - gap)))
+        lv[:, at:at + gap] = -np.inf
+    return lv
+
+
+class TestBlockedKernel:
+    """_max_plus takes a line of f's cells in blocks and gives the per-cell
+    kernel's W bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           lam=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]),
+           B=st.sampled_from([1, 3, 60]), sym=st.booleans(), distinct=st.booleans(),
+           cells=st.sampled_from([3, 64]))
+    def test_matches_oracle(self, seed, dim, lam, B, sym, distinct, cells):
+        rng = np.random.default_rng(seed)
+        a, b = lam.numerator, lam.denominator
+        sym = sym and 2 * a == b
+        n_max = 10 if dim == 2 else 250
+        nf = tuple(int(n) for n in rng.integers(1, n_max, size=dim))
+        ng = nf if sym else tuple(int(n) for n in rng.integers(1, n_max, size=dim))
+        gap = int(rng.integers(cells + 1, 2 * cells + 2)) if rng.random() < 0.5 else 0
+        lf = holey_lifts(rng, B, nf, rng.uniform(0.0, 0.9), 0.3, gap)
+        lg = lf if sym else holey_lifts(rng, B, ng, rng.uniform(0.0, 0.5), 0.2, 0)
+        base = tuple(int(x) for x in rng.integers(0, b, size=dim))
+        W = np.full((B,) + tuple(b * (f + g) for f, g in zip(nf, ng)), -np.inf)
+        W[rng.random(W.shape) < 0.1] = 0.0  # the kernel maxes into W
+        ref = W.copy()
+        distinct = distinct and sym
+        max_plus_oracle(lf, lg, ref, a, b, base, distinct)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(supconv, "_BLOCK_CELLS", cells)
+            supconv._max_plus(lf, lg, W, a, b, base, distinct)
+        assert np.array_equal(W, ref)
+
+    def test_blocks_skip_dead_stretches(self, rng):
+        """The blocks cover every live cell once, up to a block's cells at a
+        time, and no cell of a dead stretch longer than a block: a 10^4-cell
+        row with two 20-cell clusters 8000 cells apart takes two blocks."""
+        row = np.zeros((1, 10 ** 4), dtype=bool)
+        row[0, 1000:1020] = row[0, 9000:9020] = True
+        got = list(supconv._max_plus_blocks(row, 1, 64))
+        assert got == [(0, 0, 1000, 20), (0, 0, 9000, 20)]
+        for step, size in ((1, 4), (2, 5), (3, 8), (1, 64)):
+            live = rng.random((3, 300)) < rng.uniform(0.01, 0.2, size=(3, 1))
+            live[:, 100:100 + 2 * size * step] = False
+            covered = np.zeros_like(live, dtype=int)
+            for line, c, q0, n in supconv._max_plus_blocks(live, step, size):
+                assert 1 <= n <= size
+                covered[line, c + step * q0:c + step * (q0 + n):step] += 1
+            assert (covered[live] == 1).all() and covered.max(initial=0) <= 1
+            for line in range(3):
+                for c in range(step):
+                    q = np.flatnonzero(live[line, c::step])
+                    for q0, q1 in zip(q[:-1], q[1:]):
+                        if q1 - q0 > size:  # a dead stretch longer than a block
+                            assert not covered[line, c::step][q0 + 1:q1].any()
+
+    @pytest.mark.parametrize("case", ["row-third", "pair40"])
+    def test_memory_near_buffer(self, case):
+        """The kernel's peak is its buffer of _BLOCK_DOUBLES doubles plus
+        W-sized temporaries (a block's fold, g's padded rows in 2-D) and
+        numpy's ufunc buffers (three operands of np.getbufsize() doubles),
+        on a 10^4-cell row at lam = 1/3 and on the 40x40 pair at lam = 1/2."""
+        if case == "row-third":
+            (a, b), shape = (1, 3), (10 ** 4,)
+            lf = np.log(1.0 + np.arange(10 ** 4))[None] / 3.0
+            lg = lf * 2.0
+        else:
+            (a, b), shape = (1, 2), (40, 40)
+            x = np.linspace(-1.0, 1.0, 40)
+            lf = -(x[:, None] ** 2 + x[None, :] ** 2)[None]
+            lg = lf - 0.1
+        W = np.full((1,) + tuple(2 * b * n for n in shape), -np.inf)
+        tracemalloc.start()
+        try:
+            supconv._max_plus(lf, lg, W, a, b, (0,) * len(shape), False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = 8 * (supconv._BLOCK_DOUBLES + supconv._BLOCK_CELLS * a)
+        assert peak <= buffer + W.nbytes + 3 * 8 * np.getbufsize(), (peak, buffer, W.nbytes)
+
+    def test_distinct_needs_symmetric_pass(self, rng):
+        """distinct leaves out the pairs (i, i), which only the symmetric
+        pass (lam = 1/2, g = f) defines; any other call raises."""
+        f = rng.uniform(0.1, 2.0, size=(1, 12))
+        g = f * 1.5
+        with pytest.raises(ValueError, match="symmetric pass"):
+            _lattice_sums(f, g, HALF, (0,), (12,), distinct=True)
+        with pytest.raises(ValueError, match="symmetric pass"):
+            _lattice_sums(f, f, MeanParams(Fraction(1, 3), 0.0), (0,), (12,), distinct=True)
+        W, _ = _lattice_sums(f, f.copy(), HALF, (0,), (12,), distinct=True)
+        assert np.isfinite(W).any()
 
 
 class TestMinkowski:
